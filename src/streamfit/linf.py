@@ -1,8 +1,10 @@
 """l-infinity ultrametric fitting via a streaming spanning forest.
 
-Single pass: maintain a minimum spanning forest under the cycle property;
-the max-edge-on-path ultrametric of the forest (built by single linkage)
-is the pointwise-maximal ultrametric below D and a 2-approximation.
+Single pass: maintain a minimum spanning forest of the stream with a
+buffered Kruskal (the semi-streaming MST of Feigenbaum, Kannan, McGregor,
+Suri & Zhang, TCS 2005) in O(n) words; the max-edge-on-path ultrametric of
+the forest (built by single linkage) is the pointwise-maximal ultrametric
+below D and a 2-approximation.
 Two passes: raise every level by half the worst undershoot, which is exactly
 optimal.
 """
@@ -13,84 +15,112 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import StreamIntegrityError, StreamSource
+from .streams import StreamIntegrityError, StreamSource, pair_index
 from .trees import DomainError, UltrametricTree, single_linkage_tree
 
 
 class MstState:
-    """Spanning forest of the edges seen so far (at most n-1 kept)."""
+    """Minimum spanning forest of the edges seen so far, in O(n) words.
+
+    Edges are ordered strictly by (weight, max endpoint, min endpoint), so
+    the minimum spanning forest is unique and does not depend on the
+    ingest order. The state is the forest (at most n-1 edges) followed by
+    a buffer of up to 4n new edges, all in int64 arrays of 5n-1 slots.
+    When the buffer fills, and on `edges()`, the forest and the buffer are
+    sorted together and Kruskal's union-find keeps the first n-1 edges that
+    join two components; every edge it drops closes a cycle in which it is
+    the largest, so it is in no later minimum forest either.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self.adj: list[dict] = [dict() for _ in range(n)]
-        self.edge_count = 0
-
-    def _path(self, start, goal):
-        """Vertex path start..goal in the forest, or None."""
-        prev = {start: start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            if x == goal:
-                path = [x]
-                while path[-1] != start:
-                    path.append(prev[path[-1]])
-                return path
-            for y in self.adj[x]:
-                if y not in prev:
-                    prev[y] = x
-                    stack.append(y)
-        return None
+        self.capacity = (n - 1) + 4 * n
+        self._w = np.empty(self.capacity, dtype=np.int64)
+        self._hi = np.empty(self.capacity, dtype=np.int64)
+        self._lo = np.empty(self.capacity, dtype=np.int64)
+        self.forest_size = 0   # slots [0, forest_size) hold the forest
+        self.size = 0          # slots [forest_size, size) are the buffer
 
     def ingest(self, u: int, v: int, w: int):
-        """Insert an edge; on a cycle, evict the lexicographically largest
-        (weight, pair) edge so the forest stays minimum."""
-        path = self._path(u, v)
-        if path is None:
-            self.adj[u][v] = w
-            self.adj[v][u] = w
-            self.edge_count += 1
-            return
-        worst = (w, max(u, v), min(u, v))
-        worst_edge = None
-        for a, b in zip(path, path[1:]):
-            key = (self.adj[a][b], max(a, b), min(a, b))
-            if key > worst:
-                worst = key
-                worst_edge = (a, b)
-        if worst_edge is not None:
-            a, b = worst_edge
-            del self.adj[a][b]
-            del self.adj[b][a]
-            self.adj[u][v] = w
-            self.adj[v][u] = w
+        """Add one edge to the buffer, compacting when it is full."""
+        i = self.size
+        self._w[i] = w
+        self._hi[i] = max(u, v)
+        self._lo[i] = min(u, v)
+        self.size = i + 1
+        if self.size == self.capacity:
+            self._compact()
+
+    def ingest_batch(self, u, v, w):
+        """Add edges from equal-length arrays, one buffer-sized slice at a time."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        w = np.asarray(w, dtype=np.int64)
+        start = 0
+        while start < len(w):
+            take = min(self.capacity - self.size, len(w) - start)
+            stop = start + take
+            dst = slice(self.size, self.size + take)
+            self._w[dst] = w[start:stop]
+            np.maximum(u[start:stop], v[start:stop], out=self._hi[dst])
+            np.minimum(u[start:stop], v[start:stop], out=self._lo[dst])
+            self.size += take
+            start = stop
+            if self.size == self.capacity:
+                self._compact()
+
+    def _compact(self):
+        """Kruskal over forest plus buffer; keep the result as the forest."""
+        size = self.size
+        order = np.lexsort((self._lo[:size], self._hi[:size], self._w[:size]))
+        parent = list(range(self.n))
+        keep = []
+        limit = self.n - 1
+        for i, a, b in zip(
+            order.tolist(), self._hi[order].tolist(), self._lo[order].tolist()
+        ):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a == b:
+                continue
+            parent[a] = b
+            keep.append(i)
+            if len(keep) == limit:
+                break
+        kept = len(keep)
+        for arr in (self._w, self._hi, self._lo):
+            arr[:kept] = arr[keep]
+        self.forest_size = self.size = kept
 
     def edges(self):
-        out = []
-        for a in range(self.n):
-            for b, w in self.adj[a].items():
-                if a < b:
-                    out.append((w, a, b))
-        return sorted(out)
-
-
-def mst_ingest(state: MstState, entry):
-    state.ingest(entry.u, entry.v, entry.d)
+        """The forest as (weight, u, v) with u < v, in ascending order."""
+        self._compact()
+        size = self.size
+        return sorted(
+            zip(
+                self._w[:size].tolist(),
+                self._lo[:size].tolist(),
+                self._hi[:size].tolist(),
+            )
+        )
 
 
 def _build_forest(source: StreamSource, pass_index=0) -> MstState:
-    n = source.n
-    state = MstState(n)
-    seen = np.zeros(source.expected_entries, dtype=bool)
     u_arr, v_arr, d_arr = source.arrays(pass_index)
-    idx = u_arr * (2 * n - u_arr - 1) // 2 + (v_arr - u_arr - 1)
-    for i in range(len(d_arr)):
-        if seen[idx[i]]:
-            raise StreamIntegrityError("duplicate pair in stream")
-        seen[idx[i]] = True
-        state.ingest(int(u_arr[i]), int(v_arr[i]), int(d_arr[i]))
-    if not seen.all():
+    seen = np.zeros(source.expected_entries, dtype=bool)
+    seen[pair_index(source.n, u_arr, v_arr)] = True
+    distinct = int(np.count_nonzero(seen))
+    if distinct != len(d_arr):
+        raise StreamIntegrityError("duplicate pair in stream")
+    if distinct != source.expected_entries:
         raise StreamIntegrityError("stream is missing pairs")
+    del seen
+    state = MstState(source.n)
+    state.ingest_batch(u_arr, v_arr, d_arr)
     return state
 
 
@@ -113,16 +143,19 @@ def fit_linf_min_decrement(source: StreamSource) -> UltrametricTree:
 def fit_linf_exact(source: StreamSource) -> LinfExactResult:
     """Two passes: min-decrement tree, then raise all levels by slack/2."""
     under = fit_linf_min_decrement(source)
-    slack = 0
-    cert = None
     induced = under.induced_matrix()
-    for u, v, d in zip(*source.arrays(1)):
-        gap = int(d) - int(induced[u, v])
-        if gap < 0:
+    u, v, d = source.arrays(1)
+    gap = induced[u, v]
+    del induced
+    np.subtract(d, gap, out=gap)
+    slack, cert = 0, None
+    if len(gap):
+        if gap.min() < 0:
             raise DomainError("min-decrement output exceeded an input distance")
-        if gap > slack or cert is None:
-            slack = gap
-            cert = (int(u), int(v))
+        # the first pair of maximal gap in pass order certifies the bound
+        first = int(np.argmax(gap))
+        slack = int(gap[first])
+        cert = (int(u[first]), int(v[first]))
     if slack % 2 != 0:
         raise DomainError("half-unit shift not representable; use even inputs")
     tree = under.shift_levels(slack // 2) if slack else under

@@ -35,21 +35,37 @@ class _Node:
         return self.leaf is not None
 
 
+def _preorder(root: _Node) -> list:
+    """Every node below and including root, parents before children."""
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    return order
+
+
 def _normalize(node: _Node) -> _Node:
     """Collapse unary nodes and merge children that share the parent level."""
-    if node.is_leaf:
-        return node
-    merged = []
-    for child in node.children:
-        child = _normalize(child)
-        if not child.is_leaf and child.level == node.level:
-            merged.extend(child.children)
-        else:
-            merged.append(child)
-    if len(merged) == 1:
-        return merged[0]
-    node.children = merged
-    return node
+
+    def resolved(child):
+        # a normalized internal node left with one child stands for that child
+        if not child.is_leaf and len(child.children) == 1:
+            return child.children[0]
+        return child
+
+    for parent in reversed(_preorder(node)):
+        if parent.is_leaf:
+            continue
+        merged = []
+        for child in map(resolved, parent.children):
+            if not child.is_leaf and child.level == parent.level:
+                merged.extend(child.children)
+            else:
+                merged.append(child)
+        parent.children = merged
+    return resolved(node)
 
 
 class UltrametricTree:
@@ -64,59 +80,59 @@ class UltrametricTree:
         if n < 1:
             raise DomainError("need at least one point")
         self.n = n
-        root = _normalize(root)
-        size = n + self._count_internal(root)
+        nodes = _preorder(_normalize(root))
+        size = n + sum(not node.is_leaf for node in nodes)
         self.parent = np.full(size, -1, dtype=np.int64)
         self.level = np.zeros(size, dtype=np.int64)
         self.children: list[list[int]] = [[] for _ in range(size)]
         self._depth = np.zeros(size, dtype=np.int64)
-        self._next_internal = n
-        self._min_leaf_cache: dict[int, int] = {}
-        self.root = self._flatten(root, -1, 0)
-        del self._min_leaf_cache
+        self.root = self._flatten(nodes)
         self._validate()
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def _count_internal(root: _Node) -> int:
-        total = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if not node.is_leaf:
-                total += 1
-            stack.extend(node.children)
-        return total
-
-    def _min_leaf(self, node: _Node) -> int:
-        got = self._min_leaf_cache.get(id(node))
-        if got is None:
-            got = (
+    def _min_leaf(nodes: list) -> dict:
+        """Smallest leaf id below each node of a preorder, keyed by id(node)."""
+        got: dict[int, int] = {}
+        for node in reversed(nodes):
+            got[id(node)] = (
                 node.leaf
                 if node.is_leaf
-                else min(self._min_leaf(child) for child in node.children)
+                # a childless internal node gets a placeholder; _validate rejects it
+                else min((got[id(child)] for child in node.children), default=-1)
             )
-            self._min_leaf_cache[id(node)] = got
         return got
 
-    def _flatten(self, node: _Node, parent: int, depth: int) -> int:
-        if node.is_leaf:
-            idx = node.leaf
-            if not (0 <= idx < self.n):
-                raise DomainError(f"leaf id {idx} out of range")
-        else:
-            idx = self._next_internal
-            self._next_internal += 1
-        self.parent[idx] = parent
-        self.level[idx] = node.level
-        self._depth[idx] = depth
-        if not node.is_leaf:
-            ordered = sorted(node.children, key=self._min_leaf)
-            self.children[idx] = [
-                self._flatten(child, idx, depth + 1) for child in ordered
-            ]
-        return idx
+    def _flatten(self, nodes: list) -> int:
+        """Number internal nodes n.. in depth-first preorder, children sorted
+        by smallest leaf, and fill the node arrays; returns the root id.
+        `nodes` is a preorder of the normalized tree, root first."""
+        min_leaf = self._min_leaf(nodes)
+        next_internal = self.n
+        # parallel stacks of nodes and their parents' ids
+        stack, parents = [nodes[0]], [-1]
+        while stack:
+            node, parent = stack.pop(), parents.pop()
+            if node.is_leaf:
+                idx = node.leaf
+                if not (0 <= idx < self.n):
+                    raise DomainError(f"leaf id {idx} out of range")
+            else:
+                idx = next_internal
+                next_internal += 1
+            if parent < 0:
+                root_idx = idx
+            else:
+                self.children[parent].append(idx)
+                self._depth[idx] = self._depth[parent] + 1
+            self.parent[idx] = parent
+            self.level[idx] = node.level
+            if not node.is_leaf:
+                ordered = sorted(node.children, key=lambda c: min_leaf[id(c)])
+                stack.extend(reversed(ordered))
+                parents.extend([idx] * len(ordered))
+        return root_idx
 
     def _validate(self):
         seen = [False] * self.n
@@ -177,20 +193,38 @@ class UltrametricTree:
         return int(self.level[a])
 
     def induced_matrix(self) -> np.ndarray:
-        """Full n x n matrix of LCA levels."""
+        """Full n x n matrix of LCA levels.
+
+        One post-order walk lists the leaves in depth-first order, so every
+        subtree's leaves are the contiguous run order[lo:hi]. At each
+        internal node, the leaves of each child but the last meet the
+        leaves to their right at the node's level: two blocks per child,
+        and every off-diagonal cell is written exactly once.
+        """
         out = np.zeros((self.n, self.n), dtype=np.int64)
-        leaves: dict[int, np.ndarray] = {}
+        size = len(self.parent)
+        order = np.empty(self.n, dtype=np.int64)
+        lo = np.empty(size, dtype=np.int64)
+        hi = np.empty(size, dtype=np.int64)
+        pos = 0
         for idx in self._postorder():
             if idx < self.n:
-                leaves[idx] = np.array([idx], dtype=np.int64)
+                order[pos] = idx
+                lo[idx] = pos
+                pos += 1
+                hi[idx] = pos
                 continue
-            groups = [leaves.pop(c) for c in self.children[idx]]
+            # post-order visits children left to right, so their runs are
+            # consecutive in list order
+            kids = self.children[idx]
+            lo[idx] = lo[kids[0]]
+            end = hi[idx] = hi[kids[-1]]
             lvl = self.level[idx]
-            for i in range(len(groups)):
-                for j in range(i + 1, len(groups)):
-                    out[np.ix_(groups[i], groups[j])] = lvl
-                    out[np.ix_(groups[j], groups[i])] = lvl
-            leaves[idx] = np.concatenate(groups)
+            for child in kids[:-1]:
+                mine = order[lo[child] : hi[child]]
+                right = order[hi[child] : end]
+                out[np.ix_(mine, right)] = lvl
+                out[np.ix_(right, mine)] = lvl
         return out
 
     def _postorder(self):
@@ -207,28 +241,18 @@ class UltrametricTree:
 
     # -- transforms -----------------------------------------------------------
 
-    def _to_nested(self, idx=None) -> _Node:
-        if idx is None:
-            idx = self.root
-        if idx < self.n:
-            return _Node(leaf=int(idx))
-        return _Node(
-            level=int(self.level[idx]),
-            children=[self._to_nested(c) for c in self.children[idx]],
-        )
-
     def map_levels(self, fn) -> "UltrametricTree":
         """Rebuild with every internal level replaced by fn(level)."""
-
-        def walk(node):
-            if node.is_leaf:
-                return node
-            node.level = int(fn(node.level))
-            for child in node.children:
-                walk(child)
-            return node
-
-        return UltrametricTree(self.n, walk(self._to_nested()))
+        nodes = [None] * len(self.parent)
+        for idx in self._postorder():
+            if idx < self.n:
+                nodes[idx] = _Node(leaf=int(idx))
+            else:
+                nodes[idx] = _Node(
+                    level=int(fn(int(self.level[idx]))),
+                    children=[nodes[c] for c in self.children[idx]],
+                )
+        return UltrametricTree(self.n, nodes[self.root])
 
     def shift_levels(self, delta: int) -> "UltrametricTree":
         return self.map_levels(lambda lvl: lvl + delta)

@@ -119,6 +119,88 @@ class TestMstState:
         assert state.edges() == [(1, 1, 2), (2, 0, 2)]
 
 
+def kruskal_reference(n, edges):
+    """Brute-force Kruskal over every edge under the (w, max, min) order."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    kept = []
+    for u, v, w in sorted(edges, key=lambda e: (e[2], max(e[:2]), min(e[:2]))):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            kept.append((w, min(u, v), max(u, v)))
+    return sorted(kept)
+
+
+@given(
+    n=st.integers(min_value=10, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    max_weight=st.sampled_from([2, 5, 1000]),
+)
+@settings(max_examples=40, deadline=None)
+def test_mst_state_matches_brute_force_kruskal(n, seed, max_weight):
+    """Random order, mixed single and batch ingest; the 4n buffer compacts
+    several times mid-stream."""
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, 1)
+    w = rng.integers(1, max_weight + 1, size=len(iu))
+    order = rng.permutation(len(iu))
+    flip = rng.random(len(iu)) < 0.5
+    u = np.where(flip, iv, iu)[order]
+    v = np.where(flip, iu, iv)[order]
+    w = w[order]
+    state = MstState(n)
+    start = 0
+    while start < len(w):
+        stop = start + int(rng.integers(1, 3 * n))
+        if rng.random() < 0.5:
+            for a, b, c in zip(u[start:stop], v[start:stop], w[start:stop]):
+                state.ingest(int(a), int(b), int(c))
+        else:
+            state.ingest_batch(u[start:stop], v[start:stop], w[start:stop])
+        start = stop
+    expected = kruskal_reference(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
+    assert state.edges() == expected
+    assert len(expected) == n - 1
+
+
+def test_mst_state_memory_is_forest_plus_linear_buffer():
+    n = 40
+    rng = np.random.default_rng(5)
+    iu, iv = np.triu_indices(n, 1)
+    w = rng.integers(1, 50, size=len(iu))
+    state = MstState(n)
+    storage = (state._w, state._hi, state._lo)
+    assert all(len(arr) == (n - 1) + 4 * n for arr in storage)
+    for a, b, c in zip(iu.tolist(), iv.tolist(), w.tolist()):
+        state.ingest(a, b, c)
+        assert state.forest_size <= n - 1
+        assert state.size < state.capacity
+    state.edges()
+    assert all(a is b for a, b in zip((state._w, state._hi, state._lo), storage))
+    assert state.size == state.forest_size == n - 1
+
+
+def test_caterpillar_is_fit_exactly_without_recursion_error():
+    """D(i,j) = max(i,j) makes the forest a star and the tree a 1199-level
+    caterpillar."""
+    n = 1200
+    idx = np.arange(n, dtype=np.int64)
+    D = np.maximum.outer(idx, idx) * U
+    np.fill_diagonal(D, 0)
+    res = fit_linf_exact(StreamSource.from_square(D, order_seed=1))
+    assert res.optimal_cost == 0
+    assert np.array_equal(res.tree.induced_matrix(), D)
+    shifted = res.tree.shift_levels(U)
+    assert shifted.distance(0, 1) == 2 * U
+    assert shifted.distance(n - 2, n - 1) == n * U
+
+
 @st.composite
 def random_distance_matrix(draw):
     n = draw(st.integers(min_value=2, max_value=7))

@@ -47,6 +47,17 @@ class TestUltrametricTree:
             for j in range(5):
                 assert M[i, j] == tree.distance(i, j)
 
+    def test_canonical_numbering_is_preorder_by_smallest_leaf(self):
+        nested = (3 * U, [(2 * U, [4, (1 * U, [3, 1])]), (1 * U, [2, 0])])
+        tree = UltrametricTree.from_nested(5, nested)
+        assert tree.root == 5
+        assert tree.children[5] == [6, 7]
+        assert tree.children[6] == [0, 2]
+        assert tree.children[7] == [8, 4]
+        assert tree.children[8] == [1, 3]
+        assert tree.parent.tolist() == [6, 8, 6, 8, 7, -1, 5, 5, 7]
+        assert tree.level.tolist() == [0, 0, 0, 0, 0, 3 * U, U, 2 * U, U]
+
     def test_equal_level_children_are_merged(self):
         nested = (2 * U, [(2 * U, [0, 1]), 2])
         tree = UltrametricTree.from_nested(3, nested)
@@ -177,6 +188,45 @@ def test_minimax_relaxation_fixpoint(D):
     """An ultrametric equals its own one-step minimax relaxation."""
     assert is_ultrametric(D)
     assert four_point_check(D)
+
+
+@st.composite
+def random_nested_tree(draw):
+    """Nested spec with wide nodes (up to 60 children), caterpillar chains
+    and children that share their parent's level."""
+    n = draw(st.integers(min_value=1, max_value=90))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    max_width = draw(st.integers(min_value=2, max_value=60))
+    chain_bias = draw(st.sampled_from([0.0, 0.5, 0.95]))
+
+    def build(ids, level):
+        if len(ids) == 1:
+            return int(ids[0])
+        if rng.random() < chain_bias:
+            cuts = [1]
+        else:
+            width = int(rng.integers(2, min(max_width, len(ids)) + 1))
+            cuts = sorted(rng.choice(np.arange(1, len(ids)), width - 1, replace=False))
+        groups = np.split(ids, cuts)
+        return (
+            level * U,
+            [build(g, level - int(rng.integers(0, 3))) for g in groups],
+        )
+
+    ids = rng.permutation(n)
+    return n, build(ids, 2 * n + 1)
+
+
+@given(random_nested_tree())
+@settings(max_examples=80, deadline=None)
+def test_induced_matrix_equals_pairwise_distance(spec):
+    n, nested = spec
+    tree = UltrametricTree.from_nested(n, nested)
+    M = tree.induced_matrix()
+    expected = np.array(
+        [[tree.distance(i, j) for j in range(n)] for i in range(n)], dtype=np.int64
+    )
+    assert np.array_equal(M, expected)
 
 
 class TestTreeMetricRep:
