@@ -52,10 +52,6 @@ class Clustering:
     ground_set: np.ndarray
     clusters: list
 
-    @property
-    def singleton_flags(self):
-        return [len(c) == 1 for c in self.clusters]
-
     def to_lists(self):
         return [[int(x) for x in c] for c in self.clusters]
 
@@ -260,8 +256,6 @@ class SketchView:
 
 def agreement_query(view, u, v, s_vertices, gamma_key, w, params: AgreementParams):
     s_mask = _as_mask(view, s_vertices)
-    if isinstance(view, ExactView):
-        return view.agreement(u, v, s_mask, params.gamma(gamma_key), w)
     return view.agreement(u, v, s_mask, params.gamma(gamma_key), w)
 
 

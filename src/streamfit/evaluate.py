@@ -20,18 +20,18 @@ class CostReport:
 
 
 def cost(tree, source: StreamSource, p=None) -> CostReport:
-    """Evaluate |T - D| over one full pass of the stream.
+    """Evaluate |T - D| over every pair of the stream.
 
     All three norms are accumulated in a single pass regardless of `p`
-    (the argument only selects what a caller wants to read). Duplicate or
-    missing pairs raise a stream-integrity error.
+    (the argument only selects what a caller wants to read). The source
+    holds each pair exactly once by construction, and none of the norms
+    depends on order, so the stored arrays are read as they are.
     """
     if not isinstance(tree, (UltrametricTree, TreeMetricRep)):
         raise TypeError("tree must be an UltrametricTree or TreeMetricRep")
     if tree.n != source.n:
         raise ValueError("tree and stream disagree on point count")
-    source.check_complete()
-    u, v, d = source.arrays(0)
+    u, v, d = source.u, source.v, source.d
     induced = tree.induced_matrix()
     diff = np.abs(induced[u, v] - d)
     values = np.unique(d)

@@ -53,10 +53,5 @@ def from_int(value: int) -> int:
     return int(value) * SCALE
 
 
-def from_float(value: float) -> int:
-    """Round a float to the nearest representable unit (test convenience)."""
-    return round(value * SCALE)
-
-
 def to_float(units: int) -> float:
     return units / SCALE

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import StreamIntegrityError, StreamSource, pair_index
+from .streams import StreamSource
 from .trees import DomainError, UltrametricTree, single_linkage_tree
 
 
@@ -111,14 +111,6 @@ class MstState:
 
 def _build_forest(source: StreamSource, pass_index=0) -> MstState:
     u_arr, v_arr, d_arr = source.arrays(pass_index)
-    seen = np.zeros(source.expected_entries, dtype=bool)
-    seen[pair_index(source.n, u_arr, v_arr)] = True
-    distinct = int(np.count_nonzero(seen))
-    if distinct != len(d_arr):
-        raise StreamIntegrityError("duplicate pair in stream")
-    if distinct != source.expected_entries:
-        raise StreamIntegrityError("stream is missing pairs")
-    del seen
     state = MstState(source.n)
     state.ingest_batch(u_arr, v_arr, d_arr)
     return state

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import MemoryMeter, StreamIntegrityError, pair_index
+from .streams import MemoryMeter
 
 
 class PhaseError(RuntimeError):
@@ -45,7 +45,6 @@ class SketchConfig:
     seed: int = 0
     zeta: float = 0.001
     lam: float = 0.01
-    delta: float = 0.1
     ladder_base: float = 2.0
 
     def __post_init__(self):
@@ -246,9 +245,8 @@ class CloseNeighbors:
 class CompressedSet:
     """Sorted distinct weights with successor/predecessor queries."""
 
-    def __init__(self, weights, delta=0.1):
+    def __init__(self, weights):
         self.weights = np.unique(np.asarray(list(weights), dtype=np.int64))
-        self.delta = delta
 
     def __len__(self):
         return len(self.weights)
@@ -287,8 +285,6 @@ class SketchPools:
         self.sketches: dict = {}
         self.w_max_seen = 0
         self.finalized = False
-        self._entries_seen = 0
-        self._seen_pairs = np.zeros(n * (n - 1) // 2, dtype=bool)
         self._used_instances: dict[int, np.ndarray] = {}
 
     # -- incremental path ------------------------------------------------------
@@ -297,11 +293,6 @@ class SketchPools:
         if self.finalized:
             raise PhaseError("stream entry after finalize")
         u, v, d = entry.u, entry.v, entry.d
-        idx = pair_index(self.n, u, v)
-        if self._seen_pairs[idx]:
-            raise StreamIntegrityError(f"duplicate pair ({u}, {v})")
-        self._seen_pairs[idx] = True
-        self._entries_seen += 1
         self.w_max_seen = max(self.w_max_seen, d)
         words = 0
         for owner, other in ((u, v), (v, u)):
@@ -323,17 +314,16 @@ class SketchPools:
     def bulk_ingest(self, u, v, d, materialize=True, materialize_owners=None):
         """Vectorized construction with the same final state as entry-by-entry
         ingestion (the per-sketch cutoff depends only on the sampled weight
-        multiset, not on arrival order)."""
+        multiset, not on arrival order).
+
+        The entries come from a `StreamSource`, which guarantees each pair
+        exactly once, so the pools keep no record of the pairs seen.
+        """
         if self.finalized:
             raise PhaseError("stream entries after finalize")
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         d = np.asarray(d, dtype=np.int64)
-        idx = pair_index(self.n, u, v)
-        if np.any(self._seen_pairs[idx]) or len(np.unique(idx)) != len(idx):
-            raise StreamIntegrityError("duplicate pair in stream")
-        self._seen_pairs[idx] = True
-        self._entries_seen += len(d)
         if len(d):
             self.w_max_seen = max(self.w_max_seen, int(d.max()))
 
@@ -415,8 +405,6 @@ class SketchPools:
     # -- finalize and queries --------------------------------------------------
 
     def finalize(self):
-        if not self._seen_pairs.all():
-            raise StreamIntegrityError("stream ended with missing pairs")
         self.finalized = True
 
     def _require_finalized(self):
@@ -486,7 +474,7 @@ class SketchPools:
                 weights.add(-dist)
         for sk in self.sketches.values():
             weights.update(sk.weights())
-        return CompressedSet(weights, self.config.delta)
+        return CompressedSet(weights)
 
     def consume_instance(self, instance, vertices):
         """Mark a sketch instance as used for these vertices (once only)."""

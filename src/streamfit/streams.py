@@ -37,18 +37,19 @@ def pair_index(n: int, u: int, v: int):
 class StreamSource:
     """Replayable arbitrary-order sequence of (u, v, d) entries.
 
-    The backing arrays hold each pair at most once in canonical u < v form.
-    An order seed permutes the sequence; by default each pass uses a fresh
-    permutation derived from (seed, pass index).
+    The backing arrays hold every unordered pair of the n points exactly
+    once, in canonical u < v form: the constructor checks this once, so a
+    built source is complete and every consumer trusts it. An order seed
+    permutes the sequence; each pass uses a fresh permutation derived from
+    (seed, pass index). Without a seed every pass replays the stored order.
     """
 
-    def __init__(self, n, u, v, d, order_seed=None, fixed_order=False):
+    def __init__(self, n, u, v, d, order_seed=None):
         self.n = int(n)
         self.u = np.asarray(u, dtype=np.int64)
         self.v = np.asarray(v, dtype=np.int64)
         self.d = np.asarray(d, dtype=np.int64)
         self.order_seed = order_seed
-        self.fixed_order = fixed_order
         if not (len(self.u) == len(self.v) == len(self.d)):
             raise StreamIntegrityError("ragged stream arrays")
         if self.n < 1:
@@ -61,6 +62,7 @@ class StreamSource:
         )
         if np.any(bad):
             raise StreamIntegrityError("entries must have 0 <= u < v < n and d > 0")
+        self.check_complete()
 
     @property
     def expected_entries(self) -> int:
@@ -70,14 +72,14 @@ class StreamSource:
         return len(self.d)
 
     @classmethod
-    def from_square(cls, matrix, order_seed=None, fixed_order=False):
+    def from_square(cls, matrix, order_seed=None):
         matrix = np.asarray(matrix, dtype=np.int64)
         n = matrix.shape[0]
         iu, iv = np.triu_indices(n, k=1)
-        return cls(n, iu, iv, matrix[iu, iv], order_seed, fixed_order)
+        return cls(n, iu, iv, matrix[iu, iv], order_seed)
 
     @classmethod
-    def from_file(cls, path, order_seed=None, fixed_order=False):
+    def from_file(cls, path, order_seed=None):
         us, vs, ds = [], [], []
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline()
@@ -104,15 +106,20 @@ class StreamSource:
                 us.append(u)
                 vs.append(v)
                 ds.append(d)
+        # drop each parse list as soon as it is an array, so the lists are
+        # gone before the constructor's completeness check allocates
+        u, us = np.asarray(us, dtype=np.int64), None
+        v, vs = np.asarray(vs, dtype=np.int64), None
+        d, ds = np.asarray(ds, dtype=np.int64), None
         try:
-            return cls(n, us, vs, ds, order_seed, fixed_order)
+            return cls(n, u, v, d, order_seed)
         except StreamIntegrityError as exc:
             raise ParseError(f"{path}: {exc}") from None
 
     def _order(self, pass_index: int) -> np.ndarray:
         if self.order_seed is None:
             return np.arange(len(self.d))
-        key = (self.order_seed, 0 if self.fixed_order else pass_index)
+        key = (self.order_seed, pass_index)
         rng = np.random.Generator(np.random.Philox(key=key))
         return rng.permutation(len(self.d))
 
@@ -127,31 +134,27 @@ class StreamSource:
             yield DistanceEntry(int(u[i]), int(v[i]), int(d[i]))
 
     def dense(self) -> np.ndarray:
-        """Full matrix; duplicate or missing pairs are integrity errors."""
-        idx = pair_index(self.n, self.u, self.v)
-        if len(idx) != self.expected_entries:
-            raise StreamIntegrityError(
-                f"stream has {len(idx)} entries, expected {self.expected_entries}"
-            )
-        seen = np.zeros(self.expected_entries, dtype=bool)
-        seen[idx] = True
-        if not seen.all():
-            raise StreamIntegrityError("stream is missing pairs")
-        if len(np.unique(idx)) != len(idx):
-            raise StreamIntegrityError("duplicate pair in stream")
+        """Full symmetric matrix; the source is complete by construction."""
         out = np.zeros((self.n, self.n), dtype=np.int64)
         out[self.u, self.v] = self.d
         out += out.T
         return out
 
     def check_complete(self):
-        idx = pair_index(self.n, self.u, self.v)
-        if len(np.unique(idx)) != len(idx):
-            raise StreamIntegrityError("duplicate pair in stream")
-        if len(idx) != self.expected_entries:
+        """Raise unless every unordered pair occurs exactly once.
+
+        The count is checked before any n(n-1)/2 allocation; then, with as
+        many entries as pairs, a bitmap with one bit set per entry rules out
+        duplicates and, by pigeonhole, missing pairs.
+        """
+        if len(self.d) != self.expected_entries:
             raise StreamIntegrityError(
-                f"stream has {len(idx)} entries, expected {self.expected_entries}"
+                f"stream has {len(self.d)} entries, expected {self.expected_entries}"
             )
+        seen = np.zeros(self.expected_entries, dtype=bool)
+        seen[pair_index(self.n, self.u, self.v)] = True
+        if np.count_nonzero(seen) != len(self.d):
+            raise StreamIntegrityError("duplicate pair in stream")
 
     def write_file(self, path):
         with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -181,10 +184,6 @@ class MemoryMeter:
     def add(self, name: str, delta: int):
         self._words[name] = self._words.get(name, 0) + int(delta)
         self.peak = max(self.peak, self.words_stored)
-
-    def reset(self):
-        self._words.clear()
-        self.peak = 0
 
 
 @dataclass

@@ -54,7 +54,7 @@ def centroid_transformed_source(
     u, v, d = source.arrays(pass_index)
     m = int(row.max())
     shifted = d + (2 * m - row[u] - row[v])
-    return StreamSource(source.n, u, v, shifted, order_seed=None, fixed_order=True)
+    return StreamSource(source.n, u, v, shifted)
 
 
 def fit_linf_tree(source: StreamSource, pivot: int = 0) -> TreeMetricRep:

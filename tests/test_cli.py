@@ -167,6 +167,60 @@ class TestCostCheckOracle:
         assert run("check", "--input", str(bad)) == 3
 
 
+FIT_FLAGS = {
+    "linf-2pass": ("--structure", "ultrametric", "--objective", "linf", "--passes", "2"),
+    "l0-exact": ("--structure", "ultrametric", "--objective", "l0", "--mode", "exact",
+                 "--passes", "1"),
+    "l0-sketch": ("--structure", "ultrametric", "--objective", "l0", "--mode", "sketch",
+                  "--passes", "1"),
+    "tree-l0": ("--structure", "tree", "--objective", "l0", "--mode", "exact",
+                "--passes", "2"),
+}
+
+
+@pytest.fixture(params=["missing", "duplicate", "swapped"])
+def broken_stream(request, instance):
+    """The instance's stream with its last pair dropped, its first pair
+    repeated, or both (so the entry count is right)."""
+    tmp_path, stream, truth = instance
+    header, *entries = stream.read_text().splitlines()
+    if request.param != "duplicate":
+        entries = entries[:-1]
+    if request.param != "missing":
+        entries.append(entries[0])
+    bad = tmp_path / f"{request.param}.txt"
+    bad.write_text("\n".join([header, *entries]) + "\n")
+    return tmp_path, bad, truth
+
+
+class TestIncompleteStream:
+    @pytest.mark.parametrize("flags", sorted(FIT_FLAGS))
+    def test_fit_exits_3_without_output(self, broken_stream, flags):
+        tmp_path, bad, _ = broken_stream
+        report = tmp_path / "r.json"
+        tree_out = tmp_path / "t.json"
+        code = run(
+            "fit", "--input", str(bad), *FIT_FLAGS[flags],
+            "--out-tree", str(tree_out), "--report", str(report),
+        )
+        assert code == 3
+        assert not report.exists()
+        assert not tree_out.exists()
+
+    def test_cost_and_check_exit_3(self, broken_stream):
+        tmp_path, bad, truth = broken_stream
+        report = tmp_path / "r.json"
+        assert run("cost", "--input", str(bad), "--tree", str(truth),
+                   "--report", str(report)) == 3
+        assert run("check", "--input", str(bad), "--report", str(report)) == 3
+        assert not report.exists()
+
+    def test_huge_header_is_rejected_before_allocating(self, tmp_path):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("10000000000\n0 1 1\n")
+        assert run("check", "--input", str(bad)) == 3
+
+
 class TestBench:
     def test_csv_columns_and_rows(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -43,6 +43,5 @@ def test_point_count_mismatch():
 
 def test_incomplete_stream_rejected():
     tree, _ = make_pair()
-    src = StreamSource(4, [0], [1], [U])
     with pytest.raises(StreamIntegrityError):
-        cost(tree, src)
+        cost(tree, StreamSource(4, [0], [1], [U]))

@@ -53,14 +53,15 @@ class TestStreamSource:
             StreamSource(2, [1], [1], [5])
 
     def test_duplicate_pair_detected(self):
-        src = StreamSource(3, [0, 0, 1, 0], [1, 2, 2, 1], [1, 1, 1, 2])
         with pytest.raises(StreamIntegrityError):
-            src.dense()
+            StreamSource(3, [0, 0, 1, 0], [1, 2, 2, 1], [1, 1, 1, 2])
+        # a repeat in place of a missing pair keeps the entry count right
+        with pytest.raises(StreamIntegrityError, match="duplicate"):
+            StreamSource(3, [0, 0, 0], [1, 2, 1], [1, 1, 2])
 
     def test_missing_pair_detected(self):
-        src = StreamSource(3, [0, 0], [1, 2], [1, 1])
         with pytest.raises(StreamIntegrityError):
-            src.dense()
+            StreamSource(3, [0, 0], [1, 2], [1, 1])
 
     def test_file_roundtrip(self, tmp_path):
         D = small_matrix()
