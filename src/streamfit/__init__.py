@@ -27,7 +27,6 @@ from .sketches import (
     CompressedSet,
     SketchConfig,
     SketchPools,
-    VertexSketch,
 )
 from .streams import (
     DistanceEntry,
@@ -83,7 +82,6 @@ __all__ = [
     "StreamSource",
     "TreeMetricRep",
     "UltrametricTree",
-    "VertexSketch",
     "agreement_query",
     "brute_correlation",
     "brute_l0_ultra",

@@ -7,10 +7,17 @@ R_{s'}, pruning the heaviest weight group whenever the total exceeds the
 budget (1 + zeta/2) * (s/s') * sample_factor. The resulting cutoff makes
 the final state independent of stream order, which the bulk builder
 exploits (see `bulk_ingest`).
+
+The state is flat arrays, not per-vertex objects. Each (instance, s')
+group stores one CSR `SketchBlock` (owner offsets, int32 neighbours, int64
+weights, sorted by (owner, weight, neighbour)); each (instance, s, s')
+`SketchPool` stores only how many entries of each owner's run it keeps.
+Queries return a `SketchSlice` view and answer counts by `searchsorted`.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -143,54 +150,64 @@ class SampleMembership:
         return len(self._masks)
 
 
-class VertexSketch:
-    """Weight-grouped sample collections for one (owner, s, s') triple."""
+class SketchSlice:
+    """One owner's kept entries in one (instance, s, s') pool: a view into
+    the CSR block of its (instance, s') group, sorted by (weight, other)."""
 
-    __slots__ = ("owner", "s", "s_prime", "budget", "collections", "counter", "w_m")
+    __slots__ = ("s", "s_prime", "weights", "others")
 
-    def __init__(self, owner, s, s_prime, budget):
-        self.owner = owner
+    def __init__(self, s, s_prime, weights, others):
         self.s = s
         self.s_prime = s_prime
-        self.budget = budget
-        self.collections: dict[int, list] = {}
-        self.counter = 0
-        self.w_m = 0
-
-    def ingest(self, other: int, w: int) -> int:
-        """Offer one sampled edge; returns the change in retained count."""
-        if self.w_m != 0 and w >= self.w_m:
-            return 0
-        self.collections.setdefault(w, []).append(other)
-        self.counter += 1
-        delta = 1
-        while self.counter > self.budget:
-            top = max(self.collections)
-            dropped = self.collections.pop(top)
-            self.w_m = top
-            self.counter -= len(dropped)
-            delta -= len(dropped)
-        return delta
+        self.weights = weights
+        self.others = others
 
     @property
     def governing_weight(self):
-        return max(self.collections) if self.collections else None
+        return int(self.weights[-1])
 
     def count_at_most(self, w: int) -> int:
-        return sum(len(v) for k, v in self.collections.items() if k <= w)
+        return int(self.weights.searchsorted(w, side="right"))
 
     def count_above(self, w: int) -> int:
-        return sum(len(v) for k, v in self.collections.items() if k > w)
+        return len(self.weights) - self.count_at_most(w)
 
     def members_at_most(self, w: int):
-        out = []
-        for k, v in self.collections.items():
-            if k <= w:
-                out.extend(v)
-        return out
+        return self.others[: self.count_at_most(w)].tolist()
 
-    def weights(self):
-        return list(self.collections.keys())
+
+@dataclass
+class SketchBlock:
+    """Kept entries of the widest-budget pool of one (instance, s') group,
+    sorted by (owner, weight, other); owner v's run is
+    offsets[v]:offsets[v+1]."""
+
+    offsets: np.ndarray  # int64, n + 1
+    others: np.ndarray  # int32
+    weights: np.ndarray  # int64
+
+
+@dataclass
+class SketchPool:
+    """One (instance, s, s') pool: owner v keeps the first kept[v] entries
+    of its run in the group's shared block."""
+
+    s: int
+    s_prime: int
+    block: SketchBlock
+    kept: np.ndarray  # int64, n
+
+    def sketch(self, v):
+        k = int(self.kept[v])
+        if k == 0:
+            return None
+        lo = int(self.block.offsets[v])
+        return SketchSlice(
+            self.s,
+            self.s_prime,
+            self.block.weights[lo : lo + k],
+            self.block.others[lo : lo + k],
+        )
 
 
 class CloseNeighbors:
@@ -246,7 +263,7 @@ class CompressedSet:
     """Sorted distinct weights with successor/predecessor queries."""
 
     def __init__(self, weights):
-        self.weights = np.unique(np.asarray(list(weights), dtype=np.int64))
+        self.weights = np.unique(np.asarray(weights, dtype=np.int64))
 
     def __len__(self):
         return len(self.weights)
@@ -267,7 +284,11 @@ class CompressedSet:
 
 
 class SketchPools:
-    """All streaming state: close queues plus instance_count sketch pools."""
+    """All streaming state: close queues plus instance_count sketch pools.
+
+    `sketches` maps (instance, s, s') to a `SketchPool`; `blocks` maps
+    (instance, s') to the `SketchBlock` that group's pools share.
+    """
 
     def __init__(self, config: SketchConfig, n: int, meter: MemoryMeter = None):
         self.config = config
@@ -282,39 +303,26 @@ class SketchPools:
             if s / 2 <= sp <= s
         ]
         self.close = [CloseNeighbors(v, config.close_capacity) for v in range(n)]
+        self.blocks: dict = {}
         self.sketches: dict = {}
         self.w_max_seen = 0
         self.finalized = False
+        self._ladders: dict[int, list] = {}
         self._used_instances: dict[int, np.ndarray] = {}
 
-    # -- incremental path ------------------------------------------------------
+    def bulk_ingest(self, u, v, d):
+        """Build the whole state from one pass of (u, v, d) arrays.
 
-    def ingest_entry(self, entry):
-        if self.finalized:
-            raise PhaseError("stream entry after finalize")
-        u, v, d = entry.u, entry.v, entry.d
-        self.w_max_seen = max(self.w_max_seen, d)
-        words = 0
-        for owner, other in ((u, v), (v, u)):
-            words += self.close[owner].offer(d, other)
-            for instance in range(self.config.instance_count):
-                for s, sp in self.pairs:
-                    if not self.membership.member(instance, sp, other):
-                        continue
-                    key = (instance, owner, s, sp)
-                    sk = self.sketches.get(key)
-                    if sk is None:
-                        sk = VertexSketch(owner, s, sp, self.config.budget(s, sp))
-                        self.sketches[key] = sk
-                    words += 2 * sk.ingest(other, d)
-        self.meter.add("sketch_state", words)
-
-    # -- bulk path -------------------------------------------------------------
-
-    def bulk_ingest(self, u, v, d, materialize=True, materialize_owners=None):
-        """Vectorized construction with the same final state as entry-by-entry
-        ingestion (the per-sketch cutoff depends only on the sampled weight
-        multiset, not on arrival order).
+        A sketch's final state does not depend on arrival order: whatever
+        the order, it keeps exactly the sampled weights strictly below the
+        weight of the (budget+1)-th smallest sampled entry (all of them when
+        there are at most budget), so the cutoff is computed per owner on
+        weight-sorted runs. A pool's kept entries are thus a prefix of each
+        owner's weight-sorted run, and the budget grows with s, so the pool
+        with the largest s in an (instance, s') group keeps a prefix that
+        contains every other pool's prefix. That pool's entries are stored
+        once per group as a CSR `SketchBlock`; each pool stores only its
+        per-owner kept lengths.
 
         The entries come from a `StreamSource`, which guarantees each pair
         exactly once, so the pools keep no record of the pairs seen.
@@ -360,7 +368,10 @@ class SketchPools:
                 seg_starts = np.searchsorted(ow, np.arange(self.n))
                 seg_ends = np.searchsorted(ow, np.arange(self.n), side="right")
                 lengths = seg_ends - seg_starts
-                for s in (s for s, sp2 in self.pairs if sp2 == sp):
+                group = [s for s, sp2 in self.pairs if sp2 == sp]
+                widest = max(group)  # the largest budget keeps the longest prefix
+                kept_by_s = {}
+                for s in group:
                     b = budgets[(s, sp)]
                     # cutoff per owner: weight of the (budget+1)-th smallest
                     over = lengths > b
@@ -376,28 +387,18 @@ class SketchPools:
                     self.meter.add(
                         "sketch_state", 2 * (kept - int(peak_items.sum()))
                     )
-                    if materialize:
-                        ko = ow[keep]
-                        kt = ot[keep]
-                        kw = wt[keep]
-                        bounds = np.searchsorted(ko, np.arange(self.n))
-                        bounds_hi = np.searchsorted(ko, np.arange(self.n), side="right")
-                        wanted = np.unique(ko)
-                        if materialize_owners is not None:
-                            wanted = np.intersect1d(
-                                wanted, np.asarray(materialize_owners)
-                            )
-                        for vert in wanted:
-                            sk = VertexSketch(int(vert), s, sp, b)
-                            a, z = int(bounds[vert]), int(bounds_hi[vert])
-                            cuts = np.flatnonzero(np.diff(kw[a:z])) + 1
-                            for piece in np.split(np.arange(a, z), cuts):
-                                wgt = int(kw[piece[0]])
-                                sk.collections[wgt] = [int(kt[i]) for i in piece]
-                            sk.counter = z - a
-                            if over[vert]:
-                                sk.w_m = int(w_m[vert])
-                            self.sketches[(instance, int(vert), s, sp)] = sk
+                    kept_by_s[s] = np.bincount(ow[keep], minlength=self.n)
+                    if s == widest:
+                        block_keep = keep
+                offsets = np.zeros(self.n + 1, dtype=np.int64)
+                np.cumsum(kept_by_s[widest], out=offsets[1:])
+                block = SketchBlock(
+                    offsets, ot[block_keep].astype(np.int32), wt[block_keep]
+                )
+                self.blocks[(instance, sp)] = block
+                for s, kept_len in kept_by_s.items():
+                    pool = SketchPool(s, sp, block, kept_len)
+                    self.sketches[(instance, s, sp)] = pool
         self.meter.add("close_queues", words)
         mask_words = self.membership.mask_count() * ((self.n + 63) // 64)
         self.meter.set_words("membership", mask_words)
@@ -412,22 +413,43 @@ class SketchPools:
             raise PhaseError("queries require finalize()")
 
     def get_sketch(self, instance, v, s, s_prime):
-        return self.sketches.get((instance, v, s, s_prime))
+        """v's `SketchSlice` in pool (instance, s, s'), or None when the
+        pool keeps nothing for v."""
+        pool = self.sketches.get((instance, s, s_prime))
+        return pool.sketch(v) if pool is not None else None
 
     def rung_below(self, s):
         """Next ladder size strictly below s, or s itself at the floor."""
         idx = self.sizes.index(s)
         return self.sizes[idx + 1] if idx + 1 < len(self.sizes) else s
 
+    def _ladder(self, v, instance):
+        """Sorted (governing_weight, size) pairs of v's nonempty s = s'
+        sketches, from a table built on the instance's first query."""
+        table = self._ladders.get(instance)
+        if table is None:
+            table = [[] for _ in range(self.n)]
+            for s in self.sizes:
+                pool = self.sketches.get((instance, s, s))
+                if pool is None:
+                    continue
+                owners = np.flatnonzero(pool.kept)
+                last = pool.block.offsets[owners] + pool.kept[owners] - 1
+                governing = pool.block.weights[last].tolist()
+                for owner, gw in zip(owners.tolist(), governing):
+                    table[owner].append((gw, s))
+            for ladder in table:
+                ladder.sort()
+            self._ladders[instance] = table
+        return table[v]
+
     def governing_ladder(self, v, instance):
         """(governing_weight, size, sketch) for v's s = s' sketches."""
-        out = []
-        for s in self.sizes:
-            sk = self.sketches.get((instance, v, s, s))
-            if sk is not None and sk.collections:
-                out.append((sk.governing_weight, s, sk))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
+        self._require_finalized()
+        return [
+            (gw, s, self.get_sketch(instance, v, s, s))
+            for gw, s in self._ladder(v, instance)
+        ]
 
     def report_sketch(self, v, w, instance):
         """Choose the sketch whose governing weight brackets w.
@@ -436,22 +458,21 @@ class SketchPools:
         sketches at all (callers then fall back to the close queue).
         """
         self._require_finalized()
-        ladder = self.governing_ladder(v, instance)
+        ladder = self._ladder(v, instance)
         if not ladder:
             return None
         # ties on governing weight prefer the smallest size: its inclusion
         # probability is highest, so the count estimate is tightest
-        upper = next((t for t in ladder if t[0] >= w), None)
-        below = [t for t in ladder if t[0] < w]
-        lower = None
-        if below:
-            best_gw = max(t[0] for t in below)
-            lower = min((t for t in below if t[0] == best_gw), key=lambda t: t[1])
-        if upper is not None:
+        # upper: the first governing weight >= w; lower: the last one < w
+        split = bisect.bisect_left(ladder, (w,))
+        if split < len(ladder):
+            gw, s = ladder[split]
+            upper = (gw, s, self.get_sketch(instance, v, s, s))
             heavier = upper[2].count_above(w)
-            if heavier < 4 * self.config.zeta * self.config.sample_factor:
+            if split == 0 or heavier < 4 * self.config.zeta * self.config.sample_factor:
                 return upper
-        return lower if lower is not None else upper
+        gw, s = ladder[bisect.bisect_left(ladder, (ladder[split - 1][0],))]
+        return (gw, s, self.get_sketch(instance, v, s, s))
 
     def estimate_degree(self, v, w, instance):
         """d_w(v) estimate; exact from the close queue whenever possible."""
@@ -468,13 +489,12 @@ class SketchPools:
 
     def build_compressed_set(self) -> CompressedSet:
         self._require_finalized()
-        weights = set()
-        for queue in self.close:
-            for dist, _ in queue._heap:
-                weights.add(-dist)
-        for sk in self.sketches.values():
-            weights.update(sk.weights())
-        return CompressedSet(weights)
+        close = [-dist for queue in self.close for dist, _ in queue._heap]
+        # deduplicate block by block: the blocks together can outweigh the
+        # rest of the state, and one concatenation would copy them all
+        weights = [np.asarray(close, dtype=np.int64)]
+        weights += [np.unique(block.weights) for block in self.blocks.values()]
+        return CompressedSet(np.concatenate(weights))
 
     def consume_instance(self, instance, vertices):
         """Mark a sketch instance as used for these vertices (once only)."""

@@ -222,7 +222,7 @@ def test_07_sketch_concentration_two_shell():
     D[0, k1 + 1 :] = D[k1 + 1 :, 0] = d2
     w = 4 * U
     true_deg = k1 + 1  # closed neighborhood of vertex 0 at threshold w
-    arrays = sf.StreamSource.from_square(D).arrays(0)
+    u, v, d = sf.StreamSource.from_square(D).arrays(0)
 
     zeta, lam = 0.05, 0.25
     trials = 1000
@@ -238,7 +238,7 @@ def test_07_sketch_concentration_two_shell():
             lam=lam,
         )
         pools = SketchPools(cfg, n)
-        pools.bulk_ingest(*arrays, materialize_owners=[0])
+        pools.bulk_ingest(u, v, d)
         pools.finalize()
         gw, _, sk = pools.report_sketch(0, w, 0)
         prob = cfg.sample_probability(sk.s_prime)
@@ -265,7 +265,7 @@ def test_09_streaming_memory_budget():
         )
         pools = SketchPools(SketchConfig.polylog_shape(n, seed=0), n)
         u, v, d = src.arrays(0)
-        pools.bulk_ingest(u, v, d, materialize=False)
+        pools.bulk_ingest(u, v, d)
         pools.finalize()
         peaks[n] = pools.meter.peak
         assert peaks[n] <= C_MEM * n * math.log2(n) ** 4

@@ -10,11 +10,136 @@ from streamfit.sketches import (
     SampleMembership,
     SketchConfig,
     SketchPools,
-    VertexSketch,
 )
 from streamfit.streams import GeneratorSpec, StreamSource, generate
 
 U = fp.SCALE
+
+
+class VertexSketch:
+    """Reference sketch for one (owner, s, s') triple, fed entry by entry:
+    weight-grouped sample collections that drop the heaviest group while
+    the total exceeds the budget, and reject weights at or above the last
+    dropped weight w_m."""
+
+    __slots__ = ("owner", "s", "s_prime", "budget", "collections", "counter", "w_m")
+
+    def __init__(self, owner, s, s_prime, budget):
+        self.owner = owner
+        self.s = s
+        self.s_prime = s_prime
+        self.budget = budget
+        self.collections: dict[int, list] = {}
+        self.counter = 0
+        self.w_m = 0
+
+    def ingest(self, other: int, w: int) -> int:
+        """Offer one sampled edge; returns the change in retained count."""
+        if self.w_m != 0 and w >= self.w_m:
+            return 0
+        self.collections.setdefault(w, []).append(other)
+        self.counter += 1
+        delta = 1
+        while self.counter > self.budget:
+            top = max(self.collections)
+            dropped = self.collections.pop(top)
+            self.w_m = top
+            self.counter -= len(dropped)
+            delta -= len(dropped)
+        return delta
+
+    @property
+    def governing_weight(self):
+        return max(self.collections) if self.collections else None
+
+    def count_at_most(self, w: int) -> int:
+        return sum(len(v) for k, v in self.collections.items() if k <= w)
+
+    def count_above(self, w: int) -> int:
+        return sum(len(v) for k, v in self.collections.items() if k > w)
+
+    def members_at_most(self, w: int):
+        out = []
+        for k, v in self.collections.items():
+            if k <= w:
+                out.extend(v)
+        return out
+
+    def weights(self):
+        return list(self.collections.keys())
+
+
+class ReferencePools:
+    """Entry-by-entry sketch state and its queries, the reference the CSR
+    store of `SketchPools` is checked against: one `VertexSketch` per
+    (instance, owner, s, s'), fed in stream order."""
+
+    def __init__(self, config, n):
+        layout = SketchPools(config, n)
+        self.config = config
+        self.n = n
+        self.sizes = layout.sizes
+        self.pairs = layout.pairs
+        self.membership = layout.membership
+        self.close = layout.close
+        self.sketches = {}
+
+    def ingest_entry(self, entry):
+        u, v, d = entry.u, entry.v, entry.d
+        for owner, other in ((u, v), (v, u)):
+            self.close[owner].offer(d, other)
+            for instance in range(self.config.instance_count):
+                for s, sp in self.pairs:
+                    if not self.membership.member(instance, sp, other):
+                        continue
+                    key = (instance, owner, s, sp)
+                    sk = self.sketches.get(key)
+                    if sk is None:
+                        sk = VertexSketch(owner, s, sp, self.config.budget(s, sp))
+                        self.sketches[key] = sk
+                    sk.ingest(other, d)
+
+    def governing_ladder(self, v, instance):
+        out = []
+        for s in self.sizes:
+            sk = self.sketches.get((instance, v, s, s))
+            if sk is not None and sk.collections:
+                out.append((sk.governing_weight, s, sk))
+        out.sort(key=lambda t: (t[0], t[1]))
+        return out
+
+    def report_sketch(self, v, w, instance):
+        ladder = self.governing_ladder(v, instance)
+        if not ladder:
+            return None
+        upper = next((t for t in ladder if t[0] >= w), None)
+        below = [t for t in ladder if t[0] < w]
+        lower = None
+        if below:
+            best_gw = max(t[0] for t in below)
+            lower = min((t for t in below if t[0] == best_gw), key=lambda t: t[1])
+        if upper is not None:
+            heavier = upper[2].count_above(w)
+            if heavier < 4 * self.config.zeta * self.config.sample_factor:
+                return upper
+        return lower if lower is not None else upper
+
+    def estimate_degree(self, v, w, instance):
+        queue = self.close[v]
+        if queue.exact_within(w):
+            return queue.count_within(w) + 1
+        reported = self.report_sketch(v, w, instance)
+        if reported is None:
+            return queue.count_within(w) + 1
+        sk = reported[2]
+        prob = self.config.sample_probability(sk.s_prime)
+        return int(round(sk.count_at_most(w) / prob)) + 1
+
+    def compressed_weights(self):
+        weights = {-dist for queue in self.close for dist, _ in queue._heap}
+        for sk in self.sketches.values():
+            weights.update(sk.weights())
+        return sorted(weights)
 
 
 class TestConfig:
@@ -159,30 +284,51 @@ class TestCompressedSet:
 
 def _fill_pools(cfg, D, bulk, order_seed=0):
     n = D.shape[0]
-    pools = SketchPools(cfg, n)
     src = StreamSource.from_square(D, order_seed=order_seed)
     if bulk:
+        pools = SketchPools(cfg, n)
         u, v, d = src.arrays(0)
         pools.bulk_ingest(u, v, d)
+        pools.finalize()
     else:
+        pools = ReferencePools(cfg, n)
         for entry in src.entries(0):
             pools.ingest_entry(entry)
-    pools.finalize()
     return pools
+
+
+def _contents(sk):
+    """A sketch as ({weight: sorted members}, kept count), from either
+    store."""
+    if isinstance(sk, VertexSketch):
+        return {w: sorted(m) for w, m in sk.collections.items()}, sk.counter
+    groups = {}
+    for w, x in zip(sk.weights.tolist(), sk.others.tolist()):
+        groups.setdefault(w, []).append(x)
+    return {w: sorted(m) for w, m in groups.items()}, len(sk.weights)
 
 
 def _canonical(pools):
     close = [q.entries() + [("overflow", q.overflowed)] for q in pools.close]
     sketches = {}
-    for key, sk in pools.sketches.items():
-        if not sk.collections:
-            continue
-        sketches[key] = (
-            {w: sorted(m) for w, m in sk.collections.items()},
-            sk.counter,
-            sk.w_m,
-        )
+    if isinstance(pools, ReferencePools):
+        for key, sk in pools.sketches.items():
+            if sk.collections:
+                sketches[key] = _contents(sk)
+    else:
+        for instance, s, sp in pools.sketches:
+            for v in range(pools.n):
+                sk = pools.get_sketch(instance, v, s, sp)
+                if sk is not None:
+                    sketches[(instance, v, s, sp)] = _contents(sk)
     return close, sketches
+
+
+def _reported(triple):
+    if triple is None:
+        return None
+    gw, s, sk = triple
+    return gw, s, sk.s, sk.s_prime, _contents(sk)
 
 
 class TestPoolsEquivalence:
@@ -205,6 +351,39 @@ class TestPoolsEquivalence:
         ]
         for other in states[1:]:
             assert other == states[0]
+
+    # few weights: ties at the cutoffs; many: weights only a close queue holds
+    @pytest.mark.parametrize("levels", [6, 2000])
+    def test_queries_match_reference_where_pools_cut_apart(self, levels):
+        n = 40
+        alphabet = [fp.from_int(k) for k in range(1, levels + 1)]
+        spec = GeneratorSpec(kind="uniform_random", n=n, seed=5, value_alphabet=alphabet)
+        D = generate(spec)[0].dense()
+        cfg = SketchConfig.polylog_shape(n, seed=3, instance_count=2, ladder_base=1.5)
+        ref = _fill_pools(cfg, D, bulk=False, order_seed=1)
+        csr = _fill_pools(cfg, D, bulk=True, order_seed=2)
+        # some (instance, s') group holds pools that keep different prefixes
+        kept = {}
+        for (instance, s, sp), pool in csr.sketches.items():
+            kept.setdefault((instance, sp), []).append(pool.kept)
+        assert any(
+            any(not np.array_equal(k, ks[0]) for k in ks) for ks in kept.values()
+        )
+        assert _canonical(csr) == _canonical(ref)
+        assert csr.build_compressed_set().weights.tolist() == ref.compressed_weights()
+        probes = [0] + np.unique(D).tolist()
+        for instance in range(cfg.instance_count):
+            for v in range(n):
+                assert [_reported(t) for t in csr.governing_ladder(v, instance)] == [
+                    _reported(t) for t in ref.governing_ladder(v, instance)
+                ]
+                for w in probes:
+                    assert _reported(csr.report_sketch(v, w, instance)) == _reported(
+                        ref.report_sketch(v, w, instance)
+                    )
+                    assert csr.estimate_degree(v, w, instance) == ref.estimate_degree(
+                        v, w, instance
+                    )
 
 
 class TestPoolsQueries:
@@ -253,10 +432,19 @@ class TestPoolsQueries:
                 assert -dist in cs
 
     def test_report_sketch_returns_none_without_sketches(self):
-        cfg = SketchConfig(sample_factor=1, instance_count=1, seed=9)
+        # n = 2: one ladder size, sampled with probability 1/2, so an owner
+        # holds a sketch exactly when its one neighbour is in the sample
         D = np.array([[0, U], [U, 0]], dtype=np.int64)
-        pools = _fill_pools(cfg, D, bulk=True)
-        assert pools.report_sketch(0, U, 0) is None or True  # may hold a sketch
+        outcomes = set()
+        for seed in range(8):
+            cfg = SketchConfig(sample_factor=1, instance_count=1, seed=seed)
+            pools = _fill_pools(cfg, D, bulk=True)
+            (size,) = pools.sizes
+            for owner in (0, 1):
+                sampled = pools.membership.member(0, size, 1 - owner)
+                assert (pools.report_sketch(owner, U, 0) is None) == (not sampled)
+                outcomes.add(sampled)
+        assert outcomes == {True, False}
 
     def test_rung_below(self):
         cfg = SketchConfig(min_size=4)
