@@ -6,8 +6,11 @@ neighborhoods are closed (a vertex counts itself). Two vertices agree inside
 S when |N(u) symdiff N(v)| + 2|N(u) cap N(v) cap complement(S)| is below a
 gamma fraction of the larger degree; a vertex is heavy when few of its
 neighbors fall outside its agreement set. Exact mode evaluates these
-predicates from the full matrix; sketch mode estimates them from the
-streaming sketches with the relaxation bands built into the thresholds.
+predicates from the full matrix, taking every common-neighbour count of a
+clustering call from one float32 BLAS product of the S-by-S adjacency; the
+counts are exact because each is an integer of at most |S| < 2**24 (see
+`_common_counts`). Sketch mode estimates them from the streaming sketches
+with the relaxation bands built into the thresholds.
 """
 
 from __future__ import annotations
@@ -293,13 +296,27 @@ def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clu
     return result
 
 
+def _common_counts(sub):
+    """|N(u) cap N(v) cap S| for every pair of S, from the S-by-S adjacency.
+
+    The product runs in float32 so that it goes through BLAS (numpy's
+    integer matmul does not). It is exact: each entry sums at most
+    |S| <= n products of 0 and 1, and n < 2**24 whenever a dense n-by-n
+    matrix fits in memory, so every partial sum is an integer float32
+    represents exactly. The float32 copy is freed on return, before the
+    caller allocates its k-by-k statistics.
+    """
+    ones = sub.astype(np.float32)
+    return (ones @ ones.T).astype(np.int64)
+
+
 def _cluster_exact(s_arr, w, params, view: ExactView):
     adj = view.adjacency(w)
     deg = view.degrees(w)
     k = len(s_arr)
     sub = adj[np.ix_(s_arr, s_arr)]
     d = deg[s_arr].astype(np.int64)
-    common = (sub.astype(np.int64) @ sub.astype(np.int64).T)
+    common = _common_counts(sub)
     stat = d[:, None] + d[None, :] - 2 * common
     maxd = np.maximum.outer(d, d)
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import fixedpoint
 from .agreement import AgreementParams
 from .evaluate import cost
-from .l0fit import fit_l0
+from .l0fit import SketchBudgetError, fit_l0
 from .linf import fit_linf_exact, fit_linf_min_decrement
 from .oracles import (
     OracleBudget,
@@ -45,6 +45,7 @@ REPORT_SCHEMA = 1
 
 USAGE_EXIT = 2
 INTEGRITY_EXIT = 3
+BUDGET_EXIT = 4
 
 
 class UsageError(ValueError):
@@ -388,6 +389,9 @@ def main(argv=None) -> int:
     except (ParseError, StreamIntegrityError, ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTEGRITY_EXIT
+    except SketchBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return BUDGET_EXIT
 
 
 if __name__ == "__main__":

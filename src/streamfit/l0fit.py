@@ -81,8 +81,8 @@ def fit_l0(
         def make_view(depth):
             return exact_view
 
-        def degree(u, w, depth):
-            return int(exact_view.degrees(w)[u])
+        def degrees(vertices, w, depth):
+            return exact_view.degrees(w)[vertices]
 
     elif params.mode == "sketch":
         if config is None:
@@ -103,8 +103,12 @@ def fit_l0(
                 )
             return SketchView(pools, depth)
 
-        def degree(u, w, depth):
-            return pools.estimate_degree(u, w, min(depth, config.instance_count - 1))
+        def degrees(vertices, w, depth):
+            instance = min(depth, config.instance_count - 1)
+            return np.array(
+                [pools.estimate_degree(int(u), w, instance) for u in vertices],
+                dtype=np.int64,
+            )
 
     else:
         raise ValueError(f"unsupported mode {params.mode!r}")
@@ -135,17 +139,13 @@ def fit_l0(
             w_lo = w_check
             w_probe = weights.pred(w_lo)
             while 100 * len(cur) > 99 * size_s:
-                degs = np.array(
-                    [degree(int(u), w_probe, depth) for u in cur], dtype=np.int64
-                )
+                degs = degrees(cur, w_probe, depth)
                 if not 100 * int(np.count_nonzero(100 * degs > 66 * size_s)) > 99 * size_s:
                     break
-                rim = cur[100 * degs < 65 * size_s]
-                if len(rim):
-                    children.append(recurse(rim, w_lo, depth + 1))
-                    keep = np.ones(len(cur), dtype=bool)
-                    keep[100 * degs < 65 * size_s] = False
-                    cur = cur[keep]
+                rim = 100 * degs < 65 * size_s
+                if rim.any():
+                    children.append(recurse(cur[rim], w_lo, depth + 1))
+                    cur = cur[~rim]
                 w_lo = w_probe
                 w_probe = weights.pred(w_probe)
             children.append(recurse(cur, w_lo, depth + 1))

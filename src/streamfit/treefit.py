@@ -179,11 +179,11 @@ def fit_l0_tree(
         reps.append(TreeMetricRep(base, pivot, data.rows[i]))
 
     pairwise = np.zeros((t, t), dtype=np.int64)
-    induced = [rep.induced_matrix() for rep in reps]
     iu, iv = np.triu_indices(n, k=1)
+    upper = [rep.induced_matrix()[iu, iv] for rep in reps]
     for i in range(t):
         for j in range(i + 1, t):
-            diff = int(np.count_nonzero(induced[i][iu, iv] != induced[j][iu, iv]))
+            diff = int(np.count_nonzero(upper[i] != upper[j]))
             pairwise[i, j] = pairwise[j, i] = diff
     winner = select_tree_by_clique(pairwise, labels=pivots)
     return L0TreeResult(

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from streamfit import fixedpoint as fp
 from streamfit.agreement import (
@@ -158,6 +160,120 @@ class TestExactClustering:
         )
         with pytest.raises(ClusterInvariantError):
             bad.assert_partition()
+
+
+@st.composite
+def planted_groups(draw):
+    """Up to four planted groups on up to 20 vertices, close inside a group
+    and far across, with a few entries redrawn at random."""
+    n = draw(st.integers(2, 20))
+    levels = sorted(draw(st.sets(st.integers(1, 9), min_size=2, max_size=4)))
+    group = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    D = [
+        [0 if i == j else levels[0] if group[i] == group[j] else levels[-1]
+         for j in range(n)]
+        for i in range(n)
+    ]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for (i, j), level in draw(
+        st.lists(st.tuples(pair, st.sampled_from(levels)), max_size=n)
+    ):
+        if i != j:
+            D[i][j] = D[j][i] = level
+    removed = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    return D, removed
+
+
+@st.composite
+def one_large_group(draw):
+    """One group of 100 to 124 vertices plus up to three vertices that are
+    close to 80-90% of it, with one to three vertices left out of S. A heavy
+    vertex may keep a neighbour outside S only when its degree exceeds
+    1/epsilon, so only groups this large let the S restriction change a
+    clustering, and the partial neighbours put pairs near the 3-beta bound."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(100, 124))
+    n = m + draw(st.integers(1, 3))
+    levels = sorted(draw(st.sets(st.integers(1, 9), min_size=2, max_size=4)))
+    ids = list(range(n))
+    rnd.shuffle(ids)
+    core, extra = ids[:m], ids[m:]
+    D = [[0 if i == j else levels[-1] for j in range(n)] for i in range(n)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            level = rnd.choice(levels) if rnd.random() < 0.005 else levels[0]
+            D[core[a]][core[b]] = D[core[b]][core[a]] = level
+    for x in extra:
+        near = rnd.sample(core, rnd.randint(m - m // 5, m - m // 10))
+        level = rnd.choice(levels[:-1])
+        for y in near:
+            D[x][y] = D[y][x] = level
+    removed = set(rnd.sample(ids, draw(st.integers(1, 3))))
+    return D, removed
+
+
+@st.composite
+def subset_clustering_inputs(draw):
+    """A matrix with 2 to 4 distinct levels (so ties occur), a nonempty
+    proper subset S of the vertices, a threshold w at a stored level and
+    an epsilon."""
+    D, removed = draw(st.one_of(planted_groups(), one_large_group()))
+    n = len(D)
+    s_list = [x for x in range(n) if x not in removed]
+    w = draw(st.sampled_from(sorted({D[i][j] for i in range(n) for j in range(i)})))
+    eps = draw(st.sampled_from([Fraction(1, 100), Fraction(1, 95), Fraction(1, 300)]))
+    return D, s_list, w, eps
+
+
+def reference_subset_clustering(D, s_list, w, eps):
+    """S-structural clustering from Python integer sets.
+
+    Closed neighbourhoods at w; u and v agree under gamma when
+    |N(u)| + |N(v)| - 2|N(u) cap N(v) cap S| < gamma * max(|N(u)|, |N(v)|);
+    u is heavy when fewer than eps * |N(u)| of its neighbours are outside
+    S or disagree with it under beta = 5 eps (1 + eps). Heavy vertices, in
+    ascending id order, claim every unclaimed vertex of S that agrees under
+    3 beta; the rest become singletons.
+    """
+    n = len(D)
+    nbhd = [{y for y in range(n) if y == x or D[x][y] <= w} for x in range(n)]
+    s_set = set(s_list)
+    beta = 5 * eps * (1 + eps)
+
+    def agrees(u, v, gamma):
+        if u == v:
+            return True
+        du, dv = len(nbhd[u]), len(nbhd[v])
+        stat = du + dv - 2 * len(nbhd[u] & nbhd[v] & s_set)
+        return stat < gamma * max(du, dv)
+
+    def heavy(u):
+        limit = eps * len(nbhd[u])
+        misses = 0
+        for x in nbhd[u]:
+            if x not in s_set or not agrees(u, x, beta):
+                misses += 1
+                if misses >= limit:
+                    return False
+        return True
+
+    unclaimed = sorted(s_set)
+    clusters = []
+    for u in sorted(s_set):
+        if u in unclaimed and heavy(u):
+            members = [v for v in unclaimed if agrees(u, v, 3 * beta)]
+            unclaimed = [v for v in unclaimed if v not in members]
+            clusters.append(members)
+    return clusters + [[v] for v in unclaimed]
+
+
+@given(subset_clustering_inputs())
+@settings(max_examples=300, deadline=None)
+def test_exact_clustering_matches_set_reference(case):
+    D, s_list, w, eps = case
+    view = ExactView(np.array(D, dtype=np.int64))
+    got = s_structural_clustering(s_list, w, AgreementParams(epsilon=eps), view)
+    assert got.to_lists() == reference_subset_clustering(D, s_list, w, eps)
 
 
 def make_sketch_view(D, seed=0, instance=0, **overrides):

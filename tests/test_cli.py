@@ -221,6 +221,31 @@ class TestIncompleteStream:
         assert run("check", "--input", str(bad)) == 3
 
 
+class TestSketchBudget:
+    def test_exhausted_instances_exit_4_without_output(self, tmp_path, capsys):
+        stream = tmp_path / "t.txt"
+        assert run(
+            "gen", "--kind", "planted_tree_metric", "--n", "30",
+            "--seed", "0", "--out", str(stream), "--report", str(tmp_path / "g.json"),
+        ) == 0
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        tree_out = tmp_path / "fit.json"
+        code = run(
+            "fit", "--input", str(stream),
+            "--structure", "tree", "--objective", "l0", "--mode", "sketch",
+            "--passes", "2", "--seed", "0",
+            "--out-tree", str(tree_out), "--report", str(report),
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "sketch instances" in err
+        assert len(err.splitlines()) == 1
+        assert not report.exists()
+        assert not tree_out.exists()
+
+
 class TestBench:
     def test_csv_columns_and_rows(self, tmp_path):
         out = tmp_path / "bench.csv"
