@@ -6,8 +6,6 @@ from .agreement import (
     Clustering,
     ExactView,
     SketchView,
-    agreement_query,
-    heaviness_query,
     s_structural_clustering,
 )
 from .evaluate import CostReport, cost
@@ -29,7 +27,6 @@ from .sketches import (
     SketchPools,
 )
 from .streams import (
-    DistanceEntry,
     GeneratorSpec,
     MemoryMeter,
     ParseError,
@@ -50,7 +47,6 @@ from .trees import (
     four_point_check,
     from_ultrametric_matrix,
     is_ultrametric,
-    quantize_levels,
     single_linkage_tree,
 )
 
@@ -62,7 +58,6 @@ __all__ = [
     "CloseNeighbors",
     "CompressedSet",
     "CostReport",
-    "DistanceEntry",
     "DomainError",
     "ExactView",
     "GeneratorSpec",
@@ -82,7 +77,6 @@ __all__ = [
     "StreamSource",
     "TreeMetricRep",
     "UltrametricTree",
-    "agreement_query",
     "brute_correlation",
     "brute_l0_ultra",
     "brute_l1_ultra",
@@ -98,10 +92,8 @@ __all__ = [
     "from_int",
     "from_ultrametric_matrix",
     "generate",
-    "heaviness_query",
     "is_ultrametric",
     "minimax_cert",
-    "quantize_levels",
     "s_structural_clustering",
     "select_tree_by_clique",
     "single_linkage_tree",

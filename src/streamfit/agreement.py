@@ -5,12 +5,16 @@ For a working threshold w the graph is E_w (edge iff distance <= w) and all
 neighborhoods are closed (a vertex counts itself). Two vertices agree inside
 S when |N(u) symdiff N(v)| + 2|N(u) cap N(v) cap complement(S)| is below a
 gamma fraction of the larger degree; a vertex is heavy when few of its
-neighbors fall outside its agreement set. Exact mode evaluates these
-predicates from the full matrix, taking every common-neighbour count of a
-clustering call from one float32 BLAS product of the S-by-S adjacency; the
-counts are exact because each is an integer of at most |S| < 2**24 (see
-`_common_counts`). Sketch mode estimates them from the streaming sketches
-with the relaxation bands built into the thresholds.
+neighbors fall outside its agreement set.
+
+Exact mode has one code path, the matrix path of `_cluster_exact`: a
+clustering call reads the |S|-by-n rows of S from the dense matrix once,
+takes the degrees from their row sums and every common-neighbour count from
+one float32 BLAS product of their S columns, and decides all pairs at once.
+The counts are exact because each is an integer of at most |S| < 2**24 (see
+`_common_counts`). No state is kept between calls. Sketch mode estimates the
+predicates pair by pair from the streaming sketches, with the relaxation
+bands built into the thresholds.
 """
 
 from __future__ import annotations
@@ -65,53 +69,18 @@ class Clustering:
 
 
 class ExactView:
-    """Full-matrix evaluation of the predicates (deterministic)."""
+    """The dense matrix that exact mode answers every predicate from.
+
+    The matrix has a zero diagonal and every threshold is nonnegative, so a
+    row's entries at most w are its vertex's closed neighbourhood at w.
+    """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=np.int64)
-        self.n = self.matrix.shape[0]
-        self._cache_w = None
-        self._cache = None
 
-    def adjacency(self, w: int) -> np.ndarray:
-        if self._cache_w != w:
-            adj = self.matrix <= w
-            np.fill_diagonal(adj, True)
-            self._cache = (adj, adj.sum(axis=1))
-            self._cache_w = w
-        return self._cache[0]
-
-    def degrees(self, w: int) -> np.ndarray:
-        self.adjacency(w)
-        return self._cache[1]
-
-    def consume(self, vertices):
-        pass
-
-    def subset_statistic(self, u, v, s_mask, w):
-        """|N(u) symdiff N(v)| + 2|N(u) cap N(v) cap complement(S)|."""
-        adj = self.adjacency(w)
-        du = int(self.degrees(w)[u])
-        dv = int(self.degrees(w)[v])
-        common_in_s = int(np.count_nonzero(adj[u] & adj[v] & s_mask))
-        return du + dv - 2 * common_in_s, du, dv
-
-    def agreement(self, u, v, s_mask, gamma: Fraction, w) -> bool:
-        if u == v:
-            return True
-        stat, du, dv = self.subset_statistic(u, v, s_mask, w)
-        return stat * gamma.denominator < gamma.numerator * max(du, dv)
-
-    def heaviness(self, u, s_mask, w, params: AgreementParams) -> bool:
-        adj = self.adjacency(w)
-        du = int(self.degrees(w)[u])
-        beta = params.beta
-        inside = 0
-        for x in np.flatnonzero(adj[u]):
-            if s_mask[x] and self.agreement(u, int(x), s_mask, beta, w):
-                inside += 1
-        eps = params.epsilon
-        return (du - inside) * eps.denominator < eps.numerator * du
+    def degrees(self, vertices, w: int) -> np.ndarray:
+        """Closed degree at w of each of `vertices`."""
+        return (self.matrix[vertices] <= w).sum(axis=1)
 
 
 class SketchView:
@@ -257,22 +226,6 @@ class SketchView:
         return statistic <= 1.1 * float(params.epsilon)
 
 
-def agreement_query(view, u, v, s_vertices, gamma_key, w, params: AgreementParams):
-    s_mask = _as_mask(view, s_vertices)
-    return view.agreement(u, v, s_mask, params.gamma(gamma_key), w)
-
-
-def heaviness_query(view, u, s_vertices, w, params: AgreementParams):
-    return view.heaviness(u, _as_mask(view, s_vertices), w, params)
-
-
-def _as_mask(view, s_vertices):
-    n = view.n if isinstance(view, ExactView) else view.pools.n
-    mask = np.zeros(n, dtype=bool)
-    mask[np.asarray(list(s_vertices), dtype=np.int64)] = True
-    return mask
-
-
 def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clustering:
     """Partition S by growing 3-beta agreement clusters around heavy seeds.
 
@@ -284,10 +237,10 @@ def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clu
     s_arr = np.unique(np.asarray(list(s_vertices), dtype=np.int64))
     if len(s_arr) == 0:
         raise ValueError("S must be nonempty")
-    view.consume(s_arr)
     if isinstance(view, ExactView):
         clusters = _cluster_exact(s_arr, w, params, view)
     else:
+        view.consume(s_arr)
         clusters = _cluster_sketch(s_arr, w, params, view)
     result = Clustering(ground_set=s_arr, clusters=clusters)
     result.assert_partition()
@@ -311,11 +264,11 @@ def _common_counts(sub):
 
 
 def _cluster_exact(s_arr, w, params, view: ExactView):
-    adj = view.adjacency(w)
-    deg = view.degrees(w)
+    rows = view.matrix[s_arr] <= w
+    d = rows.sum(axis=1)
+    sub = rows[:, s_arr]
+    del rows
     k = len(s_arr)
-    sub = adj[np.ix_(s_arr, s_arr)]
-    d = deg[s_arr].astype(np.int64)
     common = _common_counts(sub)
     stat = d[:, None] + d[None, :] - 2 * common
     maxd = np.maximum.outer(d, d)
@@ -367,11 +320,10 @@ def _cluster_sketch(s_arr, w, params, view: SketchView):
 
 
 def _assert_density(result: Clustering, w, view: ExactView):
-    adj = view.adjacency(w)
     for cluster in result.clusters:
         if len(cluster) < 2:
             continue
-        counts = adj[np.ix_(cluster, cluster)].sum(axis=1)
+        counts = (view.matrix[np.ix_(cluster, cluster)] <= w).sum(axis=1)
         if np.any(3 * counts < 2 * len(cluster)):
             raise ClusterInvariantError(
                 f"cluster of size {len(cluster)} is not everywhere dense"

@@ -117,11 +117,20 @@ def _validate_fit(args):
     else:
         if args.passes != 2:
             raise UsageError("tree fitting needs exactly 2 passes")
+    if args.instances < 0:
+        raise UsageError("--instances must be positive")
+    if args.objective == "linf" and args.mode != "exact":
+        raise UsageError("--mode applies to l0 fitting only")
+    if args.instances and args.mode != "sketch":
+        raise UsageError("--instances applies to sketch-mode l0 fitting only")
 
 
 def cmd_fit(args):
     _validate_fit(args)
     source = StreamSource.from_file(args.input, order_seed=args.seed)
+    if args.structure == "tree" and args.objective == "linf":
+        if not 0 <= args.pivot < source.n:
+            raise UsageError(f"--pivot {args.pivot} is outside 0..{source.n - 1}")
     meter = MemoryMeter()
     doc = {
         "schema": REPORT_SCHEMA,
@@ -136,11 +145,8 @@ def cmd_fit(args):
     params = AgreementParams(mode=args.mode)
     config = None
     if args.mode == "sketch":
-        config = SketchConfig.scaled(source.n, seed=args.seed)
-        if args.instances:
-            config = SketchConfig.scaled(
-                source.n, seed=args.seed, instance_count=args.instances
-            )
+        overrides = {"instance_count": args.instances} if args.instances else {}
+        config = SketchConfig.scaled(source.n, seed=args.seed, **overrides)
     fitted = None
     if args.structure == "ultrametric":
         if args.objective == "linf":

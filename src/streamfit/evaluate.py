@@ -19,13 +19,11 @@ class CostReport:
     gap_Delta: int
 
 
-def cost(tree, source: StreamSource, p=None) -> CostReport:
+def cost(tree, source: StreamSource) -> CostReport:
     """Evaluate |T - D| over every pair of the stream.
 
-    All three norms are accumulated in a single pass regardless of `p`
-    (the argument only selects what a caller wants to read). The source
-    holds each pair exactly once by construction, and none of the norms
-    depends on order, so the stored arrays are read as they are.
+    The source holds each pair exactly once by construction, and none of
+    the norms depends on order, so the stored arrays are read as they are.
     """
     if not isinstance(tree, (UltrametricTree, TreeMetricRep)):
         raise TypeError("tree must be an UltrametricTree or TreeMetricRep")

@@ -74,7 +74,6 @@ def fit_l0(
         weights = CompressedSet(values)
         w_max = int(values[-1]) if len(values) else 0
         exact_view = ExactView(matrix)
-        pools = None
         meter = meter if meter is not None else MemoryMeter()
         meter.set_words("dense_matrix", n * n)
 
@@ -82,7 +81,7 @@ def fit_l0(
             return exact_view
 
         def degrees(vertices, w, depth):
-            return exact_view.degrees(w)[vertices]
+            return exact_view.degrees(vertices, w)
 
     elif params.mode == "sketch":
         if config is None:

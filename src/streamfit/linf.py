@@ -41,16 +41,6 @@ class MstState:
         self.forest_size = 0   # slots [0, forest_size) hold the forest
         self.size = 0          # slots [forest_size, size) are the buffer
 
-    def ingest(self, u: int, v: int, w: int):
-        """Add one edge to the buffer, compacting when it is full."""
-        i = self.size
-        self._w[i] = w
-        self._hi[i] = max(u, v)
-        self._lo[i] = min(u, v)
-        self.size = i + 1
-        if self.size == self.capacity:
-            self._compact()
-
     def ingest_batch(self, u, v, w):
         """Add edges from equal-length arrays, one buffer-sized slice at a time."""
         u = np.asarray(u, dtype=np.int64)

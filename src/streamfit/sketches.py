@@ -39,8 +39,8 @@ class ContractViolation(RuntimeError):
 class SketchConfig:
     """Knobs for the streaming sketch phase.
 
-    The conservative defaults follow the analysis regime (lam = 0.01 and
-    zeta <= lam/10); desk-scale runs use the `scaled` constructor, which
+    The conservative defaults follow the analysis regime (zeta = 0.001);
+    desk-scale runs use the `scaled` constructor, which
     trades the asymptotic constants for parameters that actually sample at
     small n.
     """
@@ -51,7 +51,6 @@ class SketchConfig:
     instance_count: int = 8
     seed: int = 0
     zeta: float = 0.001
-    lam: float = 0.01
     ladder_base: float = 2.0
 
     def __post_init__(self):
@@ -75,7 +74,6 @@ class SketchConfig:
             instance_count=max(8, 2 * lg),
             seed=seed,
             zeta=0.02,
-            lam=0.25,
         )
         values.update(overrides)
         return cls(**values)
@@ -96,7 +94,6 @@ class SketchConfig:
             instance_count=1,
             seed=seed,
             zeta=0.02,
-            lam=0.25,
         )
         values.update(overrides)
         return cls(**values)
@@ -142,9 +139,6 @@ class SampleMembership:
             got = rng.random(self.n) < self.config.sample_probability(s_prime)
             self._masks[key] = got
         return got
-
-    def member(self, instance: int, s_prime: int, vertex: int) -> bool:
-        return bool(self.mask(instance, s_prime)[vertex])
 
     def mask_count(self) -> int:
         return len(self._masks)
@@ -231,10 +225,6 @@ class CloseNeighbors:
             heapq.heapreplace(self._heap, item)
         return 0
 
-    @property
-    def full(self):
-        return len(self._heap) >= self.capacity
-
     def exact_within(self, w: int) -> bool:
         """True when the queue provably holds every neighbor at weight w."""
         if not self.overflowed:
@@ -260,22 +250,13 @@ class CloseNeighbors:
 
 
 class CompressedSet:
-    """Sorted distinct weights with successor/predecessor queries."""
+    """Sorted distinct weights with predecessor queries."""
 
     def __init__(self, weights):
         self.weights = np.unique(np.asarray(weights, dtype=np.int64))
 
     def __len__(self):
         return len(self.weights)
-
-    def __contains__(self, w):
-        i = np.searchsorted(self.weights, w)
-        return i < len(self.weights) and self.weights[i] == w
-
-    def succ(self, w):
-        """Smallest stored weight > w, or None."""
-        i = np.searchsorted(self.weights, w, side="right")
-        return int(self.weights[i]) if i < len(self.weights) else None
 
     def pred(self, w):
         """Largest stored weight < w; 0 when none exists."""

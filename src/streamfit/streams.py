@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,12 +21,6 @@ class StreamIntegrityError(ValueError):
 
 class ConfigError(ValueError):
     pass
-
-
-class DistanceEntry(NamedTuple):
-    u: int
-    v: int
-    d: int
 
 
 def pair_index(n: int, u: int, v: int):
@@ -127,11 +121,6 @@ class StreamSource:
         """Permuted (u, v, d) arrays for one pass."""
         order = self._order(pass_index)
         return self.u[order], self.v[order], self.d[order]
-
-    def entries(self, pass_index: int = 0):
-        u, v, d = self.arrays(pass_index)
-        for i in range(len(d)):
-            yield DistanceEntry(int(u[i]), int(v[i]), int(d[i]))
 
     def dense(self) -> np.ndarray:
         """Full symmetric matrix; the source is complete by construction."""

@@ -23,18 +23,9 @@ from .streams import StreamSource
 from .trees import TreeMetricRep
 
 
-@dataclass(frozen=True)
-class PivotData:
-    pivots: tuple
-    rows: np.ndarray  # one row per pivot, shape (t, n)
-
-    @property
-    def count(self):
-        return len(self.pivots)
-
-
-def collect_pivot_rows(source: StreamSource, pivots, pass_index: int = 0) -> PivotData:
-    """One stream pass gathering D(a, .) for every pivot a."""
+def collect_pivot_rows(source: StreamSource, pivots, pass_index: int = 0) -> np.ndarray:
+    """One stream pass gathering D(a, .) for every pivot a, one row per
+    pivot in a (t, n) array."""
     pivots = tuple(int(p) for p in pivots)
     n = source.n
     rows = np.zeros((len(pivots), n), dtype=np.int64)
@@ -44,7 +35,7 @@ def collect_pivot_rows(source: StreamSource, pivots, pass_index: int = 0) -> Piv
         for p, i in slot.items():
             hit = side == p
             rows[i, far[hit]] = d[hit]
-    return PivotData(pivots=pivots, rows=rows)
+    return rows
 
 
 def centroid_transformed_source(
@@ -65,8 +56,7 @@ def fit_linf_tree(source: StreamSource, pivot: int = 0) -> TreeMetricRep:
     """
     if not (0 <= pivot < source.n):
         raise ValueError(f"pivot {pivot} out of range")
-    data = collect_pivot_rows(source, [pivot], pass_index=0)
-    row = data.rows[0]
+    row = collect_pivot_rows(source, [pivot], pass_index=0)[0]
     if source.n == 1:
         return TreeMetricRep(fit_linf_min_decrement(source), pivot, row)
     base = fit_linf_min_decrement(
@@ -167,16 +157,16 @@ def fit_l0_tree(
     t = min(n, max(1, math.ceil(math.log(max(n, 2)))))
     rng = np.random.Generator(np.random.Philox(key=(seed, 202)))
     pivots = sorted(int(p) for p in rng.choice(n, size=t, replace=False))
-    data = collect_pivot_rows(source, pivots, pass_index=0)
+    rows = collect_pivot_rows(source, pivots, pass_index=0)
 
     reps = []
     for i, pivot in enumerate(pivots):
         if n == 1:
             base = fit_l0(source, params=params, config=config).tree
         else:
-            shifted = centroid_transformed_source(source, data.rows[i], pass_index=1)
+            shifted = centroid_transformed_source(source, rows[i], pass_index=1)
             base = fit_l0(shifted, params=params, config=config).tree
-        reps.append(TreeMetricRep(base, pivot, data.rows[i]))
+        reps.append(TreeMetricRep(base, pivot, rows[i]))
 
     pairwise = np.zeros((t, t), dtype=np.int64)
     iu, iv = np.triu_indices(n, k=1)

@@ -11,7 +11,6 @@ All distances are scaled integers from `fixedpoint`.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 
 import numpy as np
 
@@ -420,19 +419,6 @@ def four_point_check(matrix: np.ndarray) -> bool:
             if not twice.all():
                 return False
     return True
-
-
-def quantize_levels(tree: UltrametricTree, values) -> UltrametricTree:
-    """Round each internal level up to the next value; clamp above the max."""
-    values = sorted(int(v) for v in values)
-    if not values:
-        raise DomainError("values must be nonempty")
-
-    def snap(level):
-        idx = bisect_left(values, level)
-        return values[idx] if idx < len(values) else values[-1]
-
-    return tree.map_levels(snap)
 
 
 class TreeMetricRep:

@@ -235,7 +235,6 @@ def test_07_sketch_concentration_two_shell():
             instance_count=1,
             seed=seed,
             zeta=zeta,
-            lam=lam,
         )
         pools = SketchPools(cfg, n)
         pools.bulk_ingest(u, v, d)

@@ -12,8 +12,6 @@ from streamfit.agreement import (
     Clustering,
     ExactView,
     SketchView,
-    agreement_query,
-    heaviness_query,
     s_structural_clustering,
 )
 from streamfit.sketches import ContractViolation, SketchConfig, SketchPools
@@ -45,6 +43,36 @@ def hub_matrix(k):
     return D
 
 
+def neighbourhoods(D, w):
+    """Closed neighbourhood of every vertex at threshold w, as sets."""
+    n = len(D)
+    return [{y for y in range(n) if y == x or D[x][y] <= w} for x in range(n)]
+
+
+def agrees(nbhd, s_set, u, v, gamma):
+    """u and v agree under gamma inside S when
+    |N(u)| + |N(v)| - 2|N(u) cap N(v) cap S| < gamma * max(|N(u)|, |N(v)|)."""
+    if u == v:
+        return True
+    du, dv = len(nbhd[u]), len(nbhd[v])
+    stat = du + dv - 2 * len(nbhd[u] & nbhd[v] & s_set)
+    return stat < gamma * max(du, dv)
+
+
+def heavy(nbhd, s_set, u, eps):
+    """u is heavy when fewer than eps * |N(u)| of its neighbours are outside
+    S or disagree with it under beta = 5 eps (1 + eps)."""
+    beta = 5 * eps * (1 + eps)
+    limit = eps * len(nbhd[u])
+    misses = 0
+    for x in nbhd[u]:
+        if x not in s_set or not agrees(nbhd, s_set, u, x, beta):
+            misses += 1
+            if misses >= limit:
+                return False
+    return True
+
+
 class TestParams:
     def test_beta_formula(self):
         p = AgreementParams(epsilon=Fraction(1, 100))
@@ -64,50 +92,60 @@ class TestParams:
 
 
 class TestExactQueries:
+    """Exact agreement and heaviness, as the set predicates that the matrix
+    path of the clustering is checked against."""
+
     def setup_method(self):
-        self.D = two_clique_matrix(8, 8)
-        self.view = ExactView(self.D)
+        self.nbhd = neighbourhoods(two_clique_matrix(8, 8), 1 * U)
+        self.S = set(range(16))
         self.params = AgreementParams()
-        self.S = list(range(16))
 
     def test_same_clique_agrees(self):
-        assert agreement_query(
-            self.view, 0, 1, self.S, "beta", 1 * U, self.params
-        )
+        assert agrees(self.nbhd, self.S, 0, 1, self.params.beta)
 
     def test_cross_clique_disagrees(self):
-        assert not agreement_query(
-            self.view, 0, 8, self.S, "beta", 1 * U, self.params
-        )
-        assert not agreement_query(
-            self.view, 0, 8, self.S, "3beta", 1 * U, self.params
-        )
+        assert not agrees(self.nbhd, self.S, 0, 8, self.params.beta)
+        assert not agrees(self.nbhd, self.S, 0, 8, 3 * self.params.beta)
 
     def test_clique_members_are_heavy(self):
         for v in (0, 5, 8):
-            assert heaviness_query(self.view, v, self.S, 1 * U, self.params)
+            assert heavy(self.nbhd, self.S, v, self.params.epsilon)
 
     def test_hub_is_not_heavy(self):
         D = hub_matrix(8)
-        view = ExactView(D)
-        S = list(range(D.shape[0]))
-        assert not heaviness_query(view, 16, S, 1 * U, self.params)
+        nbhd = neighbourhoods(D, 1 * U)
+        S = set(range(D.shape[0]))
+        eps = self.params.epsilon
+        assert not heavy(nbhd, S, 16, eps)
         # clique members fail too: one disagreeing neighbor out of nine
         # already exceeds the epsilon fraction at this degree
-        assert not heaviness_query(view, 0, S, 1 * U, self.params)
+        assert not heavy(nbhd, S, 0, eps)
 
     def test_subset_discounts_outside_common_neighbors(self):
         # restricting S to one clique: vertices of the other clique share
-        # all their neighbors, but those fall outside S and count double
-        S = list(range(8))
-        stat_full, du, dv = self.view.subset_statistic(
-            8, 9, np.ones(16, dtype=bool), 1 * U
-        )
-        mask = np.zeros(16, dtype=bool)
-        mask[S] = True
-        stat_sub, _, _ = self.view.subset_statistic(8, 9, mask, 1 * U)
-        assert stat_full == 0
-        assert stat_sub == 2 * du
+        # all their neighbors, but those fall outside S and count double,
+        # so they agree inside the full set and not inside the restriction
+        gamma = self.params.beta
+        assert agrees(self.nbhd, self.S, 8, 9, gamma)
+        assert not agrees(self.nbhd, set(range(8)), 8, 9, 3 * gamma)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_degrees_count_each_row(seed):
+    rng = np.random.default_rng(seed)
+    n = 30
+    src, _ = generate(GeneratorSpec(kind="uniform_random", n=n, seed=seed))
+    D = src.dense()
+    view = ExactView(D)
+    for w in [0, *np.unique(D[D > 0]).tolist()]:
+        expected = (D <= w).sum(axis=1)
+        for _ in range(3):
+            size = int(rng.integers(1, n + 1))
+            vertices = rng.choice(n, size=size, replace=False)
+            assert np.array_equal(view.degrees(vertices, w), expected[vertices])
+    # at w = 0 the diagonal is every vertex's only neighbour
+    assert np.array_equal(view.degrees(np.arange(n), 0), np.ones(n))
+    assert np.array_equal(view.degrees(np.arange(n), int(D.max())), np.full(n, n))
 
 
 class TestExactClustering:
@@ -226,42 +264,21 @@ def subset_clustering_inputs(draw):
 
 
 def reference_subset_clustering(D, s_list, w, eps):
-    """S-structural clustering from Python integer sets.
-
-    Closed neighbourhoods at w; u and v agree under gamma when
-    |N(u)| + |N(v)| - 2|N(u) cap N(v) cap S| < gamma * max(|N(u)|, |N(v)|);
-    u is heavy when fewer than eps * |N(u)| of its neighbours are outside
-    S or disagree with it under beta = 5 eps (1 + eps). Heavy vertices, in
-    ascending id order, claim every unclaimed vertex of S that agrees under
-    3 beta; the rest become singletons.
+    """S-structural clustering from Python integer sets, with the `agrees`
+    and `heavy` predicates. Heavy vertices, in ascending id order, claim
+    every unclaimed vertex of S that agrees under 3 beta; the rest become
+    singletons.
     """
-    n = len(D)
-    nbhd = [{y for y in range(n) if y == x or D[x][y] <= w} for x in range(n)]
+    nbhd = neighbourhoods(D, w)
     s_set = set(s_list)
     beta = 5 * eps * (1 + eps)
-
-    def agrees(u, v, gamma):
-        if u == v:
-            return True
-        du, dv = len(nbhd[u]), len(nbhd[v])
-        stat = du + dv - 2 * len(nbhd[u] & nbhd[v] & s_set)
-        return stat < gamma * max(du, dv)
-
-    def heavy(u):
-        limit = eps * len(nbhd[u])
-        misses = 0
-        for x in nbhd[u]:
-            if x not in s_set or not agrees(u, x, beta):
-                misses += 1
-                if misses >= limit:
-                    return False
-        return True
-
     unclaimed = sorted(s_set)
     clusters = []
     for u in sorted(s_set):
-        if u in unclaimed and heavy(u):
-            members = [v for v in unclaimed if agrees(u, v, 3 * beta)]
+        if u in unclaimed and heavy(nbhd, s_set, u, eps):
+            members = [
+                v for v in unclaimed if agrees(nbhd, s_set, u, v, 3 * beta)
+            ]
             unclaimed = [v for v in unclaimed if v not in members]
             clusters.append(members)
     return clusters + [[v] for v in unclaimed]
@@ -291,10 +308,10 @@ class TestSketchQueries:
         D = two_clique_matrix(10, 10)
         view = make_sketch_view(D, seed=1)
         params = AgreementParams(mode="sketch")
-        S = list(range(20))
-        assert agreement_query(view, 0, 1, S, "beta", 1 * U, params)
-        assert not agreement_query(view, 0, 10, S, "beta", 1 * U, params)
-        assert heaviness_query(view, 0, S, 1 * U, params)
+        S = np.ones(20, dtype=bool)
+        assert view.agreement(0, 1, S, params.beta, 1 * U)
+        assert not view.agreement(0, 10, S, params.beta, 1 * U)
+        assert view.heaviness(0, S, 1 * U, params)
 
     def test_clustering_recovers_cliques(self):
         D = two_clique_matrix(12, 12)
@@ -315,16 +332,17 @@ class TestSketchQueries:
             )
             D = src.dense()
             w = int(np.median(D[D > 0]))
-            exact = ExactView(D)
+            nbhd = neighbourhoods(D, w)
             sketch = make_sketch_view(D, seed=trial)
-            params = AgreementParams()
-            S = list(range(n))
+            beta = AgreementParams().beta
+            S = set(range(n))
+            s_mask = np.ones(n, dtype=bool)
             for _ in range(40):
                 u, v = rng.integers(0, n, size=2)
                 if u == v:
                     continue
-                a = agreement_query(exact, int(u), int(v), S, "beta", w, params)
-                b = agreement_query(sketch, int(u), int(v), S, "beta", w, params)
+                a = agrees(nbhd, S, int(u), int(v), beta)
+                b = sketch.agreement(int(u), int(v), s_mask, beta, w)
                 agree_total += 1
                 agree_match += a == b
         assert agree_match / agree_total >= 0.9

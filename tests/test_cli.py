@@ -246,6 +246,48 @@ class TestSketchBudget:
         assert not tree_out.exists()
 
 
+class TestFitUsageErrors:
+    """Flag values a fit cannot use exit 2 with one error line and write
+    nothing."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--structure", "tree", "--objective", "linf", "--passes", "2",
+             "--pivot", "99"),
+            ("--structure", "tree", "--objective", "linf", "--passes", "2",
+             "--pivot", "-1"),
+            ("--structure", "ultrametric", "--objective", "l0", "--passes", "1",
+             "--mode", "sketch", "--instances", "-2"),
+            ("--structure", "ultrametric", "--objective", "linf", "--passes", "2",
+             "--mode", "sketch"),
+            ("--structure", "ultrametric", "--objective", "linf", "--passes", "2",
+             "--instances", "3"),
+            ("--structure", "tree", "--objective", "linf", "--passes", "2",
+             "--mode", "sketch"),
+            ("--structure", "ultrametric", "--objective", "l0", "--passes", "1",
+             "--instances", "3"),
+        ],
+        ids=["pivot-99", "pivot-neg", "instances-neg", "linf-sketch",
+             "linf-instances", "tree-linf-sketch", "exact-instances"],
+    )
+    def test_exit_2_without_output(self, instance, tmp_path, capsys, flags):
+        _, stream, _ = instance
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        tree_out = tmp_path / "fit.json"
+        code = run(
+            "fit", "--input", str(stream), *flags,
+            "--out-tree", str(tree_out), "--report", str(report),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert not report.exists()
+        assert not tree_out.exists()
+
+
 class TestBench:
     def test_csv_columns_and_rows(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -105,17 +105,14 @@ class TestMstState:
     def test_keeps_at_most_n_minus_one_edges(self):
         state = MstState(4)
         edges = [(0, 1, 5), (1, 2, 3), (2, 3, 4), (0, 2, 1), (0, 3, 2), (1, 3, 6)]
-        for u, v, w in edges:
-            state.ingest(u, v, w)
+        state.ingest_batch(*zip(*edges))
         kept = state.edges()
         assert len(kept) == 3
         assert sorted(w for w, _, _ in kept) == [1, 2, 3]
 
     def test_cycle_evicts_heaviest(self):
         state = MstState(3)
-        state.ingest(0, 1, 10)
-        state.ingest(1, 2, 1)
-        state.ingest(0, 2, 2)
+        state.ingest_batch([0, 1, 0], [1, 2, 2], [10, 1, 2])
         assert state.edges() == [(1, 1, 2), (2, 0, 2)]
 
 
@@ -144,8 +141,8 @@ def kruskal_reference(n, edges):
 )
 @settings(max_examples=40, deadline=None)
 def test_mst_state_matches_brute_force_kruskal(n, seed, max_weight):
-    """Random order, mixed single and batch ingest; the 4n buffer compacts
-    several times mid-stream."""
+    """Random order, batches of random length (single edges among them);
+    the 4n buffer compacts several times mid-stream."""
     rng = np.random.default_rng(seed)
     iu, iv = np.triu_indices(n, 1)
     w = rng.integers(1, max_weight + 1, size=len(iu))
@@ -159,8 +156,8 @@ def test_mst_state_matches_brute_force_kruskal(n, seed, max_weight):
     while start < len(w):
         stop = start + int(rng.integers(1, 3 * n))
         if rng.random() < 0.5:
-            for a, b, c in zip(u[start:stop], v[start:stop], w[start:stop]):
-                state.ingest(int(a), int(b), int(c))
+            for i in range(start, stop):
+                state.ingest_batch(u[i : i + 1], v[i : i + 1], w[i : i + 1])
         else:
             state.ingest_batch(u[start:stop], v[start:stop], w[start:stop])
         start = stop
@@ -177,8 +174,8 @@ def test_mst_state_memory_is_forest_plus_linear_buffer():
     state = MstState(n)
     storage = (state._w, state._hi, state._lo)
     assert all(len(arr) == (n - 1) + 4 * n for arr in storage)
-    for a, b, c in zip(iu.tolist(), iv.tolist(), w.tolist()):
-        state.ingest(a, b, c)
+    for i in range(len(w)):
+        state.ingest_batch(iu[i : i + 1], iv[i : i + 1], w[i : i + 1])
         assert state.forest_size <= n - 1
         assert state.size < state.capacity
     state.edges()

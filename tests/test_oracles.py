@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -125,3 +128,29 @@ class TestMinimaxCert:
             relaxed, _ = minimax_cert(D)
             assert is_ultrametric(relaxed)
             assert (relaxed <= D).all()
+
+
+FITTER_MODULES = ("agreement", "l0fit", "linf", "sketches", "treefit", "evaluate")
+
+
+def _streamfit_imports(module):
+    """The streamfit modules that `module`'s source imports, by bare name."""
+    path = Path(sf.__file__).parent / f"{module}.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "streamfit." + base if base else "streamfit"
+            # `from . import trees` names a module, `from .trees import f` too
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return {name.split(".")[1] for name in names if name.startswith("streamfit.")}
+
+
+def test_oracles_share_no_code_with_the_fitters():
+    assert not _streamfit_imports("oracles") & set(FITTER_MODULES)
+    for module in FITTER_MODULES:
+        assert "oracles" not in _streamfit_imports(module), module

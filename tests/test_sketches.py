@@ -84,13 +84,12 @@ class ReferencePools:
         self.close = layout.close
         self.sketches = {}
 
-    def ingest_entry(self, entry):
-        u, v, d = entry.u, entry.v, entry.d
+    def ingest_entry(self, u, v, d):
         for owner, other in ((u, v), (v, u)):
             self.close[owner].offer(d, other)
             for instance in range(self.config.instance_count):
                 for s, sp in self.pairs:
-                    if not self.membership.member(instance, sp, other):
+                    if not self.membership.mask(instance, sp)[other]:
                         continue
                     key = (instance, owner, s, sp)
                     sk = self.sketches.get(key)
@@ -186,13 +185,6 @@ class TestSampleMembership:
         mem = SampleMembership(cfg, 256)
         assert not np.array_equal(mem.mask(0, 128), mem.mask(1, 128))
 
-    def test_member_matches_mask(self):
-        cfg = SketchConfig(seed=2, sample_factor=4)
-        mem = SampleMembership(cfg, 50)
-        mask = mem.mask(0, 25)
-        for v in range(50):
-            assert mem.member(0, 25, v) == bool(mask[v])
-
 
 class TestCloseNeighbors:
     def test_keeps_nearest(self):
@@ -267,15 +259,12 @@ class TestVertexSketch:
 
 
 class TestCompressedSet:
-    def test_pred_succ_on_two_values(self):
+    def test_pred_on_two_values(self):
         cs = CompressedSet([1 * U, 3 * U])
         assert cs.pred(1 * U) == 0
         assert cs.pred(3 * U) == 1 * U
         assert cs.pred(2 * U) == 1 * U
-        assert cs.succ(1 * U) == 3 * U
-        assert cs.succ(3 * U) is None
-        assert 1 * U in cs
-        assert 2 * U not in cs
+        assert cs.pred(4 * U) == 3 * U
 
     def test_deduplicates(self):
         cs = CompressedSet([5, 5, 2, 2, 9])
@@ -292,8 +281,8 @@ def _fill_pools(cfg, D, bulk, order_seed=0):
         pools.finalize()
     else:
         pools = ReferencePools(cfg, n)
-        for entry in src.entries(0):
-            pools.ingest_entry(entry)
+        for u, v, d in zip(*(a.tolist() for a in src.arrays(0))):
+            pools.ingest_entry(u, v, d)
     return pools
 
 
@@ -429,7 +418,7 @@ class TestPoolsQueries:
         cs = pools.build_compressed_set()
         for q in pools.close:
             for dist, _ in q._heap:
-                assert -dist in cs
+                assert -dist in cs.weights
 
     def test_report_sketch_returns_none_without_sketches(self):
         # n = 2: one ladder size, sampled with probability 1/2, so an owner
@@ -441,7 +430,7 @@ class TestPoolsQueries:
             pools = _fill_pools(cfg, D, bulk=True)
             (size,) = pools.sizes
             for owner in (0, 1):
-                sampled = pools.membership.member(0, size, 1 - owner)
+                sampled = bool(pools.membership.mask(0, size)[1 - owner])
                 assert (pools.report_sketch(owner, U, 0) is None) == (not sampled)
                 outcomes.add(sampled)
         assert outcomes == {True, False}

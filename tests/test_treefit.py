@@ -27,9 +27,8 @@ class TestCentroidTransform:
     def test_pivot_rows_collected(self):
         D = path3()
         src = StreamSource.from_square(D, order_seed=0)
-        data = collect_pivot_rows(src, [0, 2])
-        assert np.array_equal(data.rows[0], D[0])
-        assert np.array_equal(data.rows[1], D[2])
+        rows = collect_pivot_rows(src, [0, 2])
+        assert np.array_equal(rows, D[[0, 2]])
 
     def test_transformed_pair_with_pivot_hits_2m(self):
         D = path3()

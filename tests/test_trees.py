@@ -13,7 +13,6 @@ from streamfit.trees import (
     four_point_check,
     from_ultrametric_matrix,
     is_ultrametric,
-    quantize_levels,
     single_linkage_tree,
 )
 
@@ -164,12 +163,6 @@ class TestBuilders:
         tree = single_linkage_tree(3, [(1 * U, 0, 1), (2 * U, 1, 2)])
         assert tree.distance(0, 1) == 1 * U
         assert tree.distance(0, 2) == 2 * U
-
-    def test_quantize_snaps_up_and_clamps(self):
-        tree = UltrametricTree.from_nested(3, (5 * U, [(1 * U, [0, 1]), 2]))
-        snapped = quantize_levels(tree, [2 * U, 4 * U])
-        assert snapped.distance(0, 1) == 2 * U
-        assert snapped.distance(0, 2) == 4 * U
 
 
 @st.composite
