@@ -123,14 +123,17 @@ def _validate_fit(args):
         raise UsageError("--mode applies to l0 fitting only")
     if args.instances and args.mode != "sketch":
         raise UsageError("--instances applies to sketch-mode l0 fitting only")
+    if args.pivot is not None and (args.structure, args.objective) != ("tree", "linf"):
+        raise UsageError("--pivot applies to linf tree fitting only")
 
 
 def cmd_fit(args):
     _validate_fit(args)
     source = StreamSource.from_file(args.input, order_seed=args.seed)
+    pivot = 0 if args.pivot is None else args.pivot
     if args.structure == "tree" and args.objective == "linf":
-        if not 0 <= args.pivot < source.n:
-            raise UsageError(f"--pivot {args.pivot} is outside 0..{source.n - 1}")
+        if not 0 <= pivot < source.n:
+            raise UsageError(f"--pivot {pivot} is outside 0..{source.n - 1}")
     meter = MemoryMeter()
     doc = {
         "schema": REPORT_SCHEMA,
@@ -166,8 +169,8 @@ def cmd_fit(args):
             doc["peak_words"] = result.report.peak_words
     else:
         if args.objective == "linf":
-            fitted = fit_linf_tree(source, pivot=args.pivot)
-            doc["pivot"] = args.pivot
+            fitted = fit_linf_tree(source, pivot=pivot)
+            doc["pivot"] = pivot
         else:
             result = fit_l0_tree(source, params=params, config=config, seed=args.seed)
             fitted = result.rep
@@ -254,6 +257,11 @@ BENCH_COLUMNS = [
 
 
 def cmd_bench(args):
+    if args.objective == "linf":
+        if args.passes not in (1, 2):
+            raise UsageError("linf ultrametric fitting needs 1 or 2 passes")
+        if args.mode != "exact":
+            raise UsageError("--mode applies to l0 fitting only")
     rows = []
     seeds = range(args.seed, args.seed + args.runs)
     for seed in seeds:
@@ -341,7 +349,7 @@ def build_parser():
     p.add_argument("--passes", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["exact", "sketch"], default="exact")
-    p.add_argument("--pivot", type=int, default=0)
+    p.add_argument("--pivot", type=int, default=None)
     p.add_argument("--instances", type=int, default=0)
     p.add_argument("--out-tree", default=None)
     p.add_argument("--out-newick", default=None)

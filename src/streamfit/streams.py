@@ -74,37 +74,12 @@ class StreamSource:
 
     @classmethod
     def from_file(cls, path, order_seed=None):
-        us, vs, ds = [], [], []
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline()
-            try:
-                n = int(header.strip())
-            except ValueError:
-                raise ParseError(f"{path}:1: bad header {header!r}") from None
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ParseError(f"{path}:{lineno}: expected 'u v d'")
-                try:
-                    u, v = int(parts[0]), int(parts[1])
-                    d = fixedpoint.from_decimal(parts[2])
-                except (ValueError, fixedpoint.FixedPointError) as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
-                if u > v:
-                    u, v = v, u
-                if d <= 0:
-                    raise ParseError(f"{path}:{lineno}: distance must be positive")
-                us.append(u)
-                vs.append(v)
-                ds.append(d)
-        # drop each parse list as soon as it is an array, so the lists are
-        # gone before the constructor's completeness check allocates
-        u, us = np.asarray(us, dtype=np.int64), None
-        v, vs = np.asarray(vs, dtype=np.int64), None
-        d, ds = np.asarray(ds, dtype=np.int64), None
+        """Load a stream file: a header line holding n, then one `u v d`
+        line per pair. Malformed files raise `ParseError`."""
+        parsed = _parse_fast(path)
+        if parsed is None:
+            parsed = _parse_lines(path)
+        n, u, v, d = parsed
         try:
             return cls(n, u, v, d, order_seed)
         except StreamIntegrityError as exc:
@@ -146,13 +121,165 @@ class StreamSource:
             raise StreamIntegrityError("duplicate pair in stream")
 
     def write_file(self, path):
+        # render each distinct distance once, not once per line
+        values, which = np.unique(self.d, return_inverse=True)
+        texts = [fixedpoint.to_decimal(x) for x in values.tolist()]
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(f"{self.n}\n")
-            for i in range(len(self.d)):
-                fh.write(
-                    f"{self.u[i]} {self.v[i]} "
-                    f"{fixedpoint.to_decimal(int(self.d[i]))}\n"
-                )
+            fh.writelines(
+                f"{u} {v} {texts[k]}\n"
+                for u, v, k in zip(self.u.tolist(), self.v.tolist(), which.tolist())
+            )
+
+
+_INT64 = np.iinfo(np.int64)
+
+# The fast parse reads the body in runs of whole lines of at most this many
+# bytes, so its per-byte temporaries stay small whatever the file size.
+CHUNK_BYTES = 1 << 16
+
+# bytes a stream file may hold on the fast path: digits, '.', ' ' and '\n'
+_FAST_BYTES = np.zeros(256, dtype=bool)
+_FAST_BYTES[list(b"0123456789. \n")] = True
+
+
+def _parse_lines(path):
+    """Parse a stream file line by line into (n, u, v, d).
+
+    This is the reference parser and the only source of `ParseError` for a
+    malformed line.
+    """
+    us, vs, ds = [], [], []
+    out_of_range = None
+    # non-ASCII bytes decode to lone surrogates, so they are reported on
+    # their own line instead of failing the decoder somewhere in a block
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        header = fh.readline()
+        try:
+            n = int(header.strip())
+        except ValueError:
+            raise ParseError(f"{path}:1: bad header {header!r}") from None
+        for lineno, line in enumerate(fh, start=2):
+            if not line.isascii():
+                raise ParseError(f"{path}:{lineno}: non-ASCII byte")
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ParseError(f"{path}:{lineno}: expected 'u v d'")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+                d = fixedpoint.from_decimal(parts[2])
+            except (ValueError, fixedpoint.FixedPointError) as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if u > v:
+                u, v = v, u
+            if d <= 0:
+                raise ParseError(f"{path}:{lineno}: distance must be positive")
+            # reported after the whole file, so a malformed line further on
+            # keeps its own error
+            if out_of_range is None and not (
+                _INT64.min <= u and v <= _INT64.max and d <= _INT64.max
+            ):
+                out_of_range = lineno
+            us.append(u)
+            vs.append(v)
+            ds.append(d)
+    if out_of_range is not None:
+        raise ParseError(f"{path}:{out_of_range}: value outside the 64-bit range")
+    # drop each parse list as soon as it is an array, so the lists are
+    # gone before the constructor's completeness check allocates
+    u, us = np.asarray(us, dtype=np.int64), None
+    v, vs = np.asarray(vs, dtype=np.int64), None
+    d, ds = np.asarray(ds, dtype=np.int64), None
+    return n, u, v, d
+
+
+def _parse_fast(path):
+    """Parse a plainly written stream file into (n, u, v, d) with numpy.
+
+    Returns None on any doubt, and `_parse_lines` then decides: a header
+    that is not digits and a newline, or a body line that is not three
+    digit tokens `u v d` separated by spaces, where `d` has at most nine
+    whole and nine fraction digits and is positive, and `u` and `v` have at
+    most 18 digits. Every value accepted here fits in int64.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    head = data.index(b"\n")
+    if not data[:head].isdigit():
+        return None
+    rows = data.count(b"\n", head + 1)
+    u = np.empty(rows, dtype=np.int64)
+    v = np.empty(rows, dtype=np.int64)
+    d = np.empty(rows, dtype=np.int64)
+    row, pos = 0, head
+    while row < rows:
+        end = data.rfind(b"\n", pos + 1, pos + CHUNK_BYTES)
+        if end < 0:  # a single line longer than a chunk
+            end = data.find(b"\n", pos + 1)
+        chunk = np.frombuffer(data, dtype=np.uint8, count=end + 1 - pos, offset=pos)
+        columns = _parse_chunk(chunk)
+        if columns is None:
+            return None
+        stop = row + len(columns[0])
+        u[row:stop], v[row:stop], d[row:stop] = columns
+        row, pos = stop, end
+    return int(data[:head]), u, v, d
+
+
+def _parse_chunk(b):
+    """(u, v, d) arrays of the lines in `b`, or None on any doubt.
+
+    `b` starts with the newline before its first line and ends with the
+    newline of its last line.
+    """
+    if not _FAST_BYTES[b].all():
+        return None
+    token = b > ord(" ")  # digits and '.'; the rest are separators
+    edges = np.flatnonzero(token[1:] != token[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]
+    lines = np.count_nonzero(b == ord("\n")) - 1
+    # three tokens per line, the third ending its line, and no other newline
+    if len(starts) != 3 * lines or np.any(b[ends[2::3]] != ord("\n")):
+        return None
+    dots = np.flatnonzero(b == ord("."))
+    owner = np.searchsorted(ends, dots, side="right")
+    if np.any(owner % 3 != 2) or np.any(owner[1:] == owner[:-1]):
+        return None  # a '.' in u or v, or two in one d
+    frac_len = ends[owner] - dots - 1
+    if np.any(frac_len < 1) or np.any(frac_len > fixedpoint.FRACTION_DIGITS):
+        return None
+    length = ends - starts
+    length[owner] = dots - starts[owner]  # d's whole part
+    # 18 digits fit int64; 9 whole digits keep d below 2 * 10^18 units
+    if np.any(length.reshape(lines, 3).max(axis=0) > (18, 18, 9)):
+        return None
+    values = _fold(b, starts, length).reshape(lines, 3)
+    fractions = _fold(b, dots + 1, frac_len)
+    d = values[:, 2] * 10**fixedpoint.FRACTION_DIGITS
+    d[owner // 3] += fractions * 10 ** (fixedpoint.FRACTION_DIGITS - frac_len)
+    d *= 2
+    if np.any(d <= 0):
+        return None
+    return (
+        np.minimum(values[:, 0], values[:, 1]),
+        np.maximum(values[:, 0], values[:, 1]),
+        d,
+    )
+
+
+def _fold(b, starts, length):
+    """Values of the digit runs b[starts[i]:starts[i] + length[i]]."""
+    value = np.zeros(len(starts), dtype=np.int64)
+    last = len(b) - 1
+    for k in range(int(length.max(initial=0))):
+        digit = b[np.minimum(starts + k, last)] - ord("0")
+        value = np.where(length > k, value * 10 + digit, value)
+    return value
 
 
 class MemoryMeter:

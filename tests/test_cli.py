@@ -100,6 +100,7 @@ class TestFit:
         )
         assert code == 0
         doc = json.loads(report.read_text())
+        assert doc["pivot"] == 0  # the default when --pivot is absent
         assert doc["cost"]["linf"] == "0"
 
     def test_invalid_pass_count_is_usage_error(self, instance):
@@ -215,6 +216,32 @@ class TestIncompleteStream:
         assert run("check", "--input", str(bad), "--report", str(report)) == 3
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (b"0 2 \xc3\xa9", "non-ASCII byte"),
+            (b"0 100000000000000000000 1", "64-bit range"),
+            (b"0 2 99999999999", "64-bit range"),
+        ],
+        ids=["non-ascii", "u-over-int64", "d-over-int64"],
+    )
+    def test_unreadable_value_exits_3_naming_its_line(
+        self, tmp_path, capsys, line, reason
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"3\n0 1 1\n" + line + b"\n1 2 1\n")
+        report = tmp_path / "r.json"
+        code = run(
+            "fit", "--input", str(bad), *FIT_FLAGS["l0-exact"],
+            "--report", str(report),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:3: ")
+        assert reason in err
+        assert len(err.splitlines()) == 1
+        assert not report.exists()
+
     def test_huge_header_is_rejected_before_allocating(self, tmp_path):
         bad = tmp_path / "huge.txt"
         bad.write_text("10000000000\n0 1 1\n")
@@ -267,9 +294,16 @@ class TestFitUsageErrors:
              "--mode", "sketch"),
             ("--structure", "ultrametric", "--objective", "l0", "--passes", "1",
              "--instances", "3"),
+            ("--structure", "tree", "--objective", "l0", "--passes", "2",
+             "--pivot", "0"),
+            ("--structure", "ultrametric", "--objective", "l0", "--passes", "1",
+             "--pivot", "-5"),
+            ("--structure", "ultrametric", "--objective", "linf", "--passes", "2",
+             "--pivot", "1"),
         ],
         ids=["pivot-99", "pivot-neg", "instances-neg", "linf-sketch",
-             "linf-instances", "tree-linf-sketch", "exact-instances"],
+             "linf-instances", "tree-linf-sketch", "exact-instances",
+             "tree-l0-pivot", "l0-pivot", "linf-pivot"],
     )
     def test_exit_2_without_output(self, instance, tmp_path, capsys, flags):
         _, stream, _ = instance
@@ -289,6 +323,22 @@ class TestFitUsageErrors:
 
 
 class TestBench:
+    @pytest.mark.parametrize(
+        "flags", [("--passes", "7"), ("--passes", "1", "--mode", "sketch")],
+        ids=["passes-7", "sketch"],
+    )
+    def test_linf_flags_it_cannot_use_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "bench.csv"
+        code = run(
+            "bench", "--kind", "uniform_random", "--n", "8",
+            "--objective", "linf", *flags, "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_csv_columns_and_rows(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = run(

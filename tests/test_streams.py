@@ -1,8 +1,14 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import streamfit as sf
 from streamfit import fixedpoint as fp
+from streamfit import streams
 from streamfit.streams import (
     ConfigError,
     GeneratorSpec,
@@ -151,3 +157,183 @@ class TestGenerators:
         )
         again = GeneratorSpec.from_json(spec.to_json())
         assert again == spec
+
+
+DISTANCES = st.one_of(
+    st.integers(1, 10**12).map(lambda k: fp.to_decimal(2 * k)),
+    st.from_regex(r"\A0{0,2}[1-9][0-9]{0,6}(\.[0-9]{1,9})?\Z"),
+    st.from_regex(r"\A0?\.[0-9]{0,8}[1-9]\Z"),
+)
+
+
+@st.composite
+def stream_lines(draw):
+    """A valid stream file as its header and body lines, in random order,
+    with random token order, leading zeros and spacing."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    lines = []
+    for u, v in draw(st.permutations(pairs)):
+        if draw(st.booleans()):
+            u, v = v, u
+        tokens = [draw(st.sampled_from(["", "0"])) + str(x) for x in (u, v)]
+        gaps = [" " * draw(st.integers(1, 2)) for _ in range(2)]
+        text = f"{tokens[0]}{gaps[0]}{tokens[1]}{gaps[1]}{draw(DISTANCES)}"
+        lines.append(text.encode())
+    return f"{n}".encode(), lines
+
+
+STRAY = [b"+", b"-", b"_", b"e", b".", b"\t", b"\r", b"\xc3\xa9", b"\x00"]
+MUTATIONS = [
+    "none", "drop", "duplicate", "swap", "stray", "dot-in-uv", "second-dot",
+    "empty-fraction", "ten-fraction", "zero", "blank", "no-final-newline",
+    "huge", "long-line", "split",
+]
+TOKEN_EDITS = (
+    "dot-in-uv", "second-dot", "empty-fraction", "ten-fraction", "zero", "huge"
+)
+
+
+def mutate(draw, header, lines, kind):
+    """The file's bytes after one mutation of the given kind."""
+    lines = list(lines)
+
+    def pick():
+        return draw(st.integers(0, len(lines) - 1))
+
+    if kind == "drop" and lines:
+        del lines[pick()]
+    elif kind == "duplicate" and lines:
+        lines.insert(pick(), lines[pick()])
+    elif kind == "swap" and lines:
+        i, j = pick(), pick()
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "stray":
+        target = [header, *lines]
+        i = draw(st.integers(0, len(target) - 1))
+        at = draw(st.integers(0, len(target[i])))
+        target[i] = target[i][:at] + draw(st.sampled_from(STRAY)) + target[i][at:]
+        header, lines = target[0], target[1:]
+    elif kind in TOKEN_EDITS and lines:
+        i = pick()
+        u, v, d = lines[i].split()
+        if kind == "dot-in-uv":
+            dotted = u + b"." + draw(st.sampled_from([b"", b"5"]))
+            u, v = draw(st.permutations([dotted, v]))
+        elif kind == "second-dot":
+            d = d + (b".5" if b"." in d else b".5.5")
+        elif kind == "empty-fraction":
+            d = d.partition(b".")[0] + b"."
+        elif kind == "ten-fraction":
+            d = b"1.0000000001"
+        elif kind == "zero":
+            d = draw(st.sampled_from([b"0", b"0.000", b"00"]))
+        else:
+            u, d = draw(st.sampled_from([
+                (b"1" + b"0" * 19, d), (b"9" * 19, d), (b"0" * 30 + u, d),
+                (u, b"99999999999"), (u, b"9999999999"), (u, b"4999999999.5"),
+            ]))
+        lines[i] = b" ".join([u, v, d])
+    elif kind == "blank":
+        blank = draw(st.sampled_from([b"", b"  "]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    elif kind == "long-line" and lines:
+        # valid, and longer than the smallest chunks
+        i = pick()
+        lines[i] = b" " * 40 + lines[i].replace(b" ", b" " * 30, 1)
+    elif kind == "split" and len(lines) > 1:
+        # move the last token of one line to the start of the next
+        i = draw(st.integers(0, len(lines) - 2))
+        head, _, last = lines[i].rpartition(b" ")
+        lines[i], lines[i + 1] = head, last + b" " + lines[i + 1]
+    text = b"\n".join([header, *lines])
+    return text if kind == "no-final-newline" else text + b"\n"
+
+
+def load(path):
+    try:
+        src = StreamSource.from_file(path)
+    except ParseError as exc:
+        return str(exc)
+    return src.n, src.u.tolist(), src.v.tolist(), src.d.tolist()
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@settings(max_examples=30, deadline=None)
+@given(
+    file=stream_lines(),
+    chunk=st.sampled_from([8, 24, 1 << 16]),
+    data=st.data(),
+)
+def test_fast_parse_agrees_with_the_line_parser(kind, file, chunk, data):
+    """On valid and mutated files the fast parse gives the line parser's
+    arrays or declines, and `from_file` gives the line parser's arrays or
+    its `ParseError` text, whatever the chunk size."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.txt"
+        path.write_bytes(mutate(data.draw, *file, kind))
+        with mock.patch.object(streams, "CHUNK_BYTES", chunk):
+            fast = streams._parse_fast(path)
+            got = load(path)
+        with mock.patch.object(streams, "_parse_fast", return_value=None):
+            expected = load(path)
+        if fast is not None:
+            n, u, v, d = streams._parse_lines(path)
+            assert fast[0] == n
+            for mine, ref in zip(fast[1:], (u, v, d)):
+                assert mine.dtype == np.int64
+                assert np.array_equal(mine, ref)
+        assert got == expected
+        if kind in ("none", "swap", "long-line", "no-final-newline"):
+            assert fast is not None
+
+
+@pytest.mark.parametrize(
+    "line, fast",
+    [
+        (b"0 1 999999999.999999999", True),
+        (b"0 1 1000000000", False),
+        (b"0 999999999999999999 1", True),
+        (b"0 1000000000000000000 1", False),
+        (b"0 1 .000000001", True),
+        (b"0 1 1.0000000001", False),
+    ],
+)
+def test_fast_parse_digit_limits(tmp_path, line, fast):
+    """The widest tokens the fast path takes: 9 whole and 9 fraction digits
+    in `d`, 18 digits in `u` and `v`; one digit more goes to the line
+    parser."""
+    path = tmp_path / "s.txt"
+    path.write_bytes(b"2\n" + line + b"\n")
+    got = streams._parse_fast(path)
+    assert (got is not None) == fast
+    if fast:
+        n, u, v, d = streams._parse_lines(path)
+        assert got[0] == n
+        for mine, ref in zip(got[1:], (u, v, d)):
+            assert np.array_equal(mine, ref)
+
+
+def test_written_file_round_trips_through_the_fast_path(tmp_path):
+    """`write_file` renders the line-by-line text, and its output, longer
+    than one chunk, parses on the fast path to the same arrays."""
+    literals = ("0.5", "1.25", "3.000000001", "12.75", "7")
+    alphabet = [fp.from_decimal(x) for x in literals]
+    src, _ = generate(
+        GeneratorSpec(kind="uniform_random", n=140, seed=3, value_alphabet=alphabet)
+    )
+    path = tmp_path / "s.txt"
+    src.write_file(path)
+    expected = f"{src.n}\n" + "".join(
+        f"{u} {v} {fp.to_decimal(d)}\n"
+        for u, v, d in zip(src.u.tolist(), src.v.tolist(), src.d.tolist())
+    )
+    data = path.read_bytes()
+    assert data == expected.encode("ascii")
+    assert len(data) > streams.CHUNK_BYTES
+    n, u, v, d = streams._parse_fast(path)
+    assert n == src.n
+    assert np.array_equal(u, src.u)
+    assert np.array_equal(v, src.v)
+    assert np.array_equal(d, src.d)
+
