@@ -21,7 +21,6 @@ from .oracles import (
     minimax_cert,
 )
 from .sketches import (
-    CloseNeighbors,
     CompressedSet,
     SketchConfig,
     SketchPools,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgreementParams",
     "Clustering",
-    "CloseNeighbors",
     "CompressedSet",
     "CostReport",
     "DomainError",

@@ -84,28 +84,21 @@ class ExactView:
 
 
 class SketchView:
-    """Sketch-backed evaluation; one fresh instance per clustering call."""
+    """Sketch-backed evaluation; one fresh instance per clustering call.
+
+    The pools keep the neighbourhoods and query answers, which depend only
+    on the finished state; the view keeps the agreement decisions of its
+    one clustering call.
+    """
 
     def __init__(self, pools, instance: int):
         self.pools = pools
         self.instance = instance
         self.config = pools.config
-        self._nbhd_cache = {}
         self._agree_memo = {}
 
     def consume(self, vertices):
         self.pools.consume_instance(self.instance, vertices)
-
-    def neighborhood(self, v, w):
-        """Exact closed neighborhood from the close queue, or None."""
-        key = (v, w)
-        if key not in self._nbhd_cache:
-            queue = self.pools.close[v]
-            if queue.exact_within(w):
-                self._nbhd_cache[key] = frozenset(queue.neighbors_within(w)) | {v}
-            else:
-                self._nbhd_cache[key] = None
-        return self._nbhd_cache[key]
 
     def _sample_of(self, v, w, s_prime, exact_nbhd):
         """Members of v's sample over R_{s_prime} at threshold w, or None
@@ -128,22 +121,25 @@ class SketchView:
             return len(exact_nbhd)
         return self.pools.estimate_degree(v, w, self.instance)
 
-    def agreement(self, u, v, s_mask, gamma: Fraction, w) -> bool:
+    def agreement(self, u, v, s_mask, gamma, w) -> bool:
+        """Whether u and v agree within S at w, for a Fraction or float
+        gamma; memoised by the float, which is all the estimate uses."""
         if u == v:
             return True
+        gamma = float(gamma)
         memo_key = (min(u, v), max(u, v), gamma)
         got = self._agree_memo.get(memo_key)
         if got is not None:
             return got
-        result = self._agreement_raw(u, v, s_mask, float(gamma), w)
+        result = self._agreement_raw(u, v, s_mask, gamma, w)
         self._agree_memo[memo_key] = result
         return result
 
     def _agreement_raw(self, u, v, s_mask, gamma: float, w) -> bool:
-        nu = self.neighborhood(u, w)
-        nv = self.neighborhood(v, w)
+        nu = self.pools.neighborhood(u, w)
+        nv = self.pools.neighborhood(v, w)
         if nu is not None and nv is not None:
-            common_in_s = sum(1 for x in nu if x in nv and s_mask[x])
+            common_in_s = _count_in(s_mask, nu & nv)
             stat = len(nu) + len(nv) - 2 * common_in_s
             return stat < gamma * max(len(nu), len(nv))
         cap = self.config.close_capacity
@@ -182,7 +178,7 @@ class SketchView:
             return False
         samp_u = set(samp_u)
         samp_v = set(samp_v)
-        x_count = sum(1 for x in samp_u if x in samp_v and s_mask[x])
+        x_count = _count_in(s_mask, samp_u & samp_v)
         # samples are open neighborhoods; restore the closed-form common
         # count for the endpoints themselves
         if v in samp_u and s_mask[v]:
@@ -194,8 +190,8 @@ class SketchView:
         return statistic <= 0.9 * gamma
 
     def heaviness(self, u, s_mask, w, params: AgreementParams) -> bool:
-        nu = self.neighborhood(u, w)
-        beta = params.beta
+        nu = self.pools.neighborhood(u, w)
+        beta = float(params.beta)
         if nu is not None:
             inside = sum(
                 1
@@ -224,6 +220,11 @@ class SketchView:
             return False
         statistic = 1 - (1 + y_count / prob) / deg
         return statistic <= 1.1 * float(params.epsilon)
+
+
+def _count_in(s_mask, members) -> int:
+    """How many of a set of vertices lie in S."""
+    return int(np.count_nonzero(s_mask[list(members)]))
 
 
 def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clustering:
@@ -300,6 +301,7 @@ def _cluster_sketch(s_arr, w, params, view: SketchView):
     s_mask = np.zeros(view.pools.n, dtype=bool)
     s_mask[s_arr] = True
     unclustered = {int(x) for x in s_arr}
+    gamma_3b = float(params.gamma("3beta"))
     clusters = []
     for v in s_arr:
         v = int(v)
@@ -310,7 +312,7 @@ def _cluster_sketch(s_arr, w, params, view: SketchView):
         members = [
             u
             for u in sorted(unclustered)
-            if view.agreement(v, u, s_mask, params.gamma("3beta"), w)
+            if view.agreement(v, u, s_mask, gamma_3b, w)
         ]
         unclustered.difference_update(members)
         clusters.append(np.asarray(members, dtype=np.int64))

@@ -257,11 +257,14 @@ BENCH_COLUMNS = [
 
 
 def cmd_bench(args):
+    linf_passes = 2 if args.passes is None else args.passes
     if args.objective == "linf":
-        if args.passes not in (1, 2):
+        if linf_passes not in (1, 2):
             raise UsageError("linf ultrametric fitting needs 1 or 2 passes")
         if args.mode != "exact":
             raise UsageError("--mode applies to l0 fitting only")
+    elif args.passes not in (None, 1):
+        raise UsageError("l0 ultrametric fitting is single-pass")
     rows = []
     seeds = range(args.seed, args.seed + args.runs)
     for seed in seeds:
@@ -272,10 +275,10 @@ def cmd_bench(args):
         meter = MemoryMeter()
         passes = 1
         if args.objective == "linf":
-            fitted = fit_linf_exact(source).tree if args.passes == 2 else (
+            fitted = fit_linf_exact(source).tree if linf_passes == 2 else (
                 fit_linf_min_decrement(source)
             )
-            passes = args.passes
+            passes = linf_passes
         else:
             params = AgreementParams(mode=args.mode)
             config = (
@@ -385,7 +388,9 @@ def build_parser():
     p.add_argument("--noise-k", type=int, default=0)
     p.add_argument("--objective", choices=["l0", "linf"], default="l0")
     p.add_argument("--mode", choices=["exact", "sketch"], default="exact")
-    p.add_argument("--passes", type=int, default=2)
+    p.add_argument(
+        "--passes", type=int, default=None, help="linf: 1 or 2 (default 2); l0: 1"
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 

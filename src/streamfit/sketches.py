@@ -12,13 +12,16 @@ The state is flat arrays, not per-vertex objects. Each (instance, s')
 group stores one CSR `SketchBlock` (owner offsets, int32 neighbours, int64
 weights, sorted by (owner, weight, neighbour)); each (instance, s, s')
 `SketchPool` stores only how many entries of each owner's run it keeps.
-Queries return a `SketchSlice` view and answer counts by `searchsorted`.
+Instances whose samples R_{s'} coincide share one block and its pools. The
+close queues are one (n, close_capacity) pair of weight and neighbour
+arrays. Queries return a `SketchSlice` view, answer counts by
+`searchsorted`, and are kept once answered, since the state is fixed after
+`finalize`.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -204,51 +207,6 @@ class SketchPool:
         )
 
 
-class CloseNeighbors:
-    """Bounded queue of the nearest neighbors, ties broken by PointId."""
-
-    __slots__ = ("owner", "capacity", "_heap", "overflowed")
-
-    def __init__(self, owner, capacity):
-        self.owner = owner
-        self.capacity = capacity
-        self._heap = []  # max-heap via negated (distance, neighbor)
-        self.overflowed = False
-
-    def offer(self, d: int, neighbor: int) -> int:
-        item = (-d, -neighbor)
-        if len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, item)
-            return 2
-        self.overflowed = True
-        if item > self._heap[0]:
-            heapq.heapreplace(self._heap, item)
-        return 0
-
-    def exact_within(self, w: int) -> bool:
-        """True when the queue provably holds every neighbor at weight w."""
-        if not self.overflowed:
-            return True
-        return -self._heap[0][0] > w
-
-    def count_within(self, w: int) -> int:
-        return sum(1 for nd, _ in self._heap if -nd <= w)
-
-    def neighbors_within(self, w: int):
-        return [-nb for nd, nb in self._heap if -nd <= w]
-
-    def entries(self):
-        return sorted((-nd, -nb) for nd, nb in self._heap)
-
-    @classmethod
-    def _from_sorted(cls, owner, capacity, ds, nbs, total):
-        queue = cls(owner, capacity)
-        queue._heap = [(-int(d), -int(nb)) for d, nb in zip(ds, nbs)]
-        heapq.heapify(queue._heap)
-        queue.overflowed = total > capacity
-        return queue
-
-
 class CompressedSet:
     """Sorted distinct weights with predecessor queries."""
 
@@ -268,7 +226,14 @@ class SketchPools:
     """All streaming state: close queues plus instance_count sketch pools.
 
     `sketches` maps (instance, s, s') to a `SketchPool`; `blocks` maps
-    (instance, s') to the `SketchBlock` that group's pools share.
+    (instance, s') to the `SketchBlock` that group's pools share. Instances
+    whose R_{s'} masks have the same content hold the same group, so they
+    point at one block and one set of pools, and instances that match at
+    every s' share their query answers too.
+
+    The close queues are flat: row v of `close_weights` and `close_others`
+    holds v's `close_lengths[v]` nearest neighbours in (weight, neighbour)
+    order, and `close_overflow[v]` says v had more neighbours than fit.
     """
 
     def __init__(self, config: SketchConfig, n: int, meter: MemoryMeter = None):
@@ -283,12 +248,22 @@ class SketchPools:
             for sp in self.sizes
             if s / 2 <= sp <= s
         ]
-        self.close = [CloseNeighbors(v, config.close_capacity) for v in range(n)]
+        cap = config.close_capacity
+        self.close_weights = np.zeros((n, cap), dtype=np.int64)
+        self.close_others = np.zeros((n, cap), dtype=np.int32)
+        self.close_lengths = np.zeros(n, dtype=np.int64)
+        self.close_overflow = np.zeros(n, dtype=bool)
         self.blocks: dict = {}
         self.sketches: dict = {}
         self.w_max_seen = 0
         self.finalized = False
+        # instance -> the lowest instance with the same group at every s';
+        # the query tables and memos below are keyed by it
+        self._twin: dict[int, int] = {}
         self._ladders: dict[int, list] = {}
+        self._reports: dict = {}
+        self._degrees: dict = {}
+        self._neighborhoods: dict = {}
         self._used_instances: dict[int, np.ndarray] = {}
 
     def bulk_ingest(self, u, v, d):
@@ -303,7 +278,10 @@ class SketchPools:
         with the largest s in an (instance, s') group keeps a prefix that
         contains every other pool's prefix. That pool's entries are stored
         once per group as a CSR `SketchBlock`; each pool stores only its
-        per-owner kept lengths.
+        per-owner kept lengths. A group depends only on s' and the content
+        of the R_{s'} mask, so it is built once per distinct pair and every
+        instance with that mask points at it; the meter still charges every
+        instance's pools.
 
         The entries come from a `StreamSource`, which guarantees each pair
         exactly once, so the pools keep no record of the pairs seen.
@@ -326,63 +304,79 @@ class SketchPools:
         starts = np.searchsorted(owner_s, np.arange(self.n))
         ends = np.searchsorted(owner_s, np.arange(self.n), side="right")
 
-        words = 0
+        # close queues: the first close_capacity entries of each owner's run
         cap = self.config.close_capacity
-        for vert in range(self.n):
-            lo, hi = starts[vert], ends[vert]
-            take = min(cap, hi - lo)
-            self.close[vert] = CloseNeighbors._from_sorted(
-                vert, cap, weight_s[lo : lo + take], other_s[lo : lo + take], hi - lo
-            )
-            words += 2 * take
+        lengths = np.minimum(ends - starts, cap)
+        held = np.arange(cap) < lengths[:, None]
+        taken = (starts[:, None] + np.arange(cap))[held]
+        self.close_weights[held] = weight_s[taken]
+        self.close_others[held] = other_s[taken]
+        self.close_lengths = lengths
+        self.close_overflow = ends - starts > cap
 
-        budgets = {(s, sp): self.config.budget(s, sp) for s, sp in self.pairs}
+        groups = {}  # (s', mask content) -> (index, block, pools, charges)
+        twins = {}  # the group index of every s' -> first instance with them
+        s_primes = sorted({sp for _, sp in self.pairs}, reverse=True)
         for instance in range(self.config.instance_count):
-            for sp in sorted({sp for _, sp in self.pairs}, reverse=True):
+            state = []
+            for sp in s_primes:
                 mask = self.membership.mask(instance, sp)
-                sel = mask[other_s]
-                ow = owner_s[sel]
-                ot = other_s[sel]
-                wt = weight_s[sel]
-                if not len(ow):
-                    continue
-                seg_starts = np.searchsorted(ow, np.arange(self.n))
-                seg_ends = np.searchsorted(ow, np.arange(self.n), side="right")
-                lengths = seg_ends - seg_starts
-                group = [s for s, sp2 in self.pairs if sp2 == sp]
-                widest = max(group)  # the largest budget keeps the longest prefix
-                kept_by_s = {}
-                for s in group:
-                    b = budgets[(s, sp)]
-                    # cutoff per owner: weight of the (budget+1)-th smallest
-                    over = lengths > b
-                    cut_at = np.where(over, seg_starts + np.minimum(lengths - 1, b), -1)
-                    w_m = np.where(over, wt[np.maximum(cut_at, 0)], 0)
-                    keep = np.ones(len(ow), dtype=bool)
-                    if over.any():
-                        keep = wt < w_m[ow]
-                        keep[~over[ow]] = True
-                    peak_items = np.minimum(lengths, b + 1)
-                    self.meter.add("sketch_state", 2 * int(peak_items.sum()))
-                    kept = int(keep.sum())
-                    self.meter.add(
-                        "sketch_state", 2 * (kept - int(peak_items.sum()))
+                key = (sp, mask.tobytes())
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = (len(groups),) + self._build_group(
+                        sp, mask[other_s], owner_s, other_s, weight_s
                     )
-                    kept_by_s[s] = np.bincount(ow[keep], minlength=self.n)
-                    if s == widest:
-                        block_keep = keep
-                offsets = np.zeros(self.n + 1, dtype=np.int64)
-                np.cumsum(kept_by_s[widest], out=offsets[1:])
-                block = SketchBlock(
-                    offsets, ot[block_keep].astype(np.int32), wt[block_keep]
-                )
+                index, block, pools, charges = group
+                state.append(index)
+                for peak_items, kept in charges:
+                    self.meter.add("sketch_state", 2 * peak_items)
+                    self.meter.add("sketch_state", 2 * (kept - peak_items))
+                if block is None:
+                    continue
                 self.blocks[(instance, sp)] = block
-                for s, kept_len in kept_by_s.items():
-                    pool = SketchPool(s, sp, block, kept_len)
-                    self.sketches[(instance, s, sp)] = pool
-        self.meter.add("close_queues", words)
+                for pool in pools:
+                    self.sketches[(instance, pool.s, sp)] = pool
+            self._twin[instance] = twins.setdefault(tuple(state), instance)
+        self.meter.add("close_queues", 2 * int(lengths.sum()))
         mask_words = self.membership.mask_count() * ((self.n + 63) // 64)
         self.meter.set_words("membership", mask_words)
+
+    def _build_group(self, sp, sel, owner_s, other_s, weight_s):
+        """The shared block and pools of one (s', mask) group, and the
+        (peak, kept) entry counts of each pool for the meter; the block is
+        None when the mask samples no entry."""
+        if sel.all():
+            ow, ot, wt = owner_s, other_s, weight_s
+        else:
+            ow, ot, wt = owner_s[sel], other_s[sel], weight_s[sel]
+        if not len(ow):
+            return None, [], []
+        seg_starts = np.searchsorted(ow, np.arange(self.n))
+        lengths = np.searchsorted(ow, np.arange(self.n), side="right") - seg_starts
+        # where each run of equal (owner, weight) starts: a pool keeps an
+        # owner's entries below the weight of its (budget+1)-th smallest,
+        # that is, up to the start of that entry's run
+        fresh = np.ones(len(ow), dtype=bool)
+        fresh[1:] = (ow[1:] != ow[:-1]) | (wt[1:] != wt[:-1])
+        run_start = np.maximum.accumulate(np.where(fresh, np.arange(len(ow)), 0))
+        kept_by_s = {}
+        charges = []
+        for s in [s for s, sp2 in self.pairs if sp2 == sp]:
+            b = self.config.budget(s, sp)
+            over = lengths > b
+            kept = lengths.copy()
+            kept[over] = run_start[seg_starts[over] + b] - seg_starts[over]
+            charges.append((int(np.minimum(lengths, b + 1).sum()), int(kept.sum())))
+            kept_by_s[s] = kept
+        # the largest budget keeps the longest prefix, which the block stores
+        widest = kept_by_s[max(kept_by_s)]
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(widest, out=offsets[1:])
+        taken = np.arange(offsets[-1]) + np.repeat(seg_starts - offsets[:-1], widest)
+        block = SketchBlock(offsets, ot[taken].astype(np.int32), wt[taken])
+        pools = [SketchPool(s, sp, block, kept) for s, kept in kept_by_s.items()]
+        return block, pools, charges
 
     # -- finalize and queries --------------------------------------------------
 
@@ -404,10 +398,34 @@ class SketchPools:
         idx = self.sizes.index(s)
         return self.sizes[idx + 1] if idx + 1 < len(self.sizes) else s
 
+    def close_count(self, v, w) -> int:
+        """How many of v's close-queue neighbours lie at weight <= w."""
+        row = self.close_weights[v, : self.close_lengths[v]]
+        return int(row.searchsorted(w, side="right"))
+
+    def close_exact(self, v, w) -> bool:
+        """True when v's close queue provably holds every neighbour at w."""
+        if not self.close_overflow[v]:
+            return True
+        return bool(self.close_weights[v, -1] > w)
+
+    def neighborhood(self, v, w):
+        """v's closed neighbourhood at w from its close queue, or None when
+        the queue cannot vouch for all of it."""
+        key = (v, w)
+        if key not in self._neighborhoods:
+            if self.close_exact(v, w):
+                within = self.close_others[v, : self.close_count(v, w)].tolist()
+                self._neighborhoods[key] = frozenset(within) | {v}
+            else:
+                self._neighborhoods[key] = None
+        return self._neighborhoods[key]
+
     def _ladder(self, v, instance):
         """Sorted (governing_weight, size) pairs of v's nonempty s = s'
         sketches, from a table built on the instance's first query."""
-        table = self._ladders.get(instance)
+        twin = self._twin.get(instance, instance)
+        table = self._ladders.get(twin)
         if table is None:
             table = [[] for _ in range(self.n)]
             for s in self.sizes:
@@ -421,24 +439,26 @@ class SketchPools:
                     table[owner].append((gw, s))
             for ladder in table:
                 ladder.sort()
-            self._ladders[instance] = table
+            self._ladders[twin] = table
         return table[v]
-
-    def governing_ladder(self, v, instance):
-        """(governing_weight, size, sketch) for v's s = s' sketches."""
-        self._require_finalized()
-        return [
-            (gw, s, self.get_sketch(instance, v, s, s))
-            for gw, s in self._ladder(v, instance)
-        ]
 
     def report_sketch(self, v, w, instance):
         """Choose the sketch whose governing weight brackets w.
 
         Returns (governing_weight, size, sketch) or None when v holds no
-        sketches at all (callers then fall back to the close queue).
+        sketches at all (callers then fall back to the close queue). The
+        pools do not change after `finalize`, so each answer is computed
+        once and kept.
         """
         self._require_finalized()
+        key = (self._twin.get(instance, instance), v, w)
+        try:
+            return self._reports[key]
+        except KeyError:
+            got = self._reports[key] = self._report(v, w, instance)
+            return got
+
+    def _report(self, v, w, instance):
         ladder = self._ladder(v, instance)
         if not ladder:
             return None
@@ -456,25 +476,34 @@ class SketchPools:
         return (gw, s, self.get_sketch(instance, v, s, s))
 
     def estimate_degree(self, v, w, instance):
-        """d_w(v) estimate; exact from the close queue whenever possible."""
+        """d_w(v) estimate; exact from the close queue whenever possible.
+        Kept once computed, like `report_sketch`."""
         self._require_finalized()
-        queue = self.close[v]
-        if queue.exact_within(w):
-            return queue.count_within(w) + 1
+        key = (self._twin.get(instance, instance), v, w)
+        try:
+            return self._degrees[key]
+        except KeyError:
+            got = self._degrees[key] = self._degree(v, w, instance)
+            return got
+
+    def _degree(self, v, w, instance):
+        if self.close_exact(v, w):
+            return self.close_count(v, w) + 1
         reported = self.report_sketch(v, w, instance)
         if reported is None:
-            return queue.count_within(w) + 1
+            return self.close_count(v, w) + 1
         sk = reported[2]
         prob = self.config.sample_probability(sk.s_prime)
         return int(round(sk.count_at_most(w) / prob)) + 1
 
     def build_compressed_set(self) -> CompressedSet:
         self._require_finalized()
-        close = [-dist for queue in self.close for dist, _ in queue._heap]
+        held = np.arange(self.config.close_capacity) < self.close_lengths[:, None]
         # deduplicate block by block: the blocks together can outweigh the
         # rest of the state, and one concatenation would copy them all
-        weights = [np.asarray(close, dtype=np.int64)]
-        weights += [np.unique(block.weights) for block in self.blocks.values()]
+        weights = [self.close_weights[held]]
+        distinct = {id(block): block for block in self.blocks.values()}
+        weights += [np.unique(block.weights) for block in distinct.values()]
         return CompressedSet(np.concatenate(weights))
 
     def consume_instance(self, instance, vertices):

@@ -339,6 +339,19 @@ class TestBench:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("passes", ["7", "2", "0"])
+    def test_l0_passes_other_than_one_exit_2(self, tmp_path, capsys, passes):
+        out = tmp_path / "bench.csv"
+        code = run(
+            "bench", "--kind", "uniform_random", "--n", "5",
+            "--objective", "l0", "--passes", passes, "--out", str(out),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_csv_columns_and_rows(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = run(

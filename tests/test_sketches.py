@@ -1,9 +1,10 @@
+import heapq
+
 import numpy as np
 import pytest
 
 from streamfit import fixedpoint as fp
 from streamfit.sketches import (
-    CloseNeighbors,
     CompressedSet,
     ContractViolation,
     PhaseError,
@@ -14,6 +15,43 @@ from streamfit.sketches import (
 from streamfit.streams import GeneratorSpec, StreamSource, generate
 
 U = fp.SCALE
+
+
+class CloseNeighbors:
+    """Reference close queue for one owner, fed entry by entry: a bounded
+    max-heap of the nearest neighbours, ties broken by the smaller id."""
+
+    __slots__ = ("owner", "capacity", "_heap", "overflowed")
+
+    def __init__(self, owner, capacity):
+        self.owner = owner
+        self.capacity = capacity
+        self._heap = []  # max-heap via negated (distance, neighbor)
+        self.overflowed = False
+
+    def offer(self, d: int, neighbor: int):
+        item = (-d, -neighbor)
+        if len(self._heap) < self.capacity:
+            heapq.heappush(self._heap, item)
+            return
+        self.overflowed = True
+        if item > self._heap[0]:
+            heapq.heapreplace(self._heap, item)
+
+    def exact_within(self, w: int) -> bool:
+        """True when the queue provably holds every neighbor at weight w."""
+        if not self.overflowed:
+            return True
+        return -self._heap[0][0] > w
+
+    def count_within(self, w: int) -> int:
+        return sum(1 for nd, _ in self._heap if -nd <= w)
+
+    def neighbors_within(self, w: int):
+        return [-nb for nd, nb in self._heap if -nd <= w]
+
+    def entries(self):
+        return sorted((-nd, -nb) for nd, nb in self._heap)
 
 
 class VertexSketch:
@@ -81,7 +119,7 @@ class ReferencePools:
         self.sizes = layout.sizes
         self.pairs = layout.pairs
         self.membership = layout.membership
-        self.close = layout.close
+        self.close = [CloseNeighbors(v, config.close_capacity) for v in range(n)]
         self.sketches = {}
 
     def ingest_entry(self, u, v, d):
@@ -133,6 +171,12 @@ class ReferencePools:
         sk = reported[2]
         prob = self.config.sample_probability(sk.s_prime)
         return int(round(sk.count_at_most(w) / prob)) + 1
+
+    def neighborhood(self, v, w):
+        queue = self.close[v]
+        if not queue.exact_within(w):
+            return None
+        return frozenset(queue.neighbors_within(w)) | {v}
 
     def compressed_weights(self):
         weights = {-dist for queue in self.close for dist, _ in queue._heap}
@@ -297,8 +341,18 @@ def _contents(sk):
     return {w: sorted(m) for w, m in groups.items()}, len(sk.weights)
 
 
+def _close_entries(pools, v):
+    """v's close queue as sorted (weight, neighbour) pairs and its overflow
+    flag, from either store."""
+    if isinstance(pools, ReferencePools):
+        return pools.close[v].entries(), pools.close[v].overflowed
+    k = pools.close_lengths[v]
+    pairs = zip(pools.close_weights[v, :k].tolist(), pools.close_others[v, :k].tolist())
+    return list(pairs), bool(pools.close_overflow[v])
+
+
 def _canonical(pools):
-    close = [q.entries() + [("overflow", q.overflowed)] for q in pools.close]
+    close = [_close_entries(pools, v) for v in range(pools.n)]
     sketches = {}
     if isinstance(pools, ReferencePools):
         for key, sk in pools.sketches.items():
@@ -363,9 +417,6 @@ class TestPoolsEquivalence:
         probes = [0] + np.unique(D).tolist()
         for instance in range(cfg.instance_count):
             for v in range(n):
-                assert [_reported(t) for t in csr.governing_ladder(v, instance)] == [
-                    _reported(t) for t in ref.governing_ladder(v, instance)
-                ]
                 for w in probes:
                     assert _reported(csr.report_sketch(v, w, instance)) == _reported(
                         ref.report_sketch(v, w, instance)
@@ -399,7 +450,7 @@ class TestPoolsQueries:
         pools, D = self.make()
         w = int(np.median(D[D > 0]))
         for v in range(pools.n):
-            if pools.close[v].exact_within(w):
+            if pools.close_exact(v, w):
                 exact = int(np.count_nonzero(D[v] <= w))  # includes self
                 assert pools.estimate_degree(v, w, 0) == exact
 
@@ -416,9 +467,9 @@ class TestPoolsQueries:
     def test_compressed_set_covers_close_queue_weights(self):
         pools, D = self.make()
         cs = pools.build_compressed_set()
-        for q in pools.close:
-            for dist, _ in q._heap:
-                assert -dist in cs.weights
+        for v in range(pools.n):
+            for dist, _ in _close_entries(pools, v)[0]:
+                assert dist in cs.weights
 
     def test_report_sketch_returns_none_without_sketches(self):
         # n = 2: one ladder size, sampled with probability 1/2, so an owner
@@ -448,3 +499,87 @@ class TestPoolsQueries:
         pools.consume_instance(1, [1])
         with pytest.raises(ContractViolation):
             pools.consume_instance(0, [3])
+
+
+def _answers(pools, triples):
+    """Every (instance, v, w) query's report, degree estimate and close
+    neighbourhood, asked in the given order."""
+    return {
+        (instance, v, w): (
+            _reported(pools.report_sketch(v, w, instance)),
+            pools.estimate_degree(v, w, instance),
+            pools.neighborhood(v, w),
+        )
+        for instance, v, w in triples
+    }
+
+
+class TestSharedStorage:
+    def test_blocks_are_shared_by_mask_content_not_by_sample_size(self):
+        # sample_factor 4: R_{s'} is a strict sample for s' > 4, so the
+        # instances' masks differ there and agree (all true) below
+        n = 64
+        D = generate(GeneratorSpec(kind="uniform_random", n=n, seed=7))[0].dense()
+        cfg = SketchConfig.scaled(n, seed=2, sample_factor=4, instance_count=4)
+        csr = _fill_pools(cfg, D, bulk=True, order_seed=1)
+        ref = _fill_pools(cfg, D, bulk=False, order_seed=2)
+        outcomes = set()
+        for (i, sp), block in csr.blocks.items():
+            for j in range(i + 1, cfg.instance_count):
+                other = csr.blocks.get((j, sp))
+                if other is None:
+                    continue
+                same_mask = np.array_equal(
+                    csr.membership.mask(i, sp), csr.membership.mask(j, sp)
+                )
+                assert (block is other) == same_mask
+                outcomes.add(same_mask)
+        assert outcomes == {True, False}
+        assert _canonical(csr) == _canonical(ref)
+        probes = [0] + np.unique(D).tolist()[::7]
+        triples = [
+            (instance, v, w)
+            for instance in range(cfg.instance_count)
+            for v in range(n)
+            for w in probes
+        ]
+        assert _answers(csr, triples) == _answers(ref, triples)
+
+    def test_scaled_config_stores_one_block_per_sample_size(self):
+        # scaled(n) samples with probability 1, so every instance holds the
+        # same state; each instance still has every pool, and the meter
+        # still charges every instance's kept entries
+        n = 48
+        D = generate(GeneratorSpec(kind="planted_ultrametric", n=n, seed=3))[0].dense()
+        cfg = SketchConfig.scaled(n, seed=1)
+        pools = _fill_pools(cfg, D, bulk=True)
+        assert len({id(block) for block in pools.blocks.values()}) == len(pools.sizes)
+        assert len(pools.sketches) == cfg.instance_count * len(pools.pairs)
+        kept = sum(int(pool.kept.sum()) for pool in pools.sketches.values())
+        masks = cfg.instance_count * len(pools.sizes) * ((n + 63) // 64)
+        close = int(pools.close_lengths.sum())
+        assert pools.meter.words_stored == 2 * kept + 2 * close + masks
+
+
+class TestQueryMemo:
+    @pytest.mark.parametrize("sample_factor", [None, 4], ids=["scaled", "sampled"])
+    def test_answers_do_not_depend_on_the_order_asked(self, sample_factor):
+        n = 40
+        spec = GeneratorSpec(kind="planted_ultrametric", n=n, seed=2, noise_k=20)
+        D = generate(spec)[0].dense()
+        overrides = {} if sample_factor is None else {"sample_factor": sample_factor}
+        cfg = SketchConfig.scaled(n, seed=5, **overrides)
+        pools = _fill_pools(cfg, D, bulk=True)
+        weights = pools.build_compressed_set().weights.tolist()
+        triples = [
+            (instance, v, w)
+            for w in weights
+            for v in range(n)
+            for instance in range(cfg.instance_count)
+        ]
+        order = np.random.default_rng(0).permutation(len(triples))
+        shuffled = [triples[i] for i in order]
+        first = _answers(pools, triples)
+        again = _answers(pools, shuffled)
+        fresh = _answers(_fill_pools(cfg, D, bulk=True), shuffled)
+        assert first == again == fresh
