@@ -10,17 +10,21 @@ neighbors fall outside its agreement set.
 Exact mode has one code path, the matrix path of `_cluster_exact`: a
 clustering call reads the |S|-by-n rows of S from the dense matrix once,
 takes the degrees from their row sums and every common-neighbour count from
-one float32 BLAS product of their S columns, and decides all pairs at once.
-The counts are exact because each is an integer of at most |S| < 2**24 (see
-`_common_counts`). No state is kept between calls. Sketch mode estimates the
-predicates pair by pair from the streaming sketches, with the relaxation
-bands built into the thresholds.
+one float32 BLAS product of their S columns (exact, see `_common_counts`).
+It builds one S-by-S mask, the beta agreement that the heaviness test
+needs; the 3-beta agreement is compared only on the row of each heavy seed
+that is still unclustered, and the vertices no seed claims become
+singletons in one step. The density invariant is checked on the S-by-S
+adjacency the call already holds. No state is kept between calls. Sketch
+mode estimates the predicates pair by pair from the streaming sketches,
+with the relaxation bands built into the thresholds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -42,15 +46,20 @@ class AgreementParams:
         if self.mode not in ("exact", "sketch"):
             raise ValueError("mode must be 'exact' or 'sketch'")
 
-    @property
+    # the thresholds are worked out once per instance, not once per call
+    @cached_property
     def beta(self) -> Fraction:
         return 5 * self.epsilon * (1 + self.epsilon)
+
+    @cached_property
+    def three_beta(self) -> Fraction:
+        return 3 * self.beta
 
     def gamma(self, key: str) -> Fraction:
         if key == "beta":
             return self.beta
         if key == "3beta":
-            return 3 * self.beta
+            return self.three_beta
         raise ValueError("gamma key must be 'beta' or '3beta'")
 
 
@@ -235,7 +244,9 @@ def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clu
     rest become singletons. In sketch mode this consumes the view's sketch
     instance for every member of S.
     """
-    s_arr = np.unique(np.asarray(list(s_vertices), dtype=np.int64))
+    if not isinstance(s_vertices, np.ndarray):
+        s_vertices = list(s_vertices)
+    s_arr = np.unique(np.asarray(s_vertices, dtype=np.int64))
     if len(s_arr) == 0:
         raise ValueError("S must be nonempty")
     if isinstance(view, ExactView):
@@ -245,8 +256,6 @@ def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clu
         clusters = _cluster_sketch(s_arr, w, params, view)
     result = Clustering(ground_set=s_arr, clusters=clusters)
     result.assert_partition()
-    if isinstance(view, ExactView):
-        _assert_density(result, w, view)
     return result
 
 
@@ -265,35 +274,48 @@ def _common_counts(sub):
 
 
 def _cluster_exact(s_arr, w, params, view: ExactView):
+    """Clusters of S, heavy seeds first in ascending order, then singletons;
+    raises `ClusterInvariantError` when a cluster is not everywhere dense."""
     rows = view.matrix[s_arr] <= w
     d = rows.sum(axis=1)
     sub = rows[:, s_arr]
     del rows
     k = len(s_arr)
-    common = _common_counts(sub)
-    stat = d[:, None] + d[None, :] - 2 * common
-    maxd = np.maximum.outer(d, d)
+    # stat = d_u + d_v - 2|N(u) cap N(v) cap S|, built in place
+    stat = _common_counts(sub)
+    stat *= -2
+    stat += d[:, None]
+    stat += d[None, :]
 
-    def agree_mask(gamma: Fraction):
-        out = stat * gamma.denominator < gamma.numerator * maxd
-        np.fill_diagonal(out, True)
-        return out
-
-    agree_b = agree_mask(params.beta)
-    inside = (agree_b & sub).sum(axis=1)
+    beta = params.beta
+    bound = np.maximum.outer(d, d)
+    bound *= beta.numerator
+    agree_b = stat * beta.denominator < bound
+    del bound
+    np.fill_diagonal(agree_b, True)
+    agree_b &= sub
+    inside = agree_b.sum(axis=1)
+    del agree_b
     eps = params.epsilon
     heavy = (d - inside) * eps.denominator < eps.numerator * d
-    agree_3b = agree_mask(3 * params.beta)
 
+    t_num, t_den = params.three_beta.numerator, params.three_beta.denominator
     unclustered = np.ones(k, dtype=bool)
+    # a cluster is labelled by its seed's position; a singleton keeps its own
+    label = np.arange(k)
     clusters = []
-    for i in range(k):
-        if heavy[i] and unclustered[i]:
-            members = np.flatnonzero(agree_3b[i] & unclustered)
-            unclustered[members] = False
-            clusters.append(s_arr[members])
-    for i in np.flatnonzero(unclustered):
-        clusters.append(s_arr[i : i + 1])
+    for i in np.flatnonzero(heavy).tolist():
+        if not unclustered[i]:
+            continue
+        claim = stat[i] * t_den < t_num * np.maximum(d[i], d)
+        claim[i] = True
+        claim &= unclustered
+        members = np.flatnonzero(claim)
+        unclustered[members] = False
+        label[members] = i
+        clusters.append(s_arr[members])
+    clusters.extend(s_arr[unclustered][:, None])
+    _assert_density(sub, label)
     return clusters
 
 
@@ -321,12 +343,21 @@ def _cluster_sketch(s_arr, w, params, view: SketchView):
     return clusters
 
 
-def _assert_density(result: Clustering, w, view: ExactView):
-    for cluster in result.clusters:
-        if len(cluster) < 2:
-            continue
-        counts = (view.matrix[np.ix_(cluster, cluster)] <= w).sum(axis=1)
-        if np.any(3 * counts < 2 * len(cluster)):
-            raise ClusterInvariantError(
-                f"cluster of size {len(cluster)} is not everywhere dense"
-            )
+def _assert_density(sub, label):
+    """Raise `ClusterInvariantError` unless every member of every cluster of
+    two or more vertices is adjacent to at least two thirds of its cluster.
+
+    `sub` is the closed S-by-S adjacency at the clustering threshold (a
+    vertex is adjacent to itself) and `label[i]` names the cluster of S's
+    i-th vertex. The message names the failing cluster of smallest label.
+    """
+    same = label[:, None] == label[None, :]
+    same &= sub
+    inside = same.sum(axis=1)
+    size = np.bincount(label)[label]
+    bad = (3 * inside < 2 * size) & (size >= 2)
+    if bad.any():
+        first = np.flatnonzero(bad)[np.argmin(label[bad])]
+        raise ClusterInvariantError(
+            f"cluster of size {size[first]} is not everywhere dense"
+        )

@@ -127,12 +127,22 @@ def fit_l0(
         clustering = s_structural_clustering(s_arr, w_check, params, view)
         size_s = len(s_arr)
         children = []
+        leaves = []
         big = None
         for cluster in clustering.clusters:
-            if 100 * len(cluster) <= 99 * size_s:
+            if len(cluster) == 1:
+                leaves.append(int(cluster[0]))
+            elif 100 * len(cluster) <= 99 * size_s:
                 children.append(recurse(cluster, w_check, depth + 1))
             else:
                 big = cluster
+        if leaves:
+            # each singleton is the leaf its own recursion call would return,
+            # counted as that call would count it
+            calls[0] += len(leaves)
+            max_depth[0] = max(max_depth[0], depth + 1)
+            participation[leaves] += 1
+            children.extend(_Node(leaf=v) for v in leaves)
         if big is not None:
             cur = big
             w_lo = w_check

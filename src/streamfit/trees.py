@@ -195,19 +195,23 @@ class UltrametricTree:
         """Full n x n matrix of LCA levels.
 
         One post-order walk lists the leaves in depth-first order, so every
-        subtree's leaves are the contiguous run order[lo:hi]. At each
-        internal node, the leaves of each child but the last meet the
-        leaves to their right at the node's level: two blocks per child,
-        and every off-diagonal cell is written exactly once.
+        subtree's leaves are the contiguous run order[lo:hi]. The matrix is
+        filled in that order: at each internal node, the leaves of each
+        child but the last meet the leaves to their right at the node's
+        level, two slice blocks per child, and every off-diagonal cell is
+        written exactly once. The columns and then the rows are put back in
+        leaf-id order in place, a sixteenth of the matrix at a time, so that
+        the only temporary is one such block and not a second n x n matrix.
         """
-        out = np.zeros((self.n, self.n), dtype=np.int64)
+        n = self.n
+        out = np.zeros((n, n), dtype=np.int64)
         size = len(self.parent)
-        order = np.empty(self.n, dtype=np.int64)
-        lo = np.empty(size, dtype=np.int64)
-        hi = np.empty(size, dtype=np.int64)
+        order = np.empty(n, dtype=np.int64)
+        lo = [0] * size
+        hi = [0] * size
         pos = 0
         for idx in self._postorder():
-            if idx < self.n:
+            if idx < n:
                 order[pos] = idx
                 lo[idx] = pos
                 pos += 1
@@ -220,10 +224,17 @@ class UltrametricTree:
             end = hi[idx] = hi[kids[-1]]
             lvl = self.level[idx]
             for child in kids[:-1]:
-                mine = order[lo[child] : hi[child]]
-                right = order[hi[child] : end]
-                out[np.ix_(mine, right)] = lvl
-                out[np.ix_(right, mine)] = lvl
+                a, b = lo[child], hi[child]
+                out[a:b, b:end] = lvl
+                out[b:end, a:b] = lvl
+        # where[i] is leaf i's position in the depth-first order
+        where = np.empty(n, dtype=np.int64)
+        where[order] = np.arange(n)
+        step = -(-n // 16)
+        for a in range(0, n, step):
+            out[a : a + step] = out[a : a + step, where]
+        for a in range(0, n, step):
+            out[:, a : a + step] = out[where, a : a + step]
         return out
 
     def _postorder(self):
@@ -297,6 +308,9 @@ class UltrametricTree:
         return cls(int(doc["n"]), build(doc["root"]))
 
     def to_newick(self) -> str:
+        """Newick text of the tree, written without recursion so that any
+        depth renders; children appear in node-id order."""
+
         # branch length = (parent level - child level) / 2; rendered exactly
         # with eleven fractional digits of headroom for the halving
         def length(parent_level, child_level):
@@ -306,16 +320,31 @@ class UltrametricTree:
                 return str(whole)
             return f"{whole}." + str(frac).rjust(11, "0").rstrip("0")
 
-        def render(idx, parent_level):
-            if idx < self.n:
-                return f"{idx}:{length(parent_level, 0)}"
-            inner = ",".join(render(c, self.level[idx]) for c in self.children[idx])
-            return f"({inner}):{length(parent_level, self.level[idx])}"
-
         if self.root < self.n:
             return f"{self.root};"
-        inner = ",".join(render(c, self.level[self.root]) for c in self.children[self.root])
-        return f"({inner});"
+        level = self.level.tolist()
+        parent = self.parent.tolist()
+        out = []
+        # node ids still to render, and the literal text between them
+        stack = [self.root]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif item < self.n:
+                out.append(f"{item}:{length(level[parent[item]], 0)}")
+            else:
+                if item == self.root:
+                    stack.append(")")
+                else:
+                    stack.append(f"):{length(level[parent[item]], level[item])}")
+                kids = self.children[item]
+                for child in reversed(kids[1:]):
+                    stack.append(child)
+                    stack.append(",")
+                stack.append(kids[0])
+                out.append("(")
+        return "".join(out) + ";"
 
 
 def single_linkage_tree(n: int, edges) -> UltrametricTree:
@@ -455,14 +484,16 @@ class TreeMetricRep:
             return 0
         return self.base.distance(u, v) - self.centroid_value(u, v)
 
-    def centroid_matrix(self) -> np.ndarray:
+    def induced_matrix(self) -> np.ndarray:
+        """T = U - C, with C subtracted in place: U - 2m + row[i] + row[j]
+        off the diagonal, zero on it."""
+        out = self.base.induced_matrix()
         row = self.pivot_row
-        out = 2 * self.m_a - np.add.outer(row, row)
+        out -= 2 * self.m_a
+        out += row[:, None]
+        out += row[None, :]
         np.fill_diagonal(out, 0)
         return out
-
-    def induced_matrix(self) -> np.ndarray:
-        return self.base.induced_matrix() - self.centroid_matrix()
 
     def to_json(self) -> str:
         return json.dumps(

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamfit import fixedpoint as fp
+from streamfit import agreement, fixedpoint as fp
 from streamfit.agreement import (
     AgreementParams,
     ClusterInvariantError,
     Clustering,
     ExactView,
     SketchView,
+    _assert_density,
     s_structural_clustering,
 )
 from streamfit.sketches import ContractViolation, SketchConfig, SketchPools
@@ -198,6 +199,39 @@ class TestExactClustering:
         )
         with pytest.raises(ClusterInvariantError):
             bad.assert_partition()
+
+    def test_exact_clustering_checks_density_of_its_clusters(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(
+            agreement, "_assert_density",
+            lambda sub, label: checked.append((sub.copy(), label.copy())),
+        )
+        D = two_clique_matrix(8, 8)
+        result = s_structural_clustering(
+            range(16), 1 * U, AgreementParams(), ExactView(D)
+        )
+        assert len(result.clusters) == 2
+        ((sub, label),) = checked
+        assert np.array_equal(sub, D <= 1 * U)
+        # S is every vertex, so a vertex's position in S is its id
+        groups = {}
+        for vertex, cluster in enumerate(label.tolist()):
+            groups.setdefault(cluster, []).append(vertex)
+        assert sorted(groups.values()) == sorted(result.to_lists())
+
+    def test_density_invariant_raised_on_sparse_cluster(self):
+        """The path 0-1-2-3 as one cluster: each end is adjacent to itself
+        and one neighbour, 2 of 4 members, below two thirds."""
+        sub = np.eye(5, dtype=bool)
+        for i in range(3):
+            sub[i, i + 1] = sub[i + 1, i] = True
+        with pytest.raises(ClusterInvariantError, match="cluster of size 4 is not"):
+            _assert_density(sub, np.array([0, 0, 0, 0, 4]))
+        # the same vertices as two adjacent pairs and a singleton are dense
+        _assert_density(sub, np.array([0, 0, 2, 2, 4]))
+        # both clusters fail; the message names the one of smallest label
+        with pytest.raises(ClusterInvariantError, match="cluster of size 2 is not"):
+            _assert_density(sub, np.array([3, 1, 3, 1, 3]))
 
 
 @st.composite

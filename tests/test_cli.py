@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from streamfit import fixedpoint as fp
 from streamfit.cli import main
 from streamfit.streams import StreamSource
 from streamfit.trees import UltrametricTree
@@ -102,6 +103,27 @@ class TestFit:
         doc = json.loads(report.read_text())
         assert doc["pivot"] == 0  # the default when --pivot is absent
         assert doc["cost"]["linf"] == "0"
+
+    def test_caterpillar_newick_of_600_levels(self, tmp_path):
+        """D(i,j) = max(i,j) fits exactly to a 599-level caterpillar, deeper
+        than a recursive writer can go."""
+        n = 600
+        idx = np.arange(n, dtype=np.int64)
+        D = np.maximum.outer(idx, idx) * fp.SCALE
+        np.fill_diagonal(D, 0)
+        stream = tmp_path / "chain.txt"
+        StreamSource.from_square(D).write_file(stream)
+        newick = tmp_path / "chain.nwk"
+        report = tmp_path / "fit.json"
+        assert run(
+            "fit", "--input", str(stream), "--structure", "ultrametric",
+            "--objective", "linf", "--passes", "2",
+            "--out-newick", str(newick), "--report", str(report),
+        ) == 0
+        assert json.loads(report.read_text())["optimal_cost"] == "0"
+        text = newick.read_text()
+        assert text.startswith("(" * (n - 1)) and text.endswith(");\n")
+        assert text.count("(") == text.count(")") == n - 1
 
     def test_invalid_pass_count_is_usage_error(self, instance):
         _, stream, _ = instance

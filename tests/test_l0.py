@@ -107,3 +107,27 @@ class TestSketchMode:
         cfg = SketchConfig.scaled(32, seed=0)
         res = fit_l0(src, params=AgreementParams(mode="sketch"), config=cfg)
         assert res.report.peak_words > 0
+
+
+@pytest.mark.parametrize(
+    "mode, kind, n, seed, noise_k, expected",
+    [
+        # recovers the planted levels: leaves at several depths
+        ("exact", "planted_ultrametric", 60, 1, 0, (70, 4, 0, 3600)),
+        # mostly singleton leaves, some one level below the root's children
+        ("sketch", "planted_ultrametric", 48, 21, 24, (50, 3, 3, 488508)),
+    ],
+)
+def test_report_counts_are_pinned(mode, kind, n, seed, noise_k, expected):
+    """Recursion calls, participation and sketch instances count every
+    singleton leaf as the recursion call that returns it."""
+    src, _ = generate(GeneratorSpec(kind=kind, n=n, seed=seed, noise_k=noise_k))
+    config = SketchConfig.scaled(n, seed=seed) if mode == "sketch" else None
+    report = fit_l0(src, params=AgreementParams(mode=mode), config=config).report
+    got = (
+        report.recursion_calls,
+        report.max_participation,
+        report.instances_consumed,
+        report.peak_words,
+    )
+    assert got == expected

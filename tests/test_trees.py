@@ -222,6 +222,56 @@ def test_induced_matrix_equals_pairwise_distance(spec):
     assert np.array_equal(M, expected)
 
 
+@given(random_nested_tree(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tree_metric_induced_matrix_equals_pairwise_distance(spec, seed):
+    n, nested = spec
+    rng = np.random.default_rng(seed)
+    pivot = int(rng.integers(n))
+    row = rng.integers(0, 8 * n, size=n) * (U // 4)
+    row[pivot] = 0
+    rep = TreeMetricRep(UltrametricTree.from_nested(n, nested), pivot, row)
+    M = rep.induced_matrix()
+    expected = np.array(
+        [[rep.distance(i, j) for j in range(n)] for i in range(n)], dtype=np.int64
+    )
+    assert np.array_equal(M, expected)
+    assert np.array_equal(M, M.T)
+    assert (np.diag(M) == 0).all()
+
+
+def recursive_newick(tree):
+    """Newick by direct recursion, children in node-id order; branch length
+    (parent level - child level) / 2 in exact decimals."""
+
+    def length(diff):
+        whole, frac = divmod(diff * 25, 10**11)
+        if frac == 0:
+            return str(whole)
+        return f"{whole}." + str(frac).rjust(11, "0").rstrip("0")
+
+    def render(idx):
+        lvl = int(tree.level[idx])
+        up = int(tree.level[tree.parent[idx]]) - lvl
+        if idx < tree.n:
+            return f"{idx}:{length(up)}"
+        inner = ",".join(render(c) for c in tree.children[idx])
+        return f"({inner}):{length(up)}"
+
+    if tree.root < tree.n:
+        return f"{tree.root};"
+    inner = ",".join(render(c) for c in tree.children[tree.root])
+    return f"({inner});"
+
+
+@given(random_nested_tree(), st.integers(min_value=0, max_value=U))
+@settings(max_examples=60, deadline=None)
+def test_newick_matches_recursive_reference(spec, shift):
+    n, nested = spec
+    tree = UltrametricTree.from_nested(n, nested).shift_levels(shift)
+    assert tree.to_newick() == recursive_newick(tree)
+
+
 class TestTreeMetricRep:
     def make(self):
         base = from_ultrametric_matrix(two_pair_gadget())
