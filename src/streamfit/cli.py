@@ -405,7 +405,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ParseError, StreamIntegrityError, ConfigError, DomainError) as exc:
+    except (ParseError, StreamIntegrityError, ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTEGRITY_EXIT
     except SketchBudgetError as exc:

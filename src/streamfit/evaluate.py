@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .streams import StreamSource
-from .trees import TreeMetricRep, UltrametricTree
+from .trees import DomainError, TreeMetricRep, UltrametricTree
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ def cost(tree, source: StreamSource) -> CostReport:
     if not isinstance(tree, (UltrametricTree, TreeMetricRep)):
         raise TypeError("tree must be an UltrametricTree or TreeMetricRep")
     if tree.n != source.n:
-        raise ValueError("tree and stream disagree on point count")
+        raise DomainError("tree and stream disagree on point count")
     u, v, d = source.u, source.v, source.d
     induced = tree.induced_matrix()
     diff = np.abs(induced[u, v] - d)

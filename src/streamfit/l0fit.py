@@ -24,7 +24,7 @@ from .agreement import (
 )
 from .sketches import CompressedSet, SketchConfig, SketchPools
 from .streams import MemoryMeter, StreamSource
-from .trees import UltrametricTree, _Node
+from .trees import UltrametricTree
 
 
 class SketchBudgetError(RuntimeError):
@@ -113,36 +113,48 @@ def fit_l0(
         raise ValueError(f"unsupported mode {params.mode!r}")
 
     participation = np.zeros(n, dtype=np.int64)
-    calls = [0]
-    max_depth = [0]
-
-    def recurse(s_arr: np.ndarray, w: int, depth: int) -> _Node:
-        calls[0] += 1
-        max_depth[0] = max(max_depth[0], depth)
+    calls = 0
+    max_depth = 0
+    # tree arrays: leaves 0..n-1, then one internal node per call on more
+    # than one vertex
+    parent = [-1] * n
+    level = [0] * n
+    # work-list of calls (S, w, depth, parent node id). A call's degree
+    # probes run before its children's calls, and the calls may run in any
+    # order: each reads only the matrix or the finished sketch pools.
+    stack = [(np.arange(n, dtype=np.int64), w_max, 0, -1)] if n > 1 else []
+    while stack:
+        s_arr, w, depth, up = stack.pop()
+        calls += 1
+        max_depth = max(max_depth, depth)
         participation[s_arr] += 1
         if len(s_arr) == 1:
-            return _Node(leaf=int(s_arr[0]))
+            parent[int(s_arr[0])] = up
+            continue
+        node = len(parent)
+        parent.append(up)
+        level.append(int(w))
         w_check = weights.pred(w)
         view = make_view(depth)
         clustering = s_structural_clustering(s_arr, w_check, params, view)
         size_s = len(s_arr)
-        children = []
         leaves = []
         big = None
         for cluster in clustering.clusters:
             if len(cluster) == 1:
                 leaves.append(int(cluster[0]))
             elif 100 * len(cluster) <= 99 * size_s:
-                children.append(recurse(cluster, w_check, depth + 1))
+                stack.append((cluster, w_check, depth + 1, node))
             else:
                 big = cluster
         if leaves:
-            # each singleton is the leaf its own recursion call would return,
-            # counted as that call would count it
-            calls[0] += len(leaves)
-            max_depth[0] = max(max_depth[0], depth + 1)
+            # each singleton is the leaf its own call would make, counted as
+            # that call would count it
+            calls += len(leaves)
+            max_depth = max(max_depth, depth + 1)
             participation[leaves] += 1
-            children.extend(_Node(leaf=v) for v in leaves)
+            for v in leaves:
+                parent[v] = node
         if big is not None:
             cur = big
             w_lo = w_check
@@ -153,27 +165,21 @@ def fit_l0(
                     break
                 rim = 100 * degs < 65 * size_s
                 if rim.any():
-                    children.append(recurse(cur[rim], w_lo, depth + 1))
+                    stack.append((cur[rim], w_lo, depth + 1, node))
                     cur = cur[~rim]
                 w_lo = w_probe
                 w_probe = weights.pred(w_probe)
-            children.append(recurse(cur, w_lo, depth + 1))
-        return _Node(level=int(w), children=children)
-
-    if n == 1:
-        tree = UltrametricTree.single_leaf()
-    else:
-        root = recurse(np.arange(n, dtype=np.int64), w_max, 0)
-        tree = UltrametricTree(n, root)
+            stack.append((cur, w_lo, depth + 1, node))
+    tree = UltrametricTree(n, parent, level)
 
     bound = depth_cap * max(1, math.ceil(math.log2(max(n, 2))))
     report = L0FitReport(
         mode=params.mode,
-        recursion_calls=calls[0],
+        recursion_calls=calls,
         max_participation=int(participation.max()),
         participation_bound=bound,
-        instances_consumed=(max_depth[0] + 1) if params.mode == "sketch" else 0,
+        instances_consumed=(max_depth + 1) if params.mode == "sketch" else 0,
         peak_words=meter.peak,
-        levels_used=tuple(tree.internal_levels()),
+        levels_used=tuple(tree.level[n:].tolist()),
     )
     return L0FitResult(tree=tree, report=report)

@@ -117,8 +117,6 @@ class LinfExactResult:
 def fit_linf_min_decrement(source: StreamSource) -> UltrametricTree:
     """One-pass pointwise-maximal ultrametric below D (2-approximate)."""
     state = _build_forest(source)
-    if source.n == 1:
-        return UltrametricTree.single_leaf()
     return single_linkage_tree(source.n, state.edges())
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import trees
-from .trees import DomainError, UltrametricTree, _Node
+from .trees import DomainError, UltrametricTree
 
 _INF = 1 << 62
 
@@ -70,7 +70,7 @@ def _enumerate_best_tree(matrix, pair_cost, budget):
 
     def best(mask, vi):
         if mask & (mask - 1) == 0:
-            return 0, _Node(leaf=(mask.bit_length() - 1))
+            return 0, mask.bit_length() - 1
         if vi < 0:
             return _INF, None
         key = (mask, vi)
@@ -80,7 +80,7 @@ def _enumerate_best_tree(matrix, pair_cost, budget):
         result = best(mask, vi - 1)
         split_cost, split_nodes = cover(mask, vi, allow_single=False)
         if split_cost < result[0]:
-            result = (split_cost, _Node(level=int(values[vi]), children=split_nodes))
+            result = (split_cost, (int(values[vi]), split_nodes))
         best_memo[key] = result
         return result
 
@@ -122,7 +122,7 @@ def _enumerate_best_tree(matrix, pair_cost, budget):
     cost_value, root = best(full, nv - 1)
     if root is None or cost_value >= _INF:
         raise OracleUnavailable("no feasible tree found")
-    return int(cost_value), UltrametricTree(n, root)
+    return int(cost_value), UltrametricTree.from_nested(n, root)
 
 
 def brute_l0_ultra(matrix, budget: OracleBudget = OracleBudget()):

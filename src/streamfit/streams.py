@@ -354,25 +354,32 @@ def _planted_ultrametric_tree(rng, n, alphabet):
     if n >= 2 and not levels:
         raise ConfigError("value alphabet smaller than required depth (empty)")
 
-    def build(ids, depth):
+    last = len(levels) - 1
+    parent = [-1] * n
+    level = [0] * n
+    # (ids, the parent's depth, the parent's node id), first child on top;
+    # each child draws its depth as it is taken, just before its own draws
+    stack = [(np.arange(n), 0, -1)]
+    while stack:
+        ids, depth, up = stack.pop()
+        if up >= 0:
+            depth = min(depth + int(rng.integers(1, 3)), last)
         if len(ids) == 1:
-            return trees._Node(leaf=int(ids[0]))
-        level = levels[depth]
+            parent[int(ids[0])] = up
+            continue
+        node = len(parent)
+        parent.append(up)
+        level.append(levels[depth])
         ids = rng.permutation(ids)
-        if depth == len(levels) - 1:
+        if depth == last:
             # deepest level available: everything below must be a leaf
             parts = [ids[i : i + 1] for i in range(len(ids))]
         else:
             k = int(rng.integers(2, min(len(ids), 4) + 1))
             cuts = np.sort(rng.choice(np.arange(1, len(ids)), size=k - 1, replace=False))
             parts = np.split(ids, cuts)
-        children = [
-            build(part, min(depth + int(rng.integers(1, 3)), len(levels) - 1))
-            for part in parts
-        ]
-        return trees._Node(level=level, children=children)
-
-    return trees.UltrametricTree(n, build(np.arange(n), 0))
+        stack.extend((part, depth, node) for part in reversed(parts))
+    return trees.UltrametricTree(n, parent, level)
 
 
 def _prufer_tree(rng, n):

@@ -21,52 +21,6 @@ class DomainError(ValueError):
     pass
 
 
-class _Node:
-    __slots__ = ("level", "children", "leaf")
-
-    def __init__(self, level=0, children=None, leaf=None):
-        self.level = level
-        self.children = children if children is not None else []
-        self.leaf = leaf
-
-    @property
-    def is_leaf(self):
-        return self.leaf is not None
-
-
-def _preorder(root: _Node) -> list:
-    """Every node below and including root, parents before children."""
-    order = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    return order
-
-
-def _normalize(node: _Node) -> _Node:
-    """Collapse unary nodes and merge children that share the parent level."""
-
-    def resolved(child):
-        # a normalized internal node left with one child stands for that child
-        if not child.is_leaf and len(child.children) == 1:
-            return child.children[0]
-        return child
-
-    for parent in reversed(_preorder(node)):
-        if parent.is_leaf:
-            continue
-        merged = []
-        for child in map(resolved, parent.children):
-            if not child.is_leaf and child.level == parent.level:
-                merged.extend(child.children)
-            else:
-                merged.append(child)
-        parent.children = merged
-    return resolved(node)
-
-
 class UltrametricTree:
     """Immutable level-labeled tree over leaves {0..n-1}.
 
@@ -75,106 +29,108 @@ class UltrametricTree:
     so two equal trees have identical arrays.
     """
 
-    def __init__(self, n: int, root: _Node):
+    def __init__(self, n: int, parent, level):
+        """Build from flat arrays over all nodes: leaves are 0..n-1, internal
+        nodes n.. in any order, and `parent` is -1 at the single root.
+
+        Unary internal nodes are dropped and a child with its parent's level
+        is merged into the parent; the kept internal nodes are then numbered
+        in canonical order and the result is validated.
+        """
         if n < 1:
             raise DomainError("need at least one point")
         self.n = n
-        nodes = _preorder(_normalize(root))
-        size = n + sum(not node.is_leaf for node in nodes)
-        self.parent = np.full(size, -1, dtype=np.int64)
-        self.level = np.zeros(size, dtype=np.int64)
-        self.children: list[list[int]] = [[] for _ in range(size)]
-        self._depth = np.zeros(size, dtype=np.int64)
-        self.root = self._flatten(nodes)
+        level = np.asarray(level, dtype=np.int64)
+        if level.ndim != 1 or np.shape(parent) != level.shape or len(level) < n:
+            raise DomainError("parent and level must be flat arrays over all nodes")
+        lvl = level.tolist()
+        size = len(lvl)
+        kids: list[list[int]] = [[] for _ in range(size)]
+        roots = []
+        for child, up in enumerate(np.asarray(parent, dtype=np.int64).tolist()):
+            if up == -1:
+                roots.append(child)
+            elif n <= up < size:
+                kids[up].append(child)
+            else:
+                raise DomainError(f"parent {up} of node {child} is not internal")
+        if len(roots) != 1:
+            raise DomainError(f"tree needs one root, got {len(roots)}")
+        order = list(roots)
+        for idx in order:
+            order.extend(kids[idx])
+        if len(order) != size:
+            raise DomainError("parent links form a cycle")
+
+        # children before parents: the smallest leaf below each node, and the
+        # node that stands for it, itself or, if unary, its child's stand-in
+        min_leaf = list(range(size))
+        stands = list(range(size))
+        for idx in reversed(order):
+            if idx < n:
+                continue
+            if not kids[idx]:
+                raise DomainError("internal node with fewer than 2 children")
+            min_leaf[idx] = min(min_leaf[child] for child in kids[idx])
+            if len(kids[idx]) == 1:
+                stands[idx] = stands[kids[idx][0]]
+
+        # number the kept internal nodes n.. in depth-first preorder, children
+        # sorted by smallest leaf; leaves keep their ids
+        out_parent = [-1] * n
+        out_level = lvl[:n]
+        self.children: list[list[int]] = [[] for _ in range(n)]
+        # parallel stacks of input nodes and their parents' new ids
+        stack, above = [stands[order[0]]], [-1]
+        while stack:
+            node, up = stack.pop(), above.pop()
+            idx = node
+            if node >= n:
+                idx = len(out_parent)
+                out_parent.append(up)
+                out_level.append(lvl[node])
+                self.children.append([])
+                # the kept children: stand-ins, with the children of those at
+                # this node's level merged in
+                kept, todo = [], list(kids[node])
+                while todo:
+                    rep = stands[todo.pop()]
+                    if rep >= n and lvl[rep] == lvl[node]:
+                        todo.extend(kids[rep])
+                    else:
+                        kept.append(rep)
+                kept.sort(key=min_leaf.__getitem__)
+                stack.extend(reversed(kept))
+                above.extend([idx] * len(kept))
+            out_parent[idx] = up
+            if up < 0:
+                self.root = idx
+            else:
+                self.children[up].append(idx)
+        self.parent = np.array(out_parent, dtype=np.int64)
+        self.level = np.array(out_level, dtype=np.int64)
         self._validate()
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def _min_leaf(nodes: list) -> dict:
-        """Smallest leaf id below each node of a preorder, keyed by id(node)."""
-        got: dict[int, int] = {}
-        for node in reversed(nodes):
-            got[id(node)] = (
-                node.leaf
-                if node.is_leaf
-                # a childless internal node gets a placeholder; _validate rejects it
-                else min((got[id(child)] for child in node.children), default=-1)
-            )
-        return got
-
-    def _flatten(self, nodes: list) -> int:
-        """Number internal nodes n.. in depth-first preorder, children sorted
-        by smallest leaf, and fill the node arrays; returns the root id.
-        `nodes` is a preorder of the normalized tree, root first."""
-        min_leaf = self._min_leaf(nodes)
-        next_internal = self.n
-        # parallel stacks of nodes and their parents' ids
-        stack, parents = [nodes[0]], [-1]
-        while stack:
-            node, parent = stack.pop(), parents.pop()
-            if node.is_leaf:
-                idx = node.leaf
-                if not (0 <= idx < self.n):
-                    raise DomainError(f"leaf id {idx} out of range")
-            else:
-                idx = next_internal
-                next_internal += 1
-            if parent < 0:
-                root_idx = idx
-            else:
-                self.children[parent].append(idx)
-                self._depth[idx] = self._depth[parent] + 1
-            self.parent[idx] = parent
-            self.level[idx] = node.level
-            if not node.is_leaf:
-                ordered = sorted(node.children, key=lambda c: min_leaf[id(c)])
-                stack.extend(reversed(ordered))
-                parents.extend([idx] * len(ordered))
-        return root_idx
-
     def _validate(self):
-        seen = [False] * self.n
-        stack = [self.root]
-        while stack:
-            idx = stack.pop()
-            if idx < self.n:
-                if self.children[idx]:
-                    raise DomainError("leaf with children")
-                if self.level[idx] != 0:
-                    raise DomainError("leaf level must be 0")
-                if seen[idx]:
-                    raise DomainError(f"duplicate leaf {idx}")
-                seen[idx] = True
-                continue
-            kids = self.children[idx]
-            if len(kids) < 2:
-                raise DomainError("internal node with fewer than 2 children")
-            if self.level[idx] <= 0:
-                raise DomainError("internal level must be positive")
-            for child in kids:
-                if child >= self.n and self.level[child] >= self.level[idx]:
-                    raise DomainError("levels must strictly decrease downward")
-            stack.extend(kids)
-        if not all(seen):
-            missing = seen.index(False)
-            raise DomainError(f"missing leaf {missing}")
+        """Check the levels; the constructor has already made the structure
+        a tree over all n leaves whose internal nodes have two or more
+        children. The root, when internal, is node n."""
+        n = self.n
+        if self.level[:n].any():
+            raise DomainError("leaf level must be 0")
+        if (self.level[n:] <= 0).any():
+            raise DomainError("internal level must be positive")
+        if (self.level[n + 1 :] >= self.level[self.parent[n + 1 :]]).any():
+            raise DomainError("levels must strictly decrease downward")
 
     @classmethod
     def single_leaf(cls) -> "UltrametricTree":
-        return cls(1, _Node(leaf=0))
+        return cls(1, [-1], [0])
 
     @classmethod
     def from_nested(cls, n: int, spec) -> "UltrametricTree":
         """Build from nested (level, [child, ...]) tuples; leaves are ints."""
-
-        def build(item):
-            if isinstance(item, int):
-                return _Node(leaf=item)
-            level, children = item
-            return _Node(level=int(level), children=[build(c) for c in children])
-
-        return cls(n, build(spec))
+        return _nested_tree(n, spec, lambda item: item)
 
     # -- queries --------------------------------------------------------------
 
@@ -183,9 +139,11 @@ class UltrametricTree:
             raise DomainError(f"unknown point id in ({u}, {v})")
         if u == v:
             return 0
+        # levels rise strictly toward the root, so the lower of two distinct
+        # nodes is never their common ancestor and can step up
         a, b = u, v
         while a != b:
-            if self._depth[a] >= self._depth[b]:
+            if self.level[a] <= self.level[b]:
                 a = self.parent[a]
             else:
                 b = self.parent[b]
@@ -246,26 +204,12 @@ class UltrametricTree:
             stack.extend(self.children[idx])
         return reversed(order)
 
-    def internal_levels(self) -> list[int]:
-        return [int(self.level[i]) for i in range(self.n, len(self.parent))]
-
     # -- transforms -----------------------------------------------------------
 
-    def map_levels(self, fn) -> "UltrametricTree":
-        """Rebuild with every internal level replaced by fn(level)."""
-        nodes = [None] * len(self.parent)
-        for idx in self._postorder():
-            if idx < self.n:
-                nodes[idx] = _Node(leaf=int(idx))
-            else:
-                nodes[idx] = _Node(
-                    level=int(fn(int(self.level[idx]))),
-                    children=[nodes[c] for c in self.children[idx]],
-                )
-        return UltrametricTree(self.n, nodes[self.root])
-
     def shift_levels(self, delta: int) -> "UltrametricTree":
-        return self.map_levels(lambda lvl: lvl + delta)
+        level = self.level + delta
+        level[: self.n] = 0
+        return UltrametricTree(self.n, self.parent, level)
 
     # -- comparison / serialization -------------------------------------------
 
@@ -295,17 +239,7 @@ class UltrametricTree:
 
     @classmethod
     def from_json(cls, text: str) -> "UltrametricTree":
-        doc = json.loads(text)
-
-        def build(obj):
-            if obj.get("leaf"):
-                return _Node(leaf=int(obj["node_id"]))
-            return _Node(
-                level=fixedpoint.from_decimal(obj["level"]),
-                children=[build(c) for c in obj["children"]],
-            )
-
-        return cls(int(doc["n"]), build(doc["root"]))
+        return _parse(text, _tree_from_doc)
 
     def to_newick(self) -> str:
         """Newick text of the tree, written without recursion so that any
@@ -353,8 +287,6 @@ def single_linkage_tree(n: int, edges) -> UltrametricTree:
     `edges` is an iterable of (weight, u, v). The edges must connect all n
     points (e.g. a spanning forest of a complete input).
     """
-    if n == 1:
-        return UltrametricTree.single_leaf()
     parent = list(range(n))
 
     def find(x):
@@ -363,23 +295,73 @@ def single_linkage_tree(n: int, edges) -> UltrametricTree:
             x = parent[x]
         return x
 
-    nodes = {i: _Node(leaf=i) for i in range(n)}
+    # tree arrays, one internal node per union; node_of[r] is the tree node
+    # of the component whose union-find root is r
+    up = [-1] * n
+    level = [0] * n
+    node_of = list(range(n))
     for w, u, v in sorted(edges):
         ru, rv = find(u), find(v)
         if ru == rv:
             continue
-        children = []
-        for r in (ru, rv):
-            node = nodes.pop(r)
-            if not node.is_leaf and node.level == w:
-                children.extend(node.children)
-            else:
-                children.append(node)
+        up[node_of[ru]] = up[node_of[rv]] = len(up)
+        node_of[rv] = len(up)
+        up.append(-1)
+        level.append(int(w))
         parent[ru] = rv
-        nodes[find(rv)] = _Node(level=int(w), children=children)
-    if len(nodes) != 1:
+    if len(up) != 2 * n - 1:
         raise DomainError("edges do not connect all points")
-    return UltrametricTree(n, next(iter(nodes.values())))
+    return UltrametricTree(n, up, level)
+
+
+def _nested_tree(n: int, root, unpack) -> UltrametricTree:
+    """Tree from a nested document, walked without recursion; `unpack`
+    turns one item into a leaf id or a (level, children) pair."""
+    leaf_parent = {}
+    # internal nodes, numbered n.. in the order met
+    parent, level = [], []
+    stack = [(root, -1)]
+    while stack:
+        item, up = stack.pop()
+        item = unpack(item)
+        if isinstance(item, int):
+            if not 0 <= item < n:
+                raise DomainError(f"leaf id {item} out of range")
+            if item in leaf_parent:
+                raise DomainError(f"duplicate leaf {item}")
+            leaf_parent[item] = up
+            continue
+        item_level, children = item
+        stack.extend((child, n + len(parent)) for child in children)
+        parent.append(up)
+        level.append(int(item_level))
+    # nothing of size n is built before the leaves are known to number n
+    if len(leaf_parent) != n:
+        missing = next(i for i in range(n) if i not in leaf_parent)
+        raise DomainError(f"missing leaf {missing}")
+    leaves = [leaf_parent[i] for i in range(n)]
+    return UltrametricTree(n, leaves + parent, [0] * n + level)
+
+
+def _json_item(obj):
+    """One node of the JSON tree format as a leaf id or (level, children)."""
+    if obj.get("leaf"):
+        return int(obj["node_id"])
+    return fixedpoint.from_decimal(obj["level"]), obj["children"]
+
+
+def _tree_from_doc(doc) -> UltrametricTree:
+    return _nested_tree(int(doc["n"]), doc["root"], _json_item)
+
+
+def _parse(text: str, build):
+    """build(the decoded document), with any fault of its shape raised as a
+    DomainError; the JSON decoder raises RecursionError past ~500 levels."""
+    try:
+        return build(json.loads(text))
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as exc:
+        kind = type(exc).__name__
+        raise DomainError(f"malformed tree document ({kind}: {exc})") from exc
 
 
 def from_ultrametric_matrix(matrix: np.ndarray) -> UltrametricTree:
@@ -507,7 +489,9 @@ class TreeMetricRep:
 
     @classmethod
     def from_json(cls, text: str) -> "TreeMetricRep":
-        doc = json.loads(text)
-        base = UltrametricTree.from_json(json.dumps(doc["base"]))
-        row = [fixedpoint.from_decimal(v) for v in doc["pivot_row"]]
-        return cls(base, doc["pivot"], row)
+        def build(doc):
+            base = _tree_from_doc(doc["base"])
+            row = [fixedpoint.from_decimal(v) for v in doc["pivot_row"]]
+            return cls(base, doc["pivot"], row)
+
+        return _parse(text, build)

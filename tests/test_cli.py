@@ -189,6 +189,56 @@ class TestCostCheckOracle:
         bad.write_text("3\n0 1 1\n0 2 zap\n")
         assert run("check", "--input", str(bad)) == 3
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{}",
+            "not json",
+            '{"n": 2, "root": {"level": "abc", "children": ['
+            '{"leaf": true, "node_id": 0}, {"leaf": true, "node_id": 1}]}}',
+            '{"n": 2, "root": {"level": "1"}}',
+            UltrametricTree.from_nested(12, (fp.SCALE, list(range(12)))).to_json(),
+            '{"n": 10000000000000, "root": {"leaf": true, "node_id": 0}}',
+        ],
+        ids=["no-n", "not-json", "bad-level", "no-children", "12-leaves-10-points",
+             "huge-n"],
+    )
+    def test_malformed_tree_file_exits_3(self, tmp_path, capsys, text):
+        stream = tmp_path / "s.txt"
+        assert run(
+            "gen", "--kind", "uniform_random", "--n", "10", "--out", str(stream),
+            "--report", str(tmp_path / "g.json"),
+        ) == 0
+        capsys.readouterr()
+        tree = tmp_path / "t.json"
+        tree.write_text(text)
+        report = tmp_path / "c.json"
+        code = run(
+            "cost", "--input", str(stream), "--tree", str(tree),
+            "--report", str(report),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "cost"])
+    def test_missing_file_exits_3(self, instance, tmp_path, capsys, command):
+        _, stream, _ = instance
+        missing = str(tmp_path / "missing.txt")
+        argv = {
+            "fit": ("fit", "--input", missing, *FIT_FLAGS["linf-2pass"]),
+            "cost": ("cost", "--input", str(stream), "--tree", missing),
+        }[command]
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        assert run(*argv, "--report", str(report)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.txt" in err
+        assert len(err.splitlines()) == 1
+        assert not report.exists()
+
 
 FIT_FLAGS = {
     "linf-2pass": ("--structure", "ultrametric", "--objective", "linf", "--passes", "2"),

@@ -76,6 +76,19 @@ class TestUltrametricTree:
             UltrametricTree.from_nested(3, (1 * U, [0, 1]))
         with pytest.raises(DomainError):
             UltrametricTree.from_nested(2, (1 * U, [0, 0]))
+        with pytest.raises(DomainError):
+            UltrametricTree.from_nested(2, (1 * U, [0, 1, 0]))
+        # the same faults as flat arrays over all nodes
+        malformed = [
+            ([3, 3, -1, -1], [0, 0, 0, U]),  # two roots: leaf 2 is not below 3
+            ([3, 0, 3, -1], [0, 0, 0, U]),  # leaf 0 holds leaf 1 as a child
+            ([3, 3, 3, -1, 5, 4], [0, 0, 0, U, U, U]),  # 4 and 5 form a cycle
+            ([3, 3], [0, 0]),  # fewer nodes than leaves
+            ([3, 3, 5, -1], [0, 0, 0, U]),  # parent id out of range
+        ]
+        for parent, level in malformed:
+            with pytest.raises(DomainError):
+                UltrametricTree(3, parent, level)
 
     def test_single_leaf(self):
         tree = UltrametricTree.single_leaf()
@@ -238,6 +251,42 @@ def test_tree_metric_induced_matrix_equals_pairwise_distance(spec, seed):
     assert np.array_equal(M, expected)
     assert np.array_equal(M, M.T)
     assert (np.diag(M) == 0).all()
+
+
+@given(random_nested_tree(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_constructor_normalises_scrambled_arrays(spec, seed):
+    """Inserted unary nodes, inserted equal-level parent-child chains and
+    scrambled internal ids give the arrays of the clean tree."""
+    n, nested = spec
+    clean = UltrametricTree.from_nested(n, nested)
+    rng = np.random.default_rng(seed)
+    parent = clean.parent.tolist()
+    level = clean.level.tolist()
+    for _ in range(int(rng.integers(0, n + 2))):
+        x = int(rng.integers(len(parent)))
+        kids = [c for c, p in enumerate(parent) if p == x]
+        if kids and rng.random() < 0.5:
+            # a new child of x at x's level takes over some of x's children
+            moved = rng.random(len(kids)) < 0.5
+            moved[rng.integers(len(kids))] = True
+            for c in np.asarray(kids)[moved]:
+                parent[c] = len(parent)
+            parent.append(x)
+            level.append(level[x])
+        else:
+            # a unary node at any level between x and its parent
+            parent.append(parent[x])
+            level.append(int(rng.integers(1, 4 * n + 4)) * U)
+            parent[x] = len(parent) - 1
+    parent = np.asarray(parent)
+    # node i is renamed new_id[i]; leaves keep their ids
+    new_id = np.concatenate([np.arange(n), n + rng.permutation(len(parent) - n)])
+    scrambled_parent = np.empty_like(parent)
+    scrambled_parent[new_id] = np.where(parent >= 0, new_id[parent], -1)
+    scrambled_level = np.empty_like(parent)
+    scrambled_level[new_id] = level
+    assert UltrametricTree(n, scrambled_parent, scrambled_level) == clean
 
 
 def recursive_newick(tree):
