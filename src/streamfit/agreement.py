@@ -7,17 +7,26 @@ S when |N(u) symdiff N(v)| + 2|N(u) cap N(v) cap complement(S)| is below a
 gamma fraction of the larger degree; a vertex is heavy when few of its
 neighbors fall outside its agreement set.
 
-Exact mode has one code path, the matrix path of `_cluster_exact`: a
-clustering call reads the |S|-by-n rows of S from the dense matrix once,
-takes the degrees from their row sums and every common-neighbour count from
-one float32 BLAS product of their S columns (exact, see `_common_counts`).
-It builds one S-by-S mask, the beta agreement that the heaviness test
-needs; the 3-beta agreement is compared only on the row of each heavy seed
-that is still unclustered, and the vertices no seed claims become
-singletons in one step. The density invariant is checked on the S-by-S
-adjacency the call already holds. No state is kept between calls. Sketch
-mode estimates the predicates pair by pair from the streaming sketches,
-with the relaxation bands built into the thresholds.
+One seed-and-claim loop serves both predicate modes. A view answers, for S
+and w at once, which vertices of S are heavy and, for each seed, the row of
+S that agrees with it under 3 beta (a `Claims`); heavy seeds in ascending
+order claim what is still unclustered and the rest become singletons.
+
+`ExactView` answers from the dense matrix: it reads the |S|-by-n rows of S
+once, takes the degrees from their row sums and every common-neighbour
+count from one float32 BLAS product of their S columns (exact, see
+`_common_counts`), and compares the 3-beta bound only on the row of a seed.
+The density invariant is checked on the S-by-S adjacency it holds.
+
+`SketchView` answers from the finished sketch pools with the relaxation
+bands built into float thresholds. Every pair statistic comes from a few
+arrays over S: per vertex whether its close queue is exact, its degree and
+its reported rung; among exact vertices the product of their closed
+neighbourhoods; and, one sample size s' at a time, the S-by-S matrix of
+which sample holds which vertex, whose BLAS product counts common sampled
+neighbours. Each statistic is computed once, a block of rows at a time,
+and compared against beta and 3 beta. No state is kept between calls in
+either mode.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,13 +65,6 @@ class AgreementParams:
     def three_beta(self) -> Fraction:
         return 3 * self.beta
 
-    def gamma(self, key: str) -> Fraction:
-        if key == "beta":
-            return self.beta
-        if key == "3beta":
-            return self.three_beta
-        raise ValueError("gamma key must be 'beta' or '3beta'")
-
 
 @dataclass
 class Clustering:
@@ -75,6 +78,17 @@ class Clustering:
         merged = np.concatenate(self.clusters) if self.clusters else np.array([])
         if sorted(merged.tolist()) != sorted(self.ground_set.tolist()):
             raise ClusterInvariantError("clusters do not partition the ground set")
+
+
+class Claims(NamedTuple):
+    """What one clustering call needs of S at w: the heavy mask over S,
+    the 3-beta agreement row of S for the seed at a position, and the
+    closed S-by-S adjacency when the view can vouch for it (exact mode,
+    for the density check)."""
+
+    heavy: np.ndarray
+    row: Callable[[int], np.ndarray]
+    adjacency: Optional[np.ndarray]
 
 
 class ExactView:
@@ -91,149 +105,233 @@ class ExactView:
         """Closed degree at w of each of `vertices`."""
         return (self.matrix[vertices] <= w).sum(axis=1)
 
+    def claims(self, s_arr, w, params: AgreementParams) -> Claims:
+        """Heaviness from one S-by-S beta mask; the 3-beta row of a seed is
+        compared when it is asked for. All arithmetic is on integers."""
+        rows = self.matrix[s_arr] <= w
+        d = rows.sum(axis=1)
+        sub = rows[:, s_arr]
+        del rows
+        # stat = d_u + d_v - 2|N(u) cap N(v) cap S|, built in place
+        stat = _common_counts(sub)
+        stat *= -2
+        stat += d[:, None]
+        stat += d[None, :]
+
+        beta = params.beta
+        bound = np.maximum.outer(d, d)
+        bound *= beta.numerator
+        agree_b = stat * beta.denominator < bound
+        del bound
+        np.fill_diagonal(agree_b, True)
+        agree_b &= sub
+        inside = agree_b.sum(axis=1)
+        del agree_b
+        eps = params.epsilon
+        heavy = (d - inside) * eps.denominator < eps.numerator * d
+
+        t_num, t_den = params.three_beta.numerator, params.three_beta.denominator
+
+        def row(i):
+            return stat[i] * t_den < t_num * np.maximum(d[i], d)
+
+        return Claims(heavy, row, sub)
+
 
 class SketchView:
-    """Sketch-backed evaluation; one fresh instance per clustering call.
+    """Sketch-backed predicates for the clustering calls of one recursion
+    depth, which all read sketch instance `instance`; each call consumes
+    the instance for its S.
 
-    The pools keep the neighbourhoods and query answers, which depend only
-    on the finished state; the view keeps the agreement decisions of its
-    one clustering call.
+    A vertex whose close queue holds its whole neighbourhood at w is exact:
+    its degree and neighbours come from the queue. Any other vertex is
+    estimated from the sketch `report_sketch` picks for it (its rung), and
+    a pair with such a vertex agrees only when the degree ratio allows it
+    and the common neighbours sampled in a shared R_{s'} bring the
+    estimated symmetric difference under the band.
     """
 
     def __init__(self, pools, instance: int):
         self.pools = pools
         self.instance = instance
-        self.config = pools.config
-        self._agree_memo = {}
 
-    def consume(self, vertices):
-        self.pools.consume_instance(self.instance, vertices)
+    def _close_within(self, vertices, w):
+        """Which of `vertices` have exact close queues at w, and the mask of
+        their queue entries at weight <= w."""
+        pools = self.pools
+        weights = pools.close_weights[vertices]
+        exact = ~pools.close_overflow[vertices] | (weights[:, -1] > w)
+        within = weights <= w
+        within &= np.arange(weights.shape[1]) < pools.close_lengths[vertices, None]
+        return exact, within
 
-    def _sample_of(self, v, w, s_prime, exact_nbhd):
-        """Members of v's sample over R_{s_prime} at threshold w, or None
-        when the needed companion sketch was never built."""
-        if exact_nbhd is not None:
-            mask = self.pools.membership.mask(self.instance, s_prime)
-            return [x for x in exact_nbhd if x != v and mask[x]]
-        sk = self.pools.get_sketch(self.instance, v, self._rung_of(v, w), s_prime)
-        if sk is None:
-            return None
-        return sk.members_at_most(w)
+    def degrees(self, vertices, w: int) -> np.ndarray:
+        """Closed degree at w of each of `vertices`, counted from the close
+        queue where it is exact and estimated from the sketches elsewhere."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        exact, within = self._close_within(vertices, w)
+        d = within.sum(axis=1) + 1
+        for i in np.flatnonzero(~exact).tolist():
+            d[i] = self.pools.estimate_degree(int(vertices[i]), w, self.instance)
+        return d
 
-    def _rung_of(self, v, w):
-        """Ladder size of the sketch reported for v at threshold w."""
-        reported = self.pools.report_sketch(v, w, self.instance)
-        return reported[1] if reported is not None else None
+    def claims(self, s_arr, w, params: AgreementParams) -> Claims:
+        """Both agreement masks of S from one pass over its statistics,
+        compared in floats against beta and 3 beta, and heaviness from the
+        beta mask; consumes the instance for S."""
+        pools = self.pools
+        config = pools.config
+        pools.consume_instance(self.instance, s_arr)
+        k = len(s_arr)
+        pos = np.full(pools.n, -1, dtype=np.int64)
+        pos[s_arr] = np.arange(k)
 
-    def _degree_of(self, v, w, exact_nbhd):
-        if exact_nbhd is not None:
-            return len(exact_nbhd)
-        return self.pools.estimate_degree(v, w, self.instance)
+        # per vertex: exact queue, degree, and the ladder index of the
+        # reported sketch (-1 for exact vertices and unreported ones)
+        exact, within = self._close_within(s_arr, w)
+        d = self.degrees(s_arr, w)
+        rung = np.full(k, -1, dtype=np.int64)
+        ladder = {s: i for i, s in enumerate(pools.sizes)}
+        for i in np.flatnonzero(~exact).tolist():
+            reported = pools.report_sketch(int(s_arr[i]), w, self.instance)
+            if reported is not None:
+                rung[i] = ladder[reported[1]]
+        reported = rung >= 0
+        d_f = d.astype(np.float64)
+        # each statistic is computed once, in Python's float operation
+        # order, and compared against both gammas
+        gammas = (float(params.beta), float(params.three_beta))
+        agree = np.zeros((2, k, k), dtype=bool)
 
-    def agreement(self, u, v, s_mask, gamma, w) -> bool:
-        """Whether u and v agree within S at w, for a Fraction or float
-        gamma; memoised by the float, which is all the estimate uses."""
-        if u == v:
-            return True
-        gamma = float(gamma)
-        memo_key = (min(u, v), max(u, v), gamma)
-        got = self._agree_memo.get(memo_key)
-        if got is not None:
-            return got
-        result = self._agreement_raw(u, v, s_mask, gamma, w)
-        self._agree_memo[memo_key] = result
-        return result
+        # pairs of exact vertices: d_u + d_v - 2|N(u) cap N(v) cap S| from
+        # their closed neighbourhoods inside S
+        ex = np.flatnonzero(exact)
+        near = np.zeros((len(ex), k), dtype=bool)
+        at, slot = np.nonzero(within[ex])
+        col = pos[pools.close_others[s_arr[ex[at]], slot]]
+        near[at[col >= 0], col[col >= 0]] = True
+        near[np.arange(len(ex)), ex] = True
+        near_f = near.astype(np.float32)
+        d_ex = d_f[ex]
+        for rows in _row_blocks(len(ex)):
+            stat = d_ex[rows, None] + d_ex - 2 * (near_f[rows] @ near_f.T)
+            big = np.maximum(d_ex[rows, None], d_ex)
+            for a, g in zip(agree, gammas):
+                a[np.ix_(ex[rows], ex)] = stat < g * big
+        del near_f
 
-    def _agreement_raw(self, u, v, s_mask, gamma: float, w) -> bool:
-        nu = self.pools.neighborhood(u, w)
-        nv = self.pools.neighborhood(v, w)
-        if nu is not None and nv is not None:
-            common_in_s = _count_in(s_mask, nu & nv)
-            stat = len(nu) + len(nv) - 2 * common_in_s
-            return stat < gamma * max(len(nu), len(nv))
-        cap = self.config.close_capacity
-        # one side provably small, the other beyond the queue: degrees differ
-        # by at least a factor two, so the pair cannot agree
-        for small, big in ((nu, nv), (nv, nu)):
-            if small is not None and big is None and len(small) <= cap // 2:
-                return False
-        zeta = self.config.zeta
-        deg_u = self._degree_of(u, w, nu)
-        deg_v = self._degree_of(v, w, nv)
-        d_small, d_big = min(deg_u, deg_v), max(deg_u, deg_v)
-        if d_big == 0:
-            return False
-        if 1 - ((1 + 5 * zeta) * d_small) / ((1 - zeta) * d_big) > 0.8 * gamma:
-            return False
-        # sample space: for equal rungs step one rung down (higher inclusion
-        # probability and a doubled budget); otherwise the smaller rung
-        rungs = sorted(
-            sz
-            for nb, sz in ((nu, self._rung_of(u, w)), (nv, self._rung_of(v, w)))
-            if nb is None
-            if sz is not None
-        )
-        if not rungs:
-            return False
-        if rungs[0] == rungs[-1]:
-            s_prime = self.pools.rung_below(rungs[0])
-        else:
-            s_prime = rungs[0]
-        samp_u = self._sample_of(u, w, s_prime, nu)
-        samp_v = self._sample_of(v, w, s_prime, nv)
-        if samp_u is None or samp_v is None:
-            # rungs more than one ladder step apart: the companion sketch
-            # does not exist, so the degrees are already too far apart
-            return False
-        samp_u = set(samp_u)
-        samp_v = set(samp_v)
-        x_count = _count_in(s_mask, samp_u & samp_v)
-        # samples are open neighborhoods; restore the closed-form common
-        # count for the endpoints themselves
-        if v in samp_u and s_mask[v]:
-            x_count += 1
-        if u in samp_v and s_mask[u]:
-            x_count += 1
-        prob = self.config.sample_probability(s_prime)
-        statistic = (deg_u + deg_v - 2 * x_count / prob) / d_big
-        return statistic <= 0.9 * gamma
+        # pairs with an estimated side: an exact side at most half a queue
+        # deep cannot match a side beyond its queue, an unreported side has
+        # no sample, the degrees must be within the ratio band, and the
+        # common neighbours sampled in R_{s'} give the estimate
+        usable = np.where(exact, d > config.close_capacity // 2, reported)
+        last = len(pools.sizes) - 1
+        # heaviness of an estimated vertex counts its sample one rung down
+        # when that companion sketch exists, else its reported sketch's
+        below = np.minimum(rung + 1, last)
+        heavy_space = rung.copy()
+        for i in np.flatnonzero(reported).tolist():
+            size = pools.sizes[rung[i]]
+            companion = (int(s_arr[i]), size, pools.sizes[below[i]])
+            if pools.get_sketch(self.instance, *companion) is not None:
+                heavy_space[i] = below[i]
+        heavy_sample = np.zeros((k, k), dtype=bool)
+        rungs = np.unique(rung[usable])
+        spaces = _sample_space(rungs[:, None], rungs, last)[
+            (rungs[:, None] >= 0) | (rungs >= 0)
+        ]
+        needed = set(spaces.tolist()) | set(heavy_space[reported].tolist())
+        zeta = config.zeta
+        for t in sorted(needed):
+            s_prime = pools.sizes[t]
+            sample, present = self._samples(s_arr, pos, w, ex, near, rung, s_prime)
+            for_heavy = reported & (heavy_space == t)
+            heavy_sample[for_heavy] = sample[for_heavy]
+            ones = sample.astype(np.float32)
+            live = usable & present
+            prob = config.sample_probability(s_prime)
+            for rows in _row_blocks(k):
+                pairs = live[rows, None] & live & ~(exact[rows, None] & exact)
+                pairs &= _sample_space(rung[rows, None], rung, last) == t
+                if not pairs.any():
+                    continue
+                big = np.maximum(d_f[rows, None], d_f)
+                # 1 - ((1 + 5 zeta) d_small) / ((1 - zeta) d_big)
+                ratio = np.minimum(d_f[rows, None], d_f)
+                ratio *= 1 + 5 * zeta
+                ratio /= big * (1 - zeta)
+                np.subtract(1, ratio, out=ratio)
+                # (d_u + d_v - 2x / p) / d_big, where x counts the common
+                # sampled neighbours inside S; samples are open
+                # neighbourhoods, so each endpoint in the other's counts
+                x = ones[rows] @ ones.T
+                x += sample[rows]
+                x += sample[:, rows].T
+                estimate = x.astype(np.float64)
+                estimate *= 2
+                estimate /= prob
+                np.subtract(d_f[rows, None] + d_f, estimate, out=estimate)
+                estimate /= big
+                for a, g in zip(agree, gammas):
+                    a[rows] |= pairs & (ratio <= 0.8 * g) & (estimate <= 0.9 * g)
+        for a in agree:
+            np.fill_diagonal(a, True)
 
-    def heaviness(self, u, s_mask, w, params: AgreementParams) -> bool:
-        nu = self.pools.neighborhood(u, w)
-        beta = float(params.beta)
-        if nu is not None:
-            inside = sum(
-                1
-                for x in nu
-                if s_mask[x] and self.agreement(u, x, s_mask, beta, w)
+        agree_b, agree_3b = agree
+        eps = params.epsilon
+        heavy = np.zeros(k, dtype=bool)
+        inside = (near & agree_b[ex]).sum(axis=1)
+        heavy[ex] = (d[ex] - inside) * eps.denominator < eps.numerator * d[ex]
+        y = (heavy_sample & agree_b).sum(axis=1)[reported]
+        prob = np.array([config.sample_probability(s) for s in pools.sizes])
+        prob = prob[heavy_space[reported]]
+        deg = d[reported]
+        heavy[reported] = 1 - (1 + y / prob) / deg <= 1.1 * float(eps)
+        return Claims(heavy, agree_3b.__getitem__, None)
+
+    def _samples(self, s_arr, pos, w, ex, near, rung, s_prime):
+        """The S-by-S matrix of which vertex of S each vertex's sample over
+        R_{s_prime} at w holds, and which vertices have that sample. An
+        exact vertex samples its queue neighbours in R_{s_prime}; a
+        reported one reads its rung's sketch at s_prime, which may not
+        exist."""
+        pools = self.pools
+        k = len(s_arr)
+        sample = np.zeros((k, k), dtype=bool)
+        sample[ex] = near & pools.membership.mask(self.instance, s_prime)[s_arr]
+        sample[ex, ex] = False
+        present = np.zeros(k, dtype=bool)
+        present[ex] = True
+        for i in np.flatnonzero(rung >= 0).tolist():
+            sk = pools.get_sketch(
+                self.instance, int(s_arr[i]), pools.sizes[rung[i]], s_prime
             )
-            eps = params.epsilon
-            du = len(nu)
-            return (du - inside) * eps.denominator < eps.numerator * du
-        reported = self.pools.report_sketch(u, w, self.instance)
-        if reported is None:
-            return False
-        sk = reported[2]
-        companion = self.pools.get_sketch(
-            self.instance, u, sk.s, self.pools.rung_below(sk.s)
-        )
-        if companion is not None:
-            sk = companion
-        members = sk.members_at_most(w)
-        y_count = sum(
-            1 for x in members if s_mask[x] and self.agreement(u, x, s_mask, beta, w)
-        )
-        prob = self.config.sample_probability(sk.s_prime)
-        deg = self._degree_of(u, w, nu)
-        if deg == 0:
-            return False
-        statistic = 1 - (1 + y_count / prob) / deg
-        return statistic <= 1.1 * float(params.epsilon)
+            if sk is not None:
+                present[i] = True
+                col = pos[sk.others[: sk.count_at_most(w)]]
+                sample[i, col[col >= 0]] = True
+        return sample, present
 
 
-def _count_in(s_mask, members) -> int:
-    """How many of a set of vertices lie in S."""
-    return int(np.count_nonzero(s_mask[list(members)]))
+# entries in one block of per-pair float statistics: building them a block
+# of rows at a time bounds their memory, numpy's broadcast buffers included
+_BLOCK = 2048
+
+
+def _row_blocks(k):
+    """Row slices of a k-column array, about `_BLOCK` entries each."""
+    step = max(1, _BLOCK // max(k, 1))
+    return [slice(a, a + step) for a in range(0, k, step)]
+
+
+def _sample_space(a, b, last):
+    """Ladder index of the sample space of pairs with rung indices a and b
+    (-1 for an exact side, which counts as the larger): for equal rungs one
+    rung down, where inclusion is likelier and the budget doubles;
+    otherwise the smaller rung."""
+    lo = np.maximum(a, b)
+    hi = np.minimum(a, b)
+    return np.where((lo == hi) | (hi < 0), np.minimum(lo + 1, last), lo)
 
 
 def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clustering:
@@ -242,18 +340,31 @@ def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clu
     Vertices are visited in ascending PointId order; each unclustered heavy
     vertex claims the unclustered part of its 3-beta agreement set, and the
     rest become singletons. In sketch mode this consumes the view's sketch
-    instance for every member of S.
+    instance for every member of S; in exact mode it raises
+    `ClusterInvariantError` when a cluster is not everywhere dense.
     """
     if not isinstance(s_vertices, np.ndarray):
         s_vertices = list(s_vertices)
     s_arr = np.unique(np.asarray(s_vertices, dtype=np.int64))
     if len(s_arr) == 0:
         raise ValueError("S must be nonempty")
-    if isinstance(view, ExactView):
-        clusters = _cluster_exact(s_arr, w, params, view)
-    else:
-        view.consume(s_arr)
-        clusters = _cluster_sketch(s_arr, w, params, view)
+    claims = view.claims(s_arr, w, params)
+    unclustered = np.ones(len(s_arr), dtype=bool)
+    # a cluster is labelled by its seed's position; a singleton keeps its own
+    label = np.arange(len(s_arr))
+    clusters = []
+    for i in np.flatnonzero(claims.heavy).tolist():
+        if not unclustered[i]:
+            continue
+        claim = claims.row(i) & unclustered
+        claim[i] = True
+        members = np.flatnonzero(claim)
+        unclustered[members] = False
+        label[members] = i
+        clusters.append(s_arr[members])
+    clusters.extend(s_arr[unclustered][:, None])
+    if claims.adjacency is not None:
+        _assert_density(claims.adjacency, label)
     result = Clustering(ground_set=s_arr, clusters=clusters)
     result.assert_partition()
     return result
@@ -271,76 +382,6 @@ def _common_counts(sub):
     """
     ones = sub.astype(np.float32)
     return (ones @ ones.T).astype(np.int64)
-
-
-def _cluster_exact(s_arr, w, params, view: ExactView):
-    """Clusters of S, heavy seeds first in ascending order, then singletons;
-    raises `ClusterInvariantError` when a cluster is not everywhere dense."""
-    rows = view.matrix[s_arr] <= w
-    d = rows.sum(axis=1)
-    sub = rows[:, s_arr]
-    del rows
-    k = len(s_arr)
-    # stat = d_u + d_v - 2|N(u) cap N(v) cap S|, built in place
-    stat = _common_counts(sub)
-    stat *= -2
-    stat += d[:, None]
-    stat += d[None, :]
-
-    beta = params.beta
-    bound = np.maximum.outer(d, d)
-    bound *= beta.numerator
-    agree_b = stat * beta.denominator < bound
-    del bound
-    np.fill_diagonal(agree_b, True)
-    agree_b &= sub
-    inside = agree_b.sum(axis=1)
-    del agree_b
-    eps = params.epsilon
-    heavy = (d - inside) * eps.denominator < eps.numerator * d
-
-    t_num, t_den = params.three_beta.numerator, params.three_beta.denominator
-    unclustered = np.ones(k, dtype=bool)
-    # a cluster is labelled by its seed's position; a singleton keeps its own
-    label = np.arange(k)
-    clusters = []
-    for i in np.flatnonzero(heavy).tolist():
-        if not unclustered[i]:
-            continue
-        claim = stat[i] * t_den < t_num * np.maximum(d[i], d)
-        claim[i] = True
-        claim &= unclustered
-        members = np.flatnonzero(claim)
-        unclustered[members] = False
-        label[members] = i
-        clusters.append(s_arr[members])
-    clusters.extend(s_arr[unclustered][:, None])
-    _assert_density(sub, label)
-    return clusters
-
-
-def _cluster_sketch(s_arr, w, params, view: SketchView):
-    s_mask = np.zeros(view.pools.n, dtype=bool)
-    s_mask[s_arr] = True
-    unclustered = {int(x) for x in s_arr}
-    gamma_3b = float(params.gamma("3beta"))
-    clusters = []
-    for v in s_arr:
-        v = int(v)
-        if v not in unclustered:
-            continue
-        if not view.heaviness(v, s_mask, w, params):
-            continue
-        members = [
-            u
-            for u in sorted(unclustered)
-            if view.agreement(v, u, s_mask, gamma_3b, w)
-        ]
-        unclustered.difference_update(members)
-        clusters.append(np.asarray(members, dtype=np.int64))
-    for v in sorted(unclustered):
-        clusters.append(np.asarray([v], dtype=np.int64))
-    return clusters
 
 
 def _assert_density(sub, label):

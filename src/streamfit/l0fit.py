@@ -3,10 +3,10 @@
 One top-down recursion over (vertex set, working threshold) pairs: cluster S
 against the predecessor threshold, recurse into every cluster that lost at
 least one percent of S, and peel low-degree rims off a dominant cluster
-while stepping the threshold down through the stored weight set. Exact mode
-answers every predicate from the dense matrix; sketch mode answers them from
-the single-pass sketch pools, spending one fresh sketch instance per
-recursion level.
+while stepping the threshold down through the stored weight set. A call's
+clustering and its peel loop's degree probes go through one view: exact
+mode answers from the dense matrix, sketch mode from the single-pass sketch
+pools, spending one fresh sketch instance per recursion level.
 """
 
 from __future__ import annotations
@@ -80,16 +80,12 @@ def fit_l0(
         def make_view(depth):
             return exact_view
 
-        def degrees(vertices, w, depth):
-            return exact_view.degrees(vertices, w)
-
     elif params.mode == "sketch":
         if config is None:
             config = SketchConfig.scaled(n)
         pools = SketchPools(config, n, meter)
         meter = pools.meter
-        u_arr, v_arr, d_arr = source.arrays(0)
-        pools.bulk_ingest(u_arr, v_arr, d_arr)
+        pools.bulk_ingest(*source.arrays(0))
         pools.finalize()
         weights = pools.build_compressed_set()
         w_max = pools.w_max_seen
@@ -101,13 +97,6 @@ def fit_l0(
                     f"{config.instance_count} sketch instances"
                 )
             return SketchView(pools, depth)
-
-        def degrees(vertices, w, depth):
-            instance = min(depth, config.instance_count - 1)
-            return np.array(
-                [pools.estimate_degree(int(u), w, instance) for u in vertices],
-                dtype=np.int64,
-            )
 
     else:
         raise ValueError(f"unsupported mode {params.mode!r}")
@@ -160,7 +149,7 @@ def fit_l0(
             w_lo = w_check
             w_probe = weights.pred(w_lo)
             while 100 * len(cur) > 99 * size_s:
-                degs = degrees(cur, w_probe, depth)
+                degs = view.degrees(cur, w_probe)
                 if not 100 * int(np.count_nonzero(100 * degs > 66 * size_s)) > 99 * size_s:
                     break
                 rim = 100 * degs < 65 * size_s

@@ -159,18 +159,11 @@ class SketchSlice:
         self.weights = weights
         self.others = others
 
-    @property
-    def governing_weight(self):
-        return int(self.weights[-1])
-
     def count_at_most(self, w: int) -> int:
         return int(self.weights.searchsorted(w, side="right"))
 
     def count_above(self, w: int) -> int:
         return len(self.weights) - self.count_at_most(w)
-
-    def members_at_most(self, w: int):
-        return self.others[: self.count_at_most(w)].tolist()
 
 
 @dataclass
@@ -263,7 +256,6 @@ class SketchPools:
         self._ladders: dict[int, list] = {}
         self._reports: dict = {}
         self._degrees: dict = {}
-        self._neighborhoods: dict = {}
         self._used_instances: dict[int, np.ndarray] = {}
 
     def bulk_ingest(self, u, v, d):
@@ -393,11 +385,6 @@ class SketchPools:
         pool = self.sketches.get((instance, s, s_prime))
         return pool.sketch(v) if pool is not None else None
 
-    def rung_below(self, s):
-        """Next ladder size strictly below s, or s itself at the floor."""
-        idx = self.sizes.index(s)
-        return self.sizes[idx + 1] if idx + 1 < len(self.sizes) else s
-
     def close_count(self, v, w) -> int:
         """How many of v's close-queue neighbours lie at weight <= w."""
         row = self.close_weights[v, : self.close_lengths[v]]
@@ -408,18 +395,6 @@ class SketchPools:
         if not self.close_overflow[v]:
             return True
         return bool(self.close_weights[v, -1] > w)
-
-    def neighborhood(self, v, w):
-        """v's closed neighbourhood at w from its close queue, or None when
-        the queue cannot vouch for all of it."""
-        key = (v, w)
-        if key not in self._neighborhoods:
-            if self.close_exact(v, w):
-                within = self.close_others[v, : self.close_count(v, w)].tolist()
-                self._neighborhoods[key] = frozenset(within) | {v}
-            else:
-                self._neighborhoods[key] = None
-        return self._neighborhoods[key]
 
     def _ladder(self, v, instance):
         """Sorted (governing_weight, size) pairs of v's nonempty s = s'

@@ -78,7 +78,7 @@ class TestParams:
     def test_beta_formula(self):
         p = AgreementParams(epsilon=Fraction(1, 100))
         assert p.beta == Fraction(5, 100) * Fraction(101, 100)
-        assert p.gamma("3beta") == 3 * p.beta
+        assert p.three_beta == 3 * p.beta
 
     def test_epsilon_range_enforced(self):
         with pytest.raises(ValueError):
@@ -337,15 +337,139 @@ def make_sketch_view(D, seed=0, instance=0, **overrides):
     return SketchView(pools, instance)
 
 
+@given(subset_clustering_inputs())
+@settings(max_examples=100, deadline=None)
+def test_sketch_clustering_matches_set_reference_when_queues_hold_all(case):
+    # queues as deep as n hold every neighbourhood, so no pair is estimated
+    D, s_list, w, eps = case
+    D = np.array(D, dtype=np.int64)
+    view = make_sketch_view(D, close_capacity=max(len(D), 8))
+    params = AgreementParams(epsilon=eps, mode="sketch")
+    got = s_structural_clustering(s_list, w, params, view)
+    assert got.to_lists() == reference_subset_clustering(D.tolist(), s_list, w, eps)
+
+
+class PairwiseSketchReference:
+    """Sketch agreement and heaviness decided one pair at a time from the
+    pools' queries, in Python floats: the definition the array kernel of
+    `SketchView.claims` is checked against."""
+
+    def __init__(self, view, s_list, w, params):
+        self.pools, self.instance, self.w = view.pools, view.instance, w
+        self.s_set = set(s_list)
+        self.params = params
+
+    def nbhd(self, v):
+        """v's closed neighbourhood from its close queue, or None when the
+        queue does not hold all of it."""
+        pools, w = self.pools, self.w
+        if not pools.close_exact(v, w):
+            return None
+        return {v, *pools.close_others[v, : pools.close_count(v, w)].tolist()}
+
+    def below(self, s):
+        sizes = self.pools.sizes
+        return sizes[min(sizes.index(s) + 1, len(sizes) - 1)]
+
+    def members(self, sk):
+        return set(sk.others[: sk.count_at_most(self.w)].tolist())
+
+    def agrees(self, u, v, gamma):
+        if u == v:
+            return True
+        pools, w, inst = self.pools, self.w, self.instance
+        nu, nv = self.nbhd(u), self.nbhd(v)
+        if nu is not None and nv is not None:
+            stat = len(nu) + len(nv) - 2 * len(nu & nv & self.s_set)
+            return stat < gamma * max(len(nu), len(nv))
+        half = pools.config.close_capacity // 2
+        if any(a is not None and b is None and len(a) <= half
+               for a, b in ((nu, nv), (nv, nu))):
+            return False
+        zeta = pools.config.zeta
+        deg_u = pools.estimate_degree(u, w, inst)
+        deg_v = pools.estimate_degree(v, w, inst)
+        d_small, d_big = min(deg_u, deg_v), max(deg_u, deg_v)
+        if 1 - ((1 + 5 * zeta) * d_small) / ((1 - zeta) * d_big) > 0.8 * gamma:
+            return False
+        rung = {}
+        for x, nb in ((u, nu), (v, nv)):
+            if nb is None:
+                reported = pools.report_sketch(x, w, inst)
+                if reported is None:
+                    return False
+                rung[x] = reported[1]
+        lo, hi = min(rung.values()), max(rung.values())
+        s_prime = self.below(lo) if lo == hi else lo
+
+        def sample(x, nb):
+            if nb is not None:
+                mask = pools.membership.mask(inst, s_prime)
+                return {y for y in nb if y != x and mask[y]}
+            sk = pools.get_sketch(inst, x, rung[x], s_prime)
+            return None if sk is None else self.members(sk)
+
+        su, sv = sample(u, nu), sample(v, nv)
+        if su is None or sv is None:
+            return False
+        x_count = len(su & sv & self.s_set) + (v in su) + (u in sv)
+        prob = pools.config.sample_probability(s_prime)
+        return (deg_u + deg_v - 2 * x_count / prob) / d_big <= 0.9 * gamma
+
+    def heavy(self, u):
+        pools, w, inst, params = self.pools, self.w, self.instance, self.params
+        beta = float(params.beta)
+        nu = self.nbhd(u)
+        if nu is not None:
+            inside = sum(1 for x in nu if x in self.s_set and self.agrees(u, x, beta))
+            eps = params.epsilon
+            return (len(nu) - inside) * eps.denominator < eps.numerator * len(nu)
+        reported = pools.report_sketch(u, w, inst)
+        if reported is None:
+            return False
+        sk = reported[2]
+        sk = pools.get_sketch(inst, u, sk.s, self.below(sk.s)) or sk
+        y = sum(
+            1 for x in self.members(sk) if x in self.s_set and self.agrees(u, x, beta)
+        )
+        prob = pools.config.sample_probability(sk.s_prime)
+        deg = pools.estimate_degree(u, w, inst)
+        return 1 - (1 + y / prob) / deg <= 1.1 * float(params.epsilon)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("sample_factor", [4, 12], ids=["sf4", "sf12"])
+def test_sketch_claims_match_pairwise_reference_when_sampling(seed, sample_factor):
+    # small sample factors put sample probabilities below 1, so pairs are
+    # decided by sampled common neighbours and vertices by sampled heaviness
+    n = 48
+    spec = GeneratorSpec(kind="planted_ultrametric", n=n, seed=seed, noise_k=n // 2,
+                         value_alphabet=[fp.from_int(k) for k in range(1, 6)])
+    D = generate(spec)[0].dense()
+    params = AgreementParams(epsilon=Fraction(1, 95), mode="sketch")
+    rng = np.random.default_rng(seed)
+    for instance, w in enumerate(sorted(set(D[D > 0].tolist()))[1:]):
+        view = make_sketch_view(D, seed=seed, instance=instance,
+                                sample_factor=sample_factor)
+        s_list = sorted(rng.choice(n, size=n - 4 * instance, replace=False).tolist())
+        claims = view.claims(np.array(s_list), w, params)
+        ref = PairwiseSketchReference(view, s_list, w, params)
+        three_beta = float(params.three_beta)
+        assert claims.heavy.tolist() == [ref.heavy(u) for u in s_list]
+        for i, u in enumerate(s_list):
+            got = claims.row(i).tolist()
+            assert got == [ref.agrees(u, v, three_beta) for v in s_list]
+
+
 class TestSketchQueries:
     def test_matches_exact_on_two_cliques(self):
         D = two_clique_matrix(10, 10)
         view = make_sketch_view(D, seed=1)
         params = AgreementParams(mode="sketch")
-        S = np.ones(20, dtype=bool)
-        assert view.agreement(0, 1, S, params.beta, 1 * U)
-        assert not view.agreement(0, 10, S, params.beta, 1 * U)
-        assert view.heaviness(0, S, 1 * U, params)
+        claims = view.claims(np.arange(20), 1 * U, params)
+        assert claims.row(0)[1]
+        assert not claims.row(0)[10]
+        assert claims.heavy[0]
 
     def test_clustering_recovers_cliques(self):
         D = two_clique_matrix(12, 12)
@@ -368,15 +492,15 @@ class TestSketchQueries:
             w = int(np.median(D[D > 0]))
             nbhd = neighbourhoods(D, w)
             sketch = make_sketch_view(D, seed=trial)
-            beta = AgreementParams().beta
+            params = AgreementParams(mode="sketch")
+            claims = sketch.claims(np.arange(n), w, params)
             S = set(range(n))
-            s_mask = np.ones(n, dtype=bool)
             for _ in range(40):
                 u, v = rng.integers(0, n, size=2)
                 if u == v:
                     continue
-                a = agrees(nbhd, S, int(u), int(v), beta)
-                b = sketch.agreement(int(u), int(v), s_mask, beta, w)
+                a = agrees(nbhd, S, int(u), int(v), params.three_beta)
+                b = claims.row(int(u))[int(v)]
                 agree_total += 1
                 agree_match += a == b
         assert agree_match / agree_total >= 0.9

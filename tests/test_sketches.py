@@ -96,13 +96,6 @@ class VertexSketch:
     def count_above(self, w: int) -> int:
         return sum(len(v) for k, v in self.collections.items() if k > w)
 
-    def members_at_most(self, w: int):
-        out = []
-        for k, v in self.collections.items():
-            if k <= w:
-                out.extend(v)
-        return out
-
     def weights(self):
         return list(self.collections.keys())
 
@@ -172,11 +165,11 @@ class ReferencePools:
         prob = self.config.sample_probability(sk.s_prime)
         return int(round(sk.count_at_most(w) / prob)) + 1
 
-    def neighborhood(self, v, w):
-        queue = self.close[v]
-        if not queue.exact_within(w):
-            return None
-        return frozenset(queue.neighbors_within(w)) | {v}
+    def close_count(self, v, w):
+        return self.close[v].count_within(w)
+
+    def close_exact(self, v, w):
+        return self.close[v].exact_within(w)
 
     def compressed_weights(self):
         weights = {-dist for queue in self.close for dist, _ in queue._heap}
@@ -298,7 +291,6 @@ class TestVertexSketch:
         assert sk.count_at_most(2) == 2
         assert sk.count_at_most(6) == 3
         assert sk.count_above(6) == 1
-        assert sorted(sk.members_at_most(6)) == [1, 2, 3]
         assert sk.governing_weight == 9
 
 
@@ -486,12 +478,6 @@ class TestPoolsQueries:
                 outcomes.add(sampled)
         assert outcomes == {True, False}
 
-    def test_rung_below(self):
-        cfg = SketchConfig(min_size=4)
-        pools = SketchPools(cfg, 32)
-        assert pools.rung_below(32) == 16
-        assert pools.rung_below(4) == 4
-
     def test_consume_instance_once_only(self):
         pools, _ = self.make(n=16, seed=2)
         pools.consume_instance(0, [1, 2, 3])
@@ -503,12 +489,13 @@ class TestPoolsQueries:
 
 def _answers(pools, triples):
     """Every (instance, v, w) query's report, degree estimate and close
-    neighbourhood, asked in the given order."""
+    queue count and exactness, asked in the given order."""
     return {
         (instance, v, w): (
             _reported(pools.report_sketch(v, w, instance)),
             pools.estimate_degree(v, w, instance),
-            pools.neighborhood(v, w),
+            pools.close_count(v, w),
+            pools.close_exact(v, w),
         )
         for instance, v, w in triples
     }
