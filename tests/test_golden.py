@@ -3,7 +3,9 @@
 The digests in `golden_digests.json` were recorded from the program as it
 stood before the tree builder moved to flat arrays; the `treel0sketch`
 digests were recorded before the sketch clustering moved onto the array
-kernel the exact mode uses. A change that alters
+kernel the exact mode uses; the `bench` CSVs and the n = 24 tree-metric
+files were recorded before `fit` and `bench` shared one dispatcher and the
+stream counted its own passes. A change that alters
 output bytes on purpose re-records them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,6 +27,7 @@ DIGESTS = pathlib.Path(__file__).with_name("golden_digests.json")
 INSTANCES = (
     ("uniform_random", 1, 0, 3),
     ("planted_tree_metric", 2, 0, 3),
+    ("planted_tree_metric", 24, 12, 3),
     ("planted_ultrametric", 40, 60, 3),
 )
 
@@ -39,6 +42,17 @@ FIT_PATHS = (
     ("treel0sketch", "tree", "l0", 2, "sketch"),
 )
 
+# (name, extra bench flags); linf without --passes takes its default of 2
+BENCH_PATHS = (
+    ("linf1", ("--objective", "linf", "--passes", 1)),
+    ("linf2", ("--objective", "linf")),
+    ("l0exact", ("--objective", "l0", "--mode", "exact")),
+    ("l0sketch", ("--objective", "l0", "--mode", "sketch")),
+)
+
+# bench sizes: the oracle columns fill at n <= 7 and stay empty above
+BENCH_SIZES = (6, 40)
+
 
 def _run(*argv):
     code = main([str(a) for a in argv])
@@ -46,7 +60,8 @@ def _run(*argv):
 
 
 def collect(workdir: pathlib.Path) -> dict:
-    """Run gen, every fit path and cost on each instance; sha256 per file."""
+    """Run gen, every fit path and cost on each instance, and every bench
+    path on planted ultrametrics; sha256 per file."""
     files = []
     for kind, n, noise, seed in INSTANCES:
         tag = f"{kind}-{n}"
@@ -67,6 +82,12 @@ def collect(workdir: pathlib.Path) -> dict:
                  "--report", report)
             _run("cost", "--input", stream, "--tree", tree, "--report", cost)
             files += [tree, newick, report, cost]
+    for n in BENCH_SIZES:
+        for name, flags in BENCH_PATHS:
+            csv = workdir / f"bench-{n}.{name}.csv"
+            _run("bench", "--kind", "planted_ultrametric", "--n", n, "--runs", 2,
+                 "--noise-k", 2, *flags, "--out", csv)
+            files.append(csv)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
 
 
