@@ -26,7 +26,6 @@ from .sketches import SketchConfig
 from .streams import (
     ConfigError,
     GeneratorSpec,
-    MemoryMeter,
     ParseError,
     StreamIntegrityError,
     StreamSource,
@@ -127,30 +126,19 @@ def _validate_fit(args):
         raise UsageError("--pivot applies to linf tree fitting only")
 
 
-def cmd_fit(args):
-    _validate_fit(args)
-    source = StreamSource.from_file(args.input, order_seed=args.seed)
+def _run_fit(args, source, seed):
+    """Run the fit that validated `args` select on `source`; returns the
+    fitted tree and the fields it adds to a fit report."""
     pivot = 0 if args.pivot is None else args.pivot
     if args.structure == "tree" and args.objective == "linf":
         if not 0 <= pivot < source.n:
             raise UsageError(f"--pivot {pivot} is outside 0..{source.n - 1}")
-    meter = MemoryMeter()
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "command": "fit",
-        "structure": args.structure,
-        "objective": args.objective,
-        "passes": args.passes,
-        "seed": args.seed,
-        "mode": args.mode,
-        "n": source.n,
-    }
     params = AgreementParams(mode=args.mode)
     config = None
     if args.mode == "sketch":
         overrides = {"instance_count": args.instances} if args.instances else {}
-        config = SketchConfig.scaled(source.n, seed=args.seed, **overrides)
-    fitted = None
+        config = SketchConfig.scaled(source.n, seed=seed, **overrides)
+    fields = {}
     if args.structure == "ultrametric":
         if args.objective == "linf":
             if args.passes == 1:
@@ -158,24 +146,30 @@ def cmd_fit(args):
             else:
                 result = fit_linf_exact(source)
                 fitted = result.tree
-                doc["optimal_cost"] = fixedpoint.to_decimal(result.optimal_cost)
-                doc["certificate_pair"] = list(result.certificate_pair or ())
+                fields["optimal_cost"] = fixedpoint.to_decimal(result.optimal_cost)
+                fields["certificate_pair"] = list(result.certificate_pair or ())
         else:
-            result = fit_l0(source, params=params, config=config, meter=meter)
+            result = fit_l0(source, params=params, config=config)
             fitted = result.tree
-            doc["recursion_calls"] = result.report.recursion_calls
-            doc["max_participation"] = result.report.max_participation
-            doc["instances_consumed"] = result.report.instances_consumed
-            doc["peak_words"] = result.report.peak_words
+            fields["recursion_calls"] = result.report.recursion_calls
+            fields["max_participation"] = result.report.max_participation
+            fields["instances_consumed"] = result.report.instances_consumed
+            fields["peak_words"] = result.report.peak_words
+    elif args.objective == "linf":
+        fitted = fit_linf_tree(source, pivot=pivot)
+        fields["pivot"] = pivot
     else:
-        if args.objective == "linf":
-            fitted = fit_linf_tree(source, pivot=pivot)
-            doc["pivot"] = pivot
-        else:
-            result = fit_l0_tree(source, params=params, config=config, seed=args.seed)
-            fitted = result.rep
-            doc["pivots"] = list(result.pivots)
-            doc["chosen_pivot"] = result.chosen_pivot
+        result = fit_l0_tree(source, params=params, config=config, seed=seed)
+        fitted = result.rep
+        fields["pivots"] = list(result.pivots)
+        fields["chosen_pivot"] = result.chosen_pivot
+    return fitted, fields
+
+
+def cmd_fit(args):
+    _validate_fit(args)
+    source = StreamSource.from_file(args.input, order_seed=args.seed)
+    fitted, fields = _run_fit(args, source, args.seed)
     if args.out_tree:
         with open(args.out_tree, "w", encoding="ascii", newline="\n") as fh:
             fh.write(fitted.to_json() + "\n")
@@ -183,8 +177,18 @@ def cmd_fit(args):
         base = fitted.base if isinstance(fitted, TreeMetricRep) else fitted
         with open(args.out_newick, "w", encoding="ascii", newline="\n") as fh:
             fh.write(base.to_newick() + "\n")
-    report = cost(fitted, source)
-    doc["cost"] = _cost_doc(report)
+    doc = {
+        "schema": REPORT_SCHEMA,
+        "command": "fit",
+        "structure": args.structure,
+        "objective": args.objective,
+        "passes": source.passes_read,
+        "seed": args.seed,
+        "mode": args.mode,
+        "n": source.n,
+        **fields,
+        "cost": _cost_doc(cost(fitted, source)),
+    }
     _emit(doc, args.report)
     return 0
 
@@ -257,36 +261,17 @@ BENCH_COLUMNS = [
 
 
 def cmd_bench(args):
-    linf_passes = 2 if args.passes is None else args.passes
-    if args.objective == "linf":
-        if linf_passes not in (1, 2):
-            raise UsageError("linf ultrametric fitting needs 1 or 2 passes")
-        if args.mode != "exact":
-            raise UsageError("--mode applies to l0 fitting only")
-    elif args.passes not in (None, 1):
-        raise UsageError("l0 ultrametric fitting is single-pass")
+    if args.passes is None:
+        args.passes = 2 if args.objective == "linf" else 1
+    _validate_fit(args)
     rows = []
-    seeds = range(args.seed, args.seed + args.runs)
-    for seed in seeds:
+    for seed in range(args.seed, args.seed + args.runs):
         spec = GeneratorSpec(
             kind=args.kind, n=args.n, seed=seed, noise_k=args.noise_k
         )
         source, _ = generate(spec)
-        meter = MemoryMeter()
-        passes = 1
-        if args.objective == "linf":
-            fitted = fit_linf_exact(source).tree if linf_passes == 2 else (
-                fit_linf_min_decrement(source)
-            )
-            passes = linf_passes
-        else:
-            params = AgreementParams(mode=args.mode)
-            config = (
-                SketchConfig.scaled(source.n, seed=seed)
-                if args.mode == "sketch"
-                else None
-            )
-            fitted = fit_l0(source, params=params, config=config, meter=meter).tree
+        fitted, fields = _run_fit(args, source, seed)
+        passes = source.passes_read  # before the oracle reads the matrix
         report = cost(fitted, source)
         oracle_l0 = ""
         ratio = ""
@@ -305,7 +290,7 @@ def cmd_bench(args):
                 "kind": args.kind,
                 "n": source.n,
                 "seed": seed,
-                "structure": "ultrametric",
+                "structure": args.structure,
                 "objective": args.objective,
                 "mode": args.mode if args.objective == "l0" else "",
                 "passes": passes,
@@ -314,7 +299,7 @@ def cmd_bench(args):
                 "cost_linf": fixedpoint.to_decimal(report.linf),
                 "oracle_l0": oracle_l0,
                 "ratio_l0": ratio,
-                "peak_words": meter.peak,
+                "peak_words": fields.get("peak_words", 0),
             }
         )
     out = open(args.out, "w", encoding="ascii", newline="") if args.out else sys.stdout
@@ -392,7 +377,8 @@ def build_parser():
         "--passes", type=int, default=None, help="linf: 1 or 2 (default 2); l0: 1"
     )
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
+    # bench fits ultrametrics with the fit defaults for the flags it lacks
+    p.set_defaults(func=cmd_bench, structure="ultrametric", pivot=None, instances=0)
 
     return parser
 

@@ -27,6 +27,10 @@ from .streams import MemoryMeter, StreamSource
 from .trees import UltrametricTree
 
 
+# the participation bound is this factor times ceil(log2 n)
+PARTICIPATION_FACTOR = 8
+
+
 class SketchBudgetError(RuntimeError):
     """The recursion needed more fresh sketch instances than were built."""
 
@@ -52,7 +56,6 @@ def fit_l0(
     source: StreamSource,
     params: AgreementParams = None,
     config: SketchConfig = None,
-    depth_cap: int = 8,
     meter: MemoryMeter = None,
 ) -> L0FitResult:
     """Fit an ultrametric tree minimizing disagreement count (approximately).
@@ -161,7 +164,7 @@ def fit_l0(
             stack.append((cur, w_lo, depth + 1, node))
     tree = UltrametricTree(n, parent, level)
 
-    bound = depth_cap * max(1, math.ceil(math.log2(max(n, 2))))
+    bound = PARTICIPATION_FACTOR * max(1, math.ceil(math.log2(max(n, 2))))
     report = L0FitReport(
         mode=params.mode,
         recursion_calls=calls,

@@ -99,13 +99,6 @@ class MstState:
         )
 
 
-def _build_forest(source: StreamSource, pass_index=0) -> MstState:
-    u_arr, v_arr, d_arr = source.arrays(pass_index)
-    state = MstState(source.n)
-    state.ingest_batch(u_arr, v_arr, d_arr)
-    return state
-
-
 @dataclass(frozen=True)
 class LinfExactResult:
     tree: UltrametricTree
@@ -116,7 +109,8 @@ class LinfExactResult:
 
 def fit_linf_min_decrement(source: StreamSource) -> UltrametricTree:
     """One-pass pointwise-maximal ultrametric below D (2-approximate)."""
-    state = _build_forest(source)
+    state = MstState(source.n)
+    state.ingest_batch(*source.arrays(0))
     return single_linkage_tree(source.n, state.edges())
 
 

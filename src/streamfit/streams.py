@@ -36,6 +36,10 @@ class StreamSource:
     built source is complete and every consumer trusts it. An order seed
     permutes the sequence; each pass uses a fresh permutation derived from
     (seed, pass index). Without a seed every pass replays the stored order.
+
+    Passes are numbered from 0, and `passes_read` counts those handed out:
+    `arrays(k)` raises it to at least k + 1 and `dense` reads pass 0, so a
+    replayed pass counts once, and `cost`, reading the stored arrays, none.
     """
 
     def __init__(self, n, u, v, d, order_seed=None):
@@ -44,6 +48,7 @@ class StreamSource:
         self.v = np.asarray(v, dtype=np.int64)
         self.d = np.asarray(d, dtype=np.int64)
         self.order_seed = order_seed
+        self.passes_read = 0
         if not (len(self.u) == len(self.v) == len(self.d)):
             raise StreamIntegrityError("ragged stream arrays")
         if self.n < 1:
@@ -94,11 +99,14 @@ class StreamSource:
 
     def arrays(self, pass_index: int = 0):
         """Permuted (u, v, d) arrays for one pass."""
+        self.passes_read = max(self.passes_read, pass_index + 1)
         order = self._order(pass_index)
         return self.u[order], self.v[order], self.d[order]
 
     def dense(self) -> np.ndarray:
-        """Full symmetric matrix; the source is complete by construction."""
+        """Full symmetric matrix, read as pass 0; the source is complete
+        by construction."""
+        self.passes_read = max(self.passes_read, 1)
         out = np.zeros((self.n, self.n), dtype=np.int64)
         out[self.u, self.v] = self.d
         out += out.T
@@ -406,6 +414,9 @@ def _prufer_tree(rng, n):
 
 
 def _tree_metric_matrix(rng, n, alphabet):
+    """Path lengths of a random weighted tree, breadth-first from vertex 0:
+    a vertex y reached from x over weight w lies w further than x from
+    every vertex placed before it, none of which is in y's subtree."""
     edges = _prufer_tree(rng, n)
     adj = [[] for _ in range(n)]
     for a, b in edges:
@@ -413,18 +424,20 @@ def _tree_metric_matrix(rng, n, alphabet):
         adj[a].append((b, w))
         adj[b].append((a, w))
     dist = np.zeros((n, n), dtype=np.int64)
-    for s in range(n):
-        row = dist[s]
-        seen = np.zeros(n, dtype=bool)
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y, w in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    row[y] = row[x] + w
-                    stack.append(y)
+    order = np.zeros(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    placed = 1
+    for i in range(n):
+        x = int(order[i])
+        for y, w in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                before = order[:placed]
+                dist[y, before] = dist[x, before] + w
+                dist[before, y] = dist[y, before]
+                order[placed] = y
+                placed += 1
     return dist
 
 

@@ -48,6 +48,21 @@ def centroid_transformed_source(
     return StreamSource(source.n, u, v, shifted)
 
 
+def _fit_pivots(source: StreamSource, pivots, fit_base) -> list:
+    """One tree metric per pivot: pass 0 gathers every pivot row, then each
+    pivot replays pass 1 through its centroid transform into `fit_base`, so
+    one shifted stream at a time is alive."""
+    rows = collect_pivot_rows(source, pivots, pass_index=0)
+    return [
+        TreeMetricRep(
+            fit_base(centroid_transformed_source(source, row, pass_index=1)),
+            pivot,
+            row,
+        )
+        for pivot, row in zip(pivots, rows)
+    ]
+
+
 def fit_linf_tree(source: StreamSource, pivot: int = 0) -> TreeMetricRep:
     """Two-pass max-norm tree metric fit with a single pivot.
 
@@ -56,13 +71,7 @@ def fit_linf_tree(source: StreamSource, pivot: int = 0) -> TreeMetricRep:
     """
     if not (0 <= pivot < source.n):
         raise ValueError(f"pivot {pivot} out of range")
-    row = collect_pivot_rows(source, [pivot], pass_index=0)[0]
-    if source.n == 1:
-        return TreeMetricRep(fit_linf_min_decrement(source), pivot, row)
-    base = fit_linf_min_decrement(
-        centroid_transformed_source(source, row, pass_index=1)
-    )
-    return TreeMetricRep(base, pivot, row)
+    return _fit_pivots(source, [pivot], fit_linf_min_decrement)[0]
 
 
 def _max_clique(adj_bits, t):
@@ -157,16 +166,7 @@ def fit_l0_tree(
     t = min(n, max(1, math.ceil(math.log(max(n, 2)))))
     rng = np.random.Generator(np.random.Philox(key=(seed, 202)))
     pivots = sorted(int(p) for p in rng.choice(n, size=t, replace=False))
-    rows = collect_pivot_rows(source, pivots, pass_index=0)
-
-    reps = []
-    for i, pivot in enumerate(pivots):
-        if n == 1:
-            base = fit_l0(source, params=params, config=config).tree
-        else:
-            shifted = centroid_transformed_source(source, rows[i], pass_index=1)
-            base = fit_l0(shifted, params=params, config=config).tree
-        reps.append(TreeMetricRep(base, pivot, rows[i]))
+    reps = _fit_pivots(source, pivots, lambda s: fit_l0(s, params, config).tree)
 
     pairwise = np.zeros((t, t), dtype=np.int64)
     iu, iv = np.triu_indices(n, k=1)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -459,6 +460,33 @@ def test_sketch_claims_match_pairwise_reference_when_sampling(seed, sample_facto
         for i, u in enumerate(s_list):
             got = claims.row(i).tolist()
             assert got == [ref.agrees(u, v, three_beta) for v in s_list]
+
+
+def test_exact_side_half_a_queue_deep_never_matches_an_estimated_side():
+    # twelve mutual neighbours overflow their queues of 8 at w, so they are
+    # estimated; vertex 12 is exact with closed degree 4, half a queue, and
+    # vertex 13 exact with degree 5. A gamma so wide that every degree ratio
+    # and sampled estimate passes leaves the queue depth as the only rule
+    # that can separate 12 from 13.
+    cap, big = 8, 12
+    D = np.full((big + 2, big + 2), 3 * U, dtype=np.int64)
+    D[:big, :big] = 1 * U
+    D[big, :3] = D[:3, big] = 1 * U
+    D[big + 1, :4] = D[:4, big + 1] = 1 * U
+    np.fill_diagonal(D, 0)
+    view = make_sketch_view(D, close_capacity=cap)
+    wide = SimpleNamespace(
+        epsilon=Fraction(1, 95), beta=Fraction(1), three_beta=Fraction(4)
+    )
+    s_list = list(range(big + 2))
+    claims = view.claims(np.array(s_list), 1 * U, wide)
+    degrees = view.degrees(np.array([big, big + 1]), 1 * U)
+    assert degrees.tolist() == [cap // 2, cap // 2 + 1]
+    assert not claims.row(big)[:big].any()
+    assert claims.row(big + 1)[:big].all()
+    ref = PairwiseSketchReference(view, s_list, 1 * U, wide)
+    for u in s_list:
+        assert claims.row(u).tolist() == [ref.agrees(u, v, 4.0) for v in s_list]
 
 
 class TestSketchQueries:

@@ -9,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 import streamfit as sf
 from streamfit import fixedpoint as fp
 from streamfit import streams
+from streamfit.agreement import AgreementParams
+from streamfit.l0fit import fit_l0
+from streamfit.linf import fit_linf_exact, fit_linf_min_decrement
+from streamfit.sketches import SketchConfig
 from streamfit.streams import (
     ConfigError,
     GeneratorSpec,
@@ -19,6 +23,7 @@ from streamfit.streams import (
     generate,
     pair_index,
 )
+from streamfit.treefit import fit_l0_tree, fit_linf_tree
 from streamfit.trees import TreeMetricRep, four_point_check, is_ultrametric
 
 U = fp.SCALE
@@ -90,6 +95,53 @@ class TestStreamSource:
         path.write_text("zap\n")
         with pytest.raises(ParseError, match=":1"):
             StreamSource.from_file(path)
+
+
+# the fit paths of the CLI: (name, pass budget, fitter of a generated source)
+FIT_PATHS = (
+    ("linf1", 1, fit_linf_min_decrement),
+    ("linf2", 2, fit_linf_exact),
+    ("l0exact", 1, fit_l0),
+    ("l0sketch", 1, lambda src: fit_l0(
+        src, AgreementParams(mode="sketch"), SketchConfig.scaled(src.n, seed=1))),
+    ("treelinf", 2, fit_linf_tree),
+    ("treel0", 2, lambda src: fit_l0_tree(src, seed=1)),
+    ("treel0sketch", 2, lambda src: fit_l0_tree(
+        src, AgreementParams(mode="sketch"), SketchConfig.scaled(src.n, seed=1),
+        seed=1)),
+)
+
+
+@pytest.mark.parametrize(
+    "kind, n, noise",
+    [("uniform_random", 1, 0), ("planted_tree_metric", 2, 0),
+     ("planted_ultrametric", 40, 60)],
+    ids=["n1", "n2", "n40"],
+)
+@pytest.mark.parametrize("fit", FIT_PATHS, ids=[f[0] for f in FIT_PATHS])
+def test_each_fit_reads_exactly_its_pass_budget(kind, n, noise, fit):
+    _, budget, fitter = fit
+    src, _ = generate(GeneratorSpec(kind=kind, n=n, seed=3, noise_k=noise))
+    assert src.passes_read == 0
+    fitter(src)
+    assert src.passes_read == budget
+
+
+def test_a_pass_replayed_per_pivot_counts_once():
+    src, _ = generate(GeneratorSpec(kind="planted_tree_metric", n=40, seed=3))
+    reads = []
+    arrays = StreamSource.arrays
+
+    def spy(self, pass_index=0):
+        if self is src:
+            reads.append(pass_index)
+        return arrays(self, pass_index)
+
+    with mock.patch.object(StreamSource, "arrays", spy):
+        result = fit_l0_tree(src, seed=1)
+    assert len(result.pivots) == 4
+    assert reads == [0, 1, 1, 1, 1]
+    assert src.passes_read == 2
 
 
 class TestMemoryMeter:
