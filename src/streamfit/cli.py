@@ -271,7 +271,6 @@ def cmd_bench(args):
         )
         source, _ = generate(spec)
         fitted, fields = _run_fit(args, source, seed)
-        passes = source.passes_read  # before the oracle reads the matrix
         report = cost(fitted, source)
         oracle_l0 = ""
         ratio = ""
@@ -293,7 +292,7 @@ def cmd_bench(args):
                 "structure": args.structure,
                 "objective": args.objective,
                 "mode": args.mode if args.objective == "l0" else "",
-                "passes": passes,
+                "passes": source.passes_read,
                 "cost_l0": report.l0,
                 "cost_l1": fixedpoint.to_decimal(report.l1),
                 "cost_linf": fixedpoint.to_decimal(report.linf),

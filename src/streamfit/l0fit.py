@@ -56,7 +56,6 @@ def fit_l0(
     source: StreamSource,
     params: AgreementParams = None,
     config: SketchConfig = None,
-    meter: MemoryMeter = None,
 ) -> L0FitResult:
     """Fit an ultrametric tree minimizing disagreement count (approximately).
 
@@ -77,7 +76,7 @@ def fit_l0(
         weights = CompressedSet(values)
         w_max = int(values[-1]) if len(values) else 0
         exact_view = ExactView(matrix)
-        meter = meter if meter is not None else MemoryMeter()
+        meter = MemoryMeter()
         meter.set_words("dense_matrix", n * n)
 
         def make_view(depth):
@@ -86,7 +85,7 @@ def fit_l0(
     elif params.mode == "sketch":
         if config is None:
             config = SketchConfig.scaled(n)
-        pools = SketchPools(config, n, meter)
+        pools = SketchPools(config, n)
         meter = pools.meter
         pools.bulk_ingest(*source.arrays(0))
         pools.finalize()

@@ -229,10 +229,10 @@ class SketchPools:
     order, and `close_overflow[v]` says v had more neighbours than fit.
     """
 
-    def __init__(self, config: SketchConfig, n: int, meter: MemoryMeter = None):
+    def __init__(self, config: SketchConfig, n: int):
         self.config = config
         self.n = n
-        self.meter = meter if meter is not None else MemoryMeter()
+        self.meter = MemoryMeter()
         self.membership = SampleMembership(config, n)
         self.sizes = config.ladder(n)
         self.pairs = [
