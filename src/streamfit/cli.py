@@ -51,6 +51,10 @@ class UsageError(ValueError):
     pass
 
 
+class PassBudgetError(RuntimeError):
+    """A fitter read more passes over its stream than its budget."""
+
+
 def _emit(doc, path):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if path:
@@ -163,6 +167,12 @@ def _run_fit(args, source, seed):
         fitted = result.rep
         fields["pivots"] = list(result.pivots)
         fields["chosen_pivot"] = result.chosen_pivot
+    # `_validate_fit` pinned --passes to the budget: linf 1 or 2, l0 1, tree 2
+    if source.passes_read > args.passes:
+        raise PassBudgetError(
+            f"the fit read {source.passes_read} passes, over its budget of "
+            f"{args.passes}"
+        )
     return fitted, fields
 
 
@@ -393,7 +403,7 @@ def main(argv=None) -> int:
     except (ParseError, StreamIntegrityError, ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTEGRITY_EXIT
-    except SketchBudgetError as exc:
+    except (SketchBudgetError, PassBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET_EXIT
 

@@ -129,15 +129,19 @@ class StreamSource:
             raise StreamIntegrityError("duplicate pair in stream")
 
     def write_file(self, path):
-        # render each distinct distance once, not once per line
+        # each line is three table entries joined: render each vertex id
+        # and each distinct distance once, not once per line
         values, which = np.unique(self.d, return_inverse=True)
-        texts = [fixedpoint.to_decimal(x) for x in values.tolist()]
+        ids = [f"{i} " for i in range(self.n)]
+        texts = [fixedpoint.to_decimal(x) + "\n" for x in values.tolist()]
+        columns = (
+            map(ids.__getitem__, self.u.tolist()),
+            map(ids.__getitem__, self.v.tolist()),
+            map(texts.__getitem__, which.tolist()),
+        )
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(f"{self.n}\n")
-            fh.writelines(
-                f"{u} {v} {texts[k]}\n"
-                for u, v, k in zip(self.u.tolist(), self.v.tolist(), which.tolist())
-            )
+            fh.writelines(map("".join, zip(*columns)))
 
 
 _INT64 = np.iinfo(np.int64)

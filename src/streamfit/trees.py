@@ -365,11 +365,35 @@ def _parse(text: str, build):
 
 
 def from_ultrametric_matrix(matrix: np.ndarray) -> UltrametricTree:
-    """Tree inducing exactly an ultrametric matrix."""
+    """Tree inducing exactly an ultrametric matrix.
+
+    Single linkage needs only a minimum spanning tree of the complete graph
+    (Gower & Ross 1969): its components at every threshold are those of all
+    the pairs. Prim's algorithm grows one from vertex 0 in n row steps, so
+    no list of the n(n-1)/2 pairs is built.
+    """
     matrix = _checked_square(matrix)
     n = matrix.shape[0]
-    iu, iv = np.triu_indices(n, k=1)
-    edges = zip(matrix[iu, iv].tolist(), iu.tolist(), iv.tolist())
+    if n < 2:
+        return single_linkage_tree(n, ())
+    # outside[x]: x is not yet in the tree; for such x, best[x] is its
+    # lightest edge into the tree and near[x] that edge's tree end. A mask,
+    # not a sentinel weight, marks the tree: any int64 may be a distance.
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    best = matrix[0].copy()
+    near = np.zeros(n, dtype=np.int64)
+    added = np.zeros(n - 1, dtype=np.int64)
+    for k in range(n - 1):
+        candidates = np.flatnonzero(outside)
+        x = candidates[best[candidates].argmin()]
+        added[k] = x
+        outside[x] = False
+        row = matrix[x]
+        closer = outside & (row < best)
+        best[closer] = row[closer]
+        near[closer] = x
+    edges = zip(best[added].tolist(), near[added].tolist(), added.tolist())
     return single_linkage_tree(n, edges)
 
 
@@ -384,8 +408,13 @@ def _checked_square(matrix, allow_zero_offdiag=False) -> np.ndarray:
         raise DomainError("diagonal must be zero")
     if not np.array_equal(matrix, matrix.T):
         raise DomainError("matrix must be symmetric")
-    off = matrix[~np.eye(matrix.shape[0], dtype=bool)]
-    if off.size and (off.min() < 0 or (not allow_zero_offdiag and off.min() <= 0)):
+    # the diagonal is zero, so an off-diagonal entry <= 0 shows as a
+    # negative minimum or as more zeros than the diagonal's n
+    n = matrix.shape[0]
+    if n > 1 and (
+        matrix.min() < 0
+        or (not allow_zero_offdiag and np.count_nonzero(matrix == 0) > n)
+    ):
         raise DomainError("off-diagonal distances must be positive")
     return matrix
 

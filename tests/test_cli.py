@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from streamfit import fixedpoint as fp
+from streamfit import cli, fixedpoint as fp
 from streamfit.cli import main
 from streamfit.streams import StreamSource
 from streamfit.trees import UltrametricTree
@@ -343,6 +343,76 @@ class TestSketchBudget:
         assert len(err.splitlines()) == 1
         assert not report.exists()
         assert not tree_out.exists()
+
+
+ULTRAMETRIC_FITTERS = [
+    ("fit_linf_min_decrement", "linf", 1),
+    ("fit_linf_exact", "linf", 2),
+    ("fit_l0", "l0", 1),
+]
+
+
+class TestPassBudget:
+    """A fitter that reads a pass past its budget exits 4 with one error
+    line and writes nothing, from `fit` and `bench` alike."""
+
+    @pytest.fixture
+    def one_pass_too_many(self, monkeypatch):
+        def patch(fitter, budget):
+            real = getattr(cli, fitter)
+
+            def fit(source, *args, **kwargs):
+                result = real(source, *args, **kwargs)
+                source.arrays(budget)
+                return result
+
+            monkeypatch.setattr(cli, fitter, fit)
+
+        return patch
+
+    @staticmethod
+    def assert_budget_error(capsys, budget):
+        assert capsys.readouterr().err == (
+            f"error: the fit read {budget + 1} passes, over its budget of {budget}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "fitter, structure, objective, budget",
+        [(f, "ultrametric", o, b) for f, o, b in ULTRAMETRIC_FITTERS]
+        + [("fit_linf_tree", "tree", "linf", 2), ("fit_l0_tree", "tree", "l0", 2)],
+    )
+    def test_fit_exits_4_without_output(
+        self, instance, tmp_path, capsys, one_pass_too_many,
+        fitter, structure, objective, budget,
+    ):
+        one_pass_too_many(fitter, budget)
+        _, stream, _ = instance
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        tree_out = tmp_path / "fit.json"
+        code = run(
+            "fit", "--input", str(stream), "--structure", structure,
+            "--objective", objective, "--passes", str(budget),
+            "--out-tree", str(tree_out), "--report", str(report),
+        )
+        assert code == 4
+        self.assert_budget_error(capsys, budget)
+        assert not report.exists()
+        assert not tree_out.exists()
+
+    @pytest.mark.parametrize("fitter, objective, budget", ULTRAMETRIC_FITTERS)
+    def test_bench_exits_4_without_output(
+        self, tmp_path, capsys, one_pass_too_many, fitter, objective, budget
+    ):
+        one_pass_too_many(fitter, budget)
+        out = tmp_path / "bench.csv"
+        code = run(
+            "bench", "--kind", "planted_ultrametric", "--n", "6",
+            "--objective", objective, "--passes", str(budget), "--out", str(out),
+        )
+        assert code == 4
+        self.assert_budget_error(capsys, budget)
+        assert not out.exists()
 
 
 class TestFitUsageErrors:

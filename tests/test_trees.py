@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,17 @@ class TestBuilders:
         tree = from_ultrametric_matrix(D)
         assert np.array_equal(tree.induced_matrix(), D)
 
+    def test_off_diagonal_entries_must_be_positive(self):
+        D = two_pair_gadget()
+        D[0, 1] = D[1, 0] = 0
+        with pytest.raises(DomainError, match="positive"):
+            from_ultrametric_matrix(D)
+        assert four_point_check(D)  # which allows zero distances
+        D[0, 1] = D[1, 0] = -1
+        for check in (from_ultrametric_matrix, four_point_check):
+            with pytest.raises(DomainError, match="positive"):
+                check(D)
+
     def test_single_linkage_needs_connectivity(self):
         with pytest.raises(DomainError):
             single_linkage_tree(3, [(1, 0, 1)])
@@ -287,6 +299,51 @@ def test_constructor_normalises_scrambled_arrays(spec, seed):
     scrambled_level = np.empty_like(parent)
     scrambled_level[new_id] = level
     assert UltrametricTree(n, scrambled_parent, scrambled_level) == clean
+
+
+def all_pairs_single_linkage(matrix):
+    """Reference for `from_ultrametric_matrix`: Kruskal over every pair,
+    each a (w, u, v) tuple, through `single_linkage_tree`."""
+    n = matrix.shape[0]
+    iu, iv = np.triu_indices(n, k=1)
+    edges = zip(matrix[iu, iv].tolist(), iu.tolist(), iv.tolist())
+    return single_linkage_tree(n, edges)
+
+
+@st.composite
+def symmetric_matrix(draw):
+    """Symmetric positive integer matrix, rarely ultrametric: values from
+    three, from a wide range, or within three of the int64 maximum."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    top = int(np.iinfo(np.int64).max)
+    lo, hi = draw(st.sampled_from([(1, 3), (1, 10**12), (top - 3, top)]))
+    upper = np.triu(rng.integers(lo, hi, size=(n, n), endpoint=True, dtype=np.int64), 1)
+    return upper + upper.T
+
+
+@given(symmetric_matrix())
+@settings(max_examples=150, deadline=None)
+def test_spanning_tree_builder_matches_all_pairs_reference(matrix):
+    """Single linkage on Prim's spanning tree gives the arrays of single
+    linkage on all pairs, ties, non-ultrametric input and huge values too."""
+    tree = from_ultrametric_matrix(matrix)
+    reference = all_pairs_single_linkage(matrix)
+    assert np.array_equal(tree.parent, reference.parent)
+    assert np.array_equal(tree.level, reference.level)
+
+
+def test_spanning_tree_builder_peak_memory_stays_under_twice_the_matrix():
+    n = 1024
+    upper = np.triu(np.random.default_rng(0).integers(1, 50, size=(n, n)), 1)
+    matrix = upper + upper.T
+    tracemalloc.start()
+    try:
+        from_ultrametric_matrix(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * matrix.nbytes
 
 
 def recursive_newick(tree):
