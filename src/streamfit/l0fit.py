@@ -71,10 +71,9 @@ def fit_l0(
 
     if params.mode == "exact":
         matrix = source.dense()
-        iu, iv = np.triu_indices(n, k=1)
-        values = np.unique(matrix[iu, iv]) if n > 1 else np.array([], dtype=np.int64)
-        weights = CompressedSet(values)
-        w_max = int(values[-1]) if len(values) else 0
+        # the distances of pass 0, which `dense` has just read
+        weights = CompressedSet(source.d)
+        w_max = int(weights.weights[-1]) if len(weights) else 0
         exact_view = ExactView(matrix)
         meter = MemoryMeter()
         meter.set_words("dense_matrix", n * n)

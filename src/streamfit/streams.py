@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -321,7 +321,6 @@ class GeneratorSpec:
     seed: int
     noise_k: int = 0
     value_alphabet: Optional[list] = None
-    extra: dict = field(default_factory=dict)
 
     KINDS = ("planted_ultrametric", "planted_tree_metric", "two_valued", "uniform_random")
 
@@ -335,8 +334,6 @@ class GeneratorSpec:
             if self.value_alphabet is None
             else [fixedpoint.to_decimal(v) for v in self.value_alphabet],
         }
-        if self.extra:
-            doc["extra"] = self.extra
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
@@ -351,7 +348,6 @@ class GeneratorSpec:
             seed=int(doc["seed"]),
             noise_k=int(doc.get("noise_k", 0)),
             value_alphabet=alphabet,
-            extra=doc.get("extra", {}),
         )
 
 
@@ -470,6 +466,7 @@ def generate(spec: GeneratorSpec):
     rng = _rng(spec.seed, 1)
     alphabet = spec.value_alphabet
     truth = None
+    iu, iv = np.triu_indices(n, k=1)
 
     if spec.kind == "planted_ultrametric":
         if alphabet is None:
@@ -498,7 +495,6 @@ def generate(spec: GeneratorSpec):
         if alphabet is None:
             alphabet = [fixedpoint.from_int(v) for v in (1, 2, 3)]
         matrix = np.zeros((n, n), dtype=np.int64)
-        iu, iv = np.triu_indices(n, k=1)
         vals = rng.choice(np.asarray(alphabet, dtype=np.int64), size=m)
         matrix[iu, iv] = vals
         matrix += matrix.T
@@ -506,11 +502,9 @@ def generate(spec: GeneratorSpec):
     if spec.noise_k:
         pool = np.asarray(sorted(set(int(v) for v in alphabet)), dtype=np.int64)
         if spec.kind == "planted_tree_metric":
-            iu, iv = np.triu_indices(n, k=1)
             pool = np.unique(matrix[iu, iv])
         if len(pool) < 2:
             raise ConfigError("noise needs at least two distinct values")
-        iu, iv = np.triu_indices(n, k=1)
         picks = rng.choice(m, size=spec.noise_k, replace=False)
         for p in picks:
             a, b = int(iu[p]), int(iv[p])
@@ -518,5 +512,5 @@ def generate(spec: GeneratorSpec):
             val = int(rng.choice(others))
             matrix[a, b] = matrix[b, a] = val
 
-    source = StreamSource.from_square(matrix, order_seed=spec.seed)
+    source = StreamSource(n, iu, iv, matrix[iu, iv], order_seed=spec.seed)
     return source, truth

@@ -169,8 +169,9 @@ def fit_l0_tree(
     reps = _fit_pivots(source, pivots, lambda s: fit_l0(s, params, config).tree)
 
     pairwise = np.zeros((t, t), dtype=np.int64)
-    iu, iv = np.triu_indices(n, k=1)
-    upper = [rep.induced_matrix()[iu, iv] for rep in reps]
+    # every pair once, in the stream's stored order: the counts need no
+    # particular order
+    upper = [rep.induced_matrix()[source.u, source.v] for rep in reps]
     for i in range(t):
         for j in range(i + 1, t):
             diff = int(np.count_nonzero(upper[i] != upper[j]))

@@ -223,32 +223,52 @@ class UltrametricTree:
 
     __hash__ = None
 
-    def to_jsonable(self, idx=None):
-        if idx is None:
-            idx = self.root
-        if idx < self.n:
-            return {"node_id": int(idx), "leaf": True, "level": "0"}
-        return {
-            "node_id": int(idx),
-            "level": fixedpoint.to_decimal(int(self.level[idx])),
-            "children": [self.to_jsonable(c) for c in self.children[idx]],
-        }
+    def _nest(self, leaf, opening, closing, sep) -> str:
+        """Nested text, depth first with children in node-id order, built
+        without recursion so any depth renders: `leaf(i)` renders leaf i, and
+        `opening`, `closing(i)` and `sep` go around and between i's children."""
+        out = []
+        # node ids still to render, and the literal text between them
+        stack = [self.root]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif item < self.n:
+                out.append(leaf(item))
+            else:
+                out.append(opening)
+                stack.append(closing(item))
+                kids = self.children[item]
+                for child in reversed(kids[1:]):
+                    stack.append(child)
+                    stack.append(sep)
+                stack.append(kids[0])
+        return "".join(out)
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "root": self.to_jsonable()}, sort_keys=True)
+        """The nested document as `json.dumps(..., sort_keys=True)` writes it;
+        ids and decimal levels need no escaping."""
+        level = [fixedpoint.to_decimal(x) for x in self.level[self.n :].tolist()]
+        root = self._nest(
+            lambda i: f'{{"leaf": true, "level": "0", "node_id": {i}}}',
+            '{"children": [',
+            lambda i: f'], "level": "{level[i - self.n]}", "node_id": {i}}}',
+            ", ",
+        )
+        return f'{{"n": {self.n}, "root": {root}}}'
 
     @classmethod
     def from_json(cls, text: str) -> "UltrametricTree":
         return _parse(text, _tree_from_doc)
 
     def to_newick(self) -> str:
-        """Newick text of the tree, written without recursion so that any
-        depth renders; children appear in node-id order."""
+        """Newick text of the tree; children appear in node-id order."""
 
         # branch length = (parent level - child level) / 2; rendered exactly
         # with eleven fractional digits of headroom for the halving
-        def length(parent_level, child_level):
-            diff = parent_level - child_level
+        def length(child):
+            diff = level[parent[child]] - level[child]
             whole, frac = divmod(diff * 25, 10**11)
             if frac == 0:
                 return str(whole)
@@ -258,27 +278,12 @@ class UltrametricTree:
             return f"{self.root};"
         level = self.level.tolist()
         parent = self.parent.tolist()
-        out = []
-        # node ids still to render, and the literal text between them
-        stack = [self.root]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-            elif item < self.n:
-                out.append(f"{item}:{length(level[parent[item]], 0)}")
-            else:
-                if item == self.root:
-                    stack.append(")")
-                else:
-                    stack.append(f"):{length(level[parent[item]], level[item])}")
-                kids = self.children[item]
-                for child in reversed(kids[1:]):
-                    stack.append(child)
-                    stack.append(",")
-                stack.append(kids[0])
-                out.append("(")
-        return "".join(out) + ";"
+        return self._nest(
+            lambda i: f"{i}:{length(i)}",
+            "(",
+            lambda i: ")" if i == self.root else f"):{length(i)}",
+            ",",
+        ) + ";"
 
 
 def single_linkage_tree(n: int, edges) -> UltrametricTree:
@@ -507,14 +512,9 @@ class TreeMetricRep:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "base": json.loads(self.base.to_json()),
-                "pivot": self.pivot,
-                "pivot_row": [fixedpoint.to_decimal(int(v)) for v in self.pivot_row],
-            },
-            sort_keys=True,
-        )
+        row = json.dumps([fixedpoint.to_decimal(v) for v in self.pivot_row.tolist()])
+        base = self.base.to_json()
+        return f'{{"base": {base}, "pivot": {self.pivot}, "pivot_row": {row}}}'
 
     @classmethod
     def from_json(cls, text: str) -> "TreeMetricRep":

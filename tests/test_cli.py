@@ -114,16 +114,46 @@ class TestFit:
         stream = tmp_path / "chain.txt"
         StreamSource.from_square(D).write_file(stream)
         newick = tmp_path / "chain.nwk"
+        tree = tmp_path / "chain.json"
         report = tmp_path / "fit.json"
         assert run(
             "fit", "--input", str(stream), "--structure", "ultrametric",
-            "--objective", "linf", "--passes", "2",
+            "--objective", "linf", "--passes", "2", "--out-tree", str(tree),
             "--out-newick", str(newick), "--report", str(report),
         ) == 0
         assert json.loads(report.read_text())["optimal_cost"] == "0"
         text = newick.read_text()
         assert text.startswith("(" * (n - 1)) and text.endswith(");\n")
         assert text.count("(") == text.count(")") == n - 1
+        text = tree.read_text()
+        assert text.startswith('{"n": 600, "root": {"children": [')
+        assert text.count("{") == text.count("}")
+        assert text.count("[") == text.count("]") == n - 1
+
+    def test_path_metric_tree_of_600_points(self, tmp_path, capsys):
+        """D(i,j) = |i - j| is a tree metric, fitted exactly on a caterpillar
+        base whose tree file is written at any depth. `cost --tree` rejects
+        that file with exit 3: the JSON decoder stops near 500 levels."""
+        n = 600
+        idx = np.arange(n, dtype=np.int64)
+        stream = tmp_path / "path.txt"
+        D = np.abs(np.subtract.outer(idx, idx)) * fp.SCALE
+        StreamSource.from_square(D).write_file(stream)
+        tree = tmp_path / "path.json"
+        report = tmp_path / "fit.json"
+        assert run(
+            "fit", "--input", str(stream), "--structure", "tree",
+            "--objective", "linf", "--passes", "2", "--out-tree", str(tree),
+            "--report", str(report),
+        ) == 0
+        assert json.loads(report.read_text())["cost"]["l0"] == 0
+        text = tree.read_text()
+        assert text.startswith('{"base": {"n": 600, "root": {"children": [')
+        assert text.count("{") == text.count("}")
+        capsys.readouterr()
+        assert run("cost", "--input", str(stream), "--tree", str(tree)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_invalid_pass_count_is_usage_error(self, instance):
         _, stream, _ = instance

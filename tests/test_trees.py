@@ -370,12 +370,34 @@ def recursive_newick(tree):
     return f"({inner});"
 
 
+def recursive_jsonable(tree, idx):
+    """The JSON tree document below node idx, built by direct recursion."""
+    if idx < tree.n:
+        return {"node_id": idx, "leaf": True, "level": "0"}
+    return {
+        "node_id": idx,
+        "level": fp.to_decimal(int(tree.level[idx])),
+        "children": [recursive_jsonable(tree, c) for c in tree.children[idx]],
+    }
+
+
 @given(random_nested_tree(), st.integers(min_value=0, max_value=U))
 @settings(max_examples=60, deadline=None)
 def test_newick_matches_recursive_reference(spec, shift):
+    """Newick and both JSON writers match recursive references byte for
+    byte; the JSON ones match `json.dumps(..., sort_keys=True)`."""
     n, nested = spec
     tree = UltrametricTree.from_nested(n, nested).shift_levels(shift)
     assert tree.to_newick() == recursive_newick(tree)
+    doc = {"n": n, "root": recursive_jsonable(tree, tree.root)}
+    assert tree.to_json() == json.dumps(doc, sort_keys=True)
+    row = np.arange(n, dtype=np.int64) * (shift + 1)
+    rep_doc = {
+        "base": doc,
+        "pivot": 0,
+        "pivot_row": [fp.to_decimal(int(v)) for v in row],
+    }
+    assert TreeMetricRep(tree, 0, row).to_json() == json.dumps(rep_doc, sort_keys=True)
 
 
 class TestTreeMetricRep:
