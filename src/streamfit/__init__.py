@@ -27,7 +27,6 @@ from .sketches import (
 )
 from .streams import (
     GeneratorSpec,
-    MemoryMeter,
     ParseError,
     StreamIntegrityError,
     StreamSource,
@@ -61,7 +60,6 @@ __all__ = [
     "GeneratorSpec",
     "L0FitResult",
     "LinfExactResult",
-    "MemoryMeter",
     "MstState",
     "OracleBudget",
     "OracleUnavailable",

@@ -82,10 +82,19 @@ def _cost_doc(report):
     }
 
 
+def _check_seed(args):
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
+
+
 def cmd_gen(args):
+    _check_seed(args)
     alphabet = None
     if args.alphabet:
-        alphabet = [fixedpoint.from_decimal(v) for v in args.alphabet.split(",")]
+        try:
+            alphabet = [fixedpoint.from_decimal(v) for v in args.alphabet.split(",")]
+        except fixedpoint.FixedPointError as exc:
+            raise ConfigError(f"--alphabet: {exc}") from exc
     spec = GeneratorSpec(
         kind=args.kind,
         n=args.n,
@@ -112,6 +121,7 @@ def cmd_gen(args):
 
 
 def _validate_fit(args):
+    _check_seed(args)
     if args.structure == "ultrametric":
         if args.objective == "linf" and args.passes not in (1, 2):
             raise UsageError("linf ultrametric fitting needs 1 or 2 passes")
@@ -274,6 +284,8 @@ def cmd_bench(args):
     if args.passes is None:
         args.passes = 2 if args.objective == "linf" else 1
     _validate_fit(args)
+    if args.runs < 1:
+        raise UsageError("--runs must be >= 1")
     rows = []
     for seed in range(args.seed, args.seed + args.runs):
         spec = GeneratorSpec(

@@ -23,7 +23,7 @@ from .agreement import (
     s_structural_clustering,
 )
 from .sketches import CompressedSet, SketchConfig, SketchPools
-from .streams import MemoryMeter, StreamSource
+from .streams import StreamSource
 from .trees import UltrametricTree
 
 
@@ -75,8 +75,7 @@ def fit_l0(
         weights = CompressedSet(source.d)
         w_max = int(weights.weights[-1]) if len(weights) else 0
         exact_view = ExactView(matrix)
-        meter = MemoryMeter()
-        meter.set_words("dense_matrix", n * n)
+        peak_words = n * n
 
         def make_view(depth):
             return exact_view
@@ -85,8 +84,8 @@ def fit_l0(
         if config is None:
             config = SketchConfig.scaled(n)
         pools = SketchPools(config, n)
-        meter = pools.meter
         pools.bulk_ingest(*source.arrays(0))
+        peak_words = pools.peak_words
         pools.finalize()
         weights = pools.build_compressed_set()
         w_max = pools.w_max_seen
@@ -169,7 +168,7 @@ def fit_l0(
         max_participation=int(participation.max()),
         participation_bound=bound,
         instances_consumed=(max_depth + 1) if params.mode == "sketch" else 0,
-        peak_words=meter.peak,
+        peak_words=peak_words,
         levels_used=tuple(tree.level[n:].tolist()),
     )
     return L0FitResult(tree=tree, report=report)

@@ -14,9 +14,10 @@ weights, sorted by (owner, weight, neighbour)); each (instance, s, s')
 `SketchPool` stores only how many entries of each owner's run it keeps.
 Instances whose samples R_{s'} coincide share one block and its pools. The
 close queues are one (n, close_capacity) pair of weight and neighbour
-arrays. Queries return a `SketchSlice` view, answer counts by
-`searchsorted`, and are kept once answered, since the state is fixed after
-`finalize`.
+arrays. Queries return a `SketchSlice` view and answer counts by
+`searchsorted`; they are pure functions of the state, which is fixed after
+`finalize`. The pools count the machine words they model (`words`) and the
+running maximum of that count (`peak_words`).
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .streams import MemoryMeter
 
 
 class PhaseError(RuntimeError):
@@ -221,8 +220,7 @@ class SketchPools:
     `sketches` maps (instance, s, s') to a `SketchPool`; `blocks` maps
     (instance, s') to the `SketchBlock` that group's pools share. Instances
     whose R_{s'} masks have the same content hold the same group, so they
-    point at one block and one set of pools, and instances that match at
-    every s' share their query answers too.
+    point at one block and one set of pools.
 
     The close queues are flat: row v of `close_weights` and `close_others`
     holds v's `close_lengths[v]` nearest neighbours in (weight, neighbour)
@@ -232,7 +230,9 @@ class SketchPools:
     def __init__(self, config: SketchConfig, n: int):
         self.config = config
         self.n = n
-        self.meter = MemoryMeter()
+        # modelled machine words held, and their running maximum
+        self.words = 0
+        self.peak_words = 0
         self.membership = SampleMembership(config, n)
         self.sizes = config.ladder(n)
         self.pairs = [
@@ -250,12 +250,7 @@ class SketchPools:
         self.sketches: dict = {}
         self.w_max_seen = 0
         self.finalized = False
-        # instance -> the lowest instance with the same group at every s';
-        # the query tables and memos below are keyed by it
-        self._twin: dict[int, int] = {}
         self._ladders: dict[int, list] = {}
-        self._reports: dict = {}
-        self._degrees: dict = {}
         self._used_instances: dict[int, np.ndarray] = {}
 
     def bulk_ingest(self, u, v, d):
@@ -272,7 +267,7 @@ class SketchPools:
         once per group as a CSR `SketchBlock`; each pool stores only its
         per-owner kept lengths. A group depends only on s' and the content
         of the R_{s'} mask, so it is built once per distinct pair and every
-        instance with that mask points at it; the meter still charges every
+        instance with that mask points at it; `words` still counts every
         instance's pools.
 
         The entries come from a `StreamSource`, which guarantees each pair
@@ -306,37 +301,36 @@ class SketchPools:
         self.close_lengths = lengths
         self.close_overflow = ends - starts > cap
 
-        groups = {}  # (s', mask content) -> (index, block, pools, charges)
-        twins = {}  # the group index of every s' -> first instance with them
+        groups = {}  # (s', mask content) -> (block, pools, charges)
         s_primes = sorted({sp for _, sp in self.pairs}, reverse=True)
         for instance in range(self.config.instance_count):
-            state = []
             for sp in s_primes:
                 mask = self.membership.mask(instance, sp)
                 key = (sp, mask.tobytes())
                 group = groups.get(key)
                 if group is None:
-                    group = groups[key] = (len(groups),) + self._build_group(
+                    group = groups[key] = self._build_group(
                         sp, mask[other_s], owner_s, other_s, weight_s
                     )
-                index, block, pools, charges = group
-                state.append(index)
+                block, pools, charges = group
                 for peak_items, kept in charges:
-                    self.meter.add("sketch_state", 2 * peak_items)
-                    self.meter.add("sketch_state", 2 * (kept - peak_items))
+                    self._charge(2 * peak_items)
+                    self._charge(2 * (kept - peak_items))
                 if block is None:
                     continue
                 self.blocks[(instance, sp)] = block
                 for pool in pools:
                     self.sketches[(instance, pool.s, sp)] = pool
-            self._twin[instance] = twins.setdefault(tuple(state), instance)
-        self.meter.add("close_queues", 2 * int(lengths.sum()))
-        mask_words = self.membership.mask_count() * ((self.n + 63) // 64)
-        self.meter.set_words("membership", mask_words)
+        self._charge(2 * int(lengths.sum()))
+        self._charge(self.membership.mask_count() * ((self.n + 63) // 64))
+
+    def _charge(self, words):
+        self.words += int(words)
+        self.peak_words = max(self.peak_words, self.words)
 
     def _build_group(self, sp, sel, owner_s, other_s, weight_s):
         """The shared block and pools of one (s', mask) group, and the
-        (peak, kept) entry counts of each pool for the meter; the block is
+        (peak, kept) entry counts of each pool for `words`; the block is
         None when the mask samples no entry."""
         if sel.all():
             ow, ot, wt = owner_s, other_s, weight_s
@@ -399,8 +393,7 @@ class SketchPools:
     def _ladder(self, v, instance):
         """Sorted (governing_weight, size) pairs of v's nonempty s = s'
         sketches, from a table built on the instance's first query."""
-        twin = self._twin.get(instance, instance)
-        table = self._ladders.get(twin)
+        table = self._ladders.get(instance)
         if table is None:
             table = [[] for _ in range(self.n)]
             for s in self.sizes:
@@ -414,26 +407,16 @@ class SketchPools:
                     table[owner].append((gw, s))
             for ladder in table:
                 ladder.sort()
-            self._ladders[twin] = table
+            self._ladders[instance] = table
         return table[v]
 
     def report_sketch(self, v, w, instance):
         """Choose the sketch whose governing weight brackets w.
 
         Returns (governing_weight, size, sketch) or None when v holds no
-        sketches at all (callers then fall back to the close queue). The
-        pools do not change after `finalize`, so each answer is computed
-        once and kept.
+        sketches at all (callers then fall back to the close queue).
         """
         self._require_finalized()
-        key = (self._twin.get(instance, instance), v, w)
-        try:
-            return self._reports[key]
-        except KeyError:
-            got = self._reports[key] = self._report(v, w, instance)
-            return got
-
-    def _report(self, v, w, instance):
         ladder = self._ladder(v, instance)
         if not ladder:
             return None
@@ -451,17 +434,8 @@ class SketchPools:
         return (gw, s, self.get_sketch(instance, v, s, s))
 
     def estimate_degree(self, v, w, instance):
-        """d_w(v) estimate; exact from the close queue whenever possible.
-        Kept once computed, like `report_sketch`."""
+        """d_w(v) estimate; exact from the close queue whenever possible."""
         self._require_finalized()
-        key = (self._twin.get(instance, instance), v, w)
-        try:
-            return self._degrees[key]
-        except KeyError:
-            got = self._degrees[key] = self._degree(v, w, instance)
-            return got
-
-    def _degree(self, v, w, instance):
         if self.close_exact(v, w):
             return self.close_count(v, w) + 1
         reported = self.report_sketch(v, w, instance)

@@ -1,4 +1,4 @@
-"""Replayable distance streams, file I/O, generators, and memory accounting."""
+"""Replayable distance streams, file I/O, and instance generators."""
 
 from __future__ import annotations
 
@@ -294,26 +294,6 @@ def _fold(b, starts, length):
     return value
 
 
-class MemoryMeter:
-    """Counts machine words retained by registered structures."""
-
-    def __init__(self):
-        self._words = {}
-        self.peak = 0
-
-    @property
-    def words_stored(self) -> int:
-        return sum(self._words.values())
-
-    def set_words(self, name: str, words: int):
-        self._words[name] = int(words)
-        self.peak = max(self.peak, self.words_stored)
-
-    def add(self, name: str, delta: int):
-        self._words[name] = self._words.get(name, 0) + int(delta)
-        self.peak = max(self.peak, self.words_stored)
-
-
 @dataclass
 class GeneratorSpec:
     kind: str
@@ -460,6 +440,8 @@ def generate(spec: GeneratorSpec):
     n = spec.n
     if n < 1:
         raise ConfigError("n must be >= 1")
+    if spec.noise_k < 0:
+        raise ConfigError("noise_k must be >= 0")
     m = n * (n - 1) // 2
     if spec.noise_k > m:
         raise ConfigError("noise_k exceeds pair count")

@@ -266,7 +266,7 @@ def test_09_streaming_memory_budget():
         u, v, d = src.arrays(0)
         pools.bulk_ingest(u, v, d)
         pools.finalize()
-        peaks[n] = pools.meter.peak
+        peaks[n] = pools.peak_words
         assert peaks[n] <= C_MEM * n * math.log2(n) ** 4
     assert peaks[2**12] / (2**12) ** 2 < 0.05
 

@@ -52,6 +52,29 @@ class TestGen:
         vals = set(np.unique(D[np.triu_indices(10, 1)]).tolist())
         assert vals <= {10**9 * 2, 10**9 * 5}
 
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (("--alphabet", "1,x"), 3),
+            (("--alphabet", "1.0000000001"), 3),
+            (("--noise-k", "-1"), 3),
+            (("--seed", "-1"), 2),
+        ],
+        ids=["alphabet-word", "alphabet-digits", "noise-neg", "seed-neg"],
+    )
+    def test_bad_values_exit_without_output(self, tmp_path, capsys, flags, code):
+        outs = [tmp_path / name for name in ("d.txt", "truth.json", "gen.json")]
+        got = run(
+            "gen", "--kind", "planted_ultrametric", "--n", "5", *flags,
+            "--out", str(outs[0]), "--truth-out", str(outs[1]),
+            "--report", str(outs[2]),
+        )
+        assert got == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert not any(out.exists() for out in outs)
+
 
 class TestFit:
     def test_l0_exact_roundtrip(self, instance, tmp_path):
@@ -472,10 +495,17 @@ class TestFitUsageErrors:
              "--pivot", "-5"),
             ("--structure", "ultrametric", "--objective", "linf", "--passes", "2",
              "--pivot", "1"),
+            ("--structure", "ultrametric", "--objective", "l0", "--passes", "1",
+             "--mode", "sketch", "--seed", "-1"),
+            ("--structure", "ultrametric", "--objective", "l0", "--passes", "1",
+             "--seed", "-1"),
+            ("--structure", "tree", "--objective", "l0", "--passes", "2",
+             "--seed", "-1"),
         ],
         ids=["pivot-99", "pivot-neg", "instances-neg", "linf-sketch",
              "linf-instances", "tree-linf-sketch", "exact-instances",
-             "tree-l0-pivot", "l0-pivot", "linf-pivot"],
+             "tree-l0-pivot", "l0-pivot", "linf-pivot", "sketch-seed-neg",
+             "exact-seed-neg", "tree-l0-seed-neg"],
     )
     def test_exit_2_without_output(self, instance, tmp_path, capsys, flags):
         _, stream, _ = instance
@@ -519,6 +549,28 @@ class TestBench:
             "--objective", "l0", "--passes", passes, "--out", str(out),
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, code",
+        [
+            (("--runs", "0"), 2),
+            (("--runs", "-1"), 2),
+            (("--seed", "-1"), 2),
+            (("--noise-k", "-3"), 3),
+        ],
+        ids=["runs-0", "runs-neg", "seed-neg", "noise-neg"],
+    )
+    def test_bad_counts_exit_without_output(self, tmp_path, capsys, flags, code):
+        out = tmp_path / "bench.csv"
+        got = run(
+            "bench", "--kind", "planted_ultrametric", "--n", "5", *flags,
+            "--out", str(out),
+        )
+        assert got == code
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1

@@ -80,6 +80,11 @@ class TestExactMode:
             assert got >= brute_correlation(D)
             assert is_ultrametric(res.tree.induced_matrix())
 
+    @pytest.mark.parametrize("n", [1, 2, 17])
+    def test_peak_words_is_the_matrix(self, n):
+        src, _ = planted(n, 3)
+        assert fit_l0(src).report.peak_words == n * n
+
 
 class TestSketchMode:
     def test_recovers_planted_ultrametric(self):

@@ -534,8 +534,8 @@ class TestSharedStorage:
 
     def test_scaled_config_stores_one_block_per_sample_size(self):
         # scaled(n) samples with probability 1, so every instance holds the
-        # same state; each instance still has every pool, and the meter
-        # still charges every instance's kept entries
+        # same state; each instance still has every pool, and `words`
+        # still counts every instance's kept entries
         n = 48
         D = generate(GeneratorSpec(kind="planted_ultrametric", n=n, seed=3))[0].dense()
         cfg = SketchConfig.scaled(n, seed=1)
@@ -545,10 +545,38 @@ class TestSharedStorage:
         kept = sum(int(pool.kept.sum()) for pool in pools.sketches.values())
         masks = cfg.instance_count * len(pools.sizes) * ((n + 63) // 64)
         close = int(pools.close_lengths.sum())
-        assert pools.meter.words_stored == 2 * kept + 2 * close + masks
+        assert pools.words == 2 * kept + 2 * close + masks
+
+
+class TestWordCount:
+    """`peak_words` is the running maximum of the words the pools hold."""
+
+    def test_peak_is_the_held_words_when_no_run_is_cut(self):
+        # scaled(n) budgets exceed every run, so the words only grow
+        n = 32
+        D = generate(GeneratorSpec(kind="uniform_random", n=n, seed=4))[0].dense()
+        pools = _fill_pools(SketchConfig.scaled(n, seed=4), D, bulk=True)
+        assert pools.words > 0
+        assert pools.peak_words == pools.words
+
+    def test_budget_overflow_peaks_above_the_held_words(self):
+        # while a pool cuts an owner's run at its budget b it holds b + 1
+        # entries, one more than it may keep, so the peak exceeds the end
+        n = 32
+        D = generate(GeneratorSpec(kind="uniform_random", n=n, seed=4))[0].dense()
+        cfg = SketchConfig(sample_factor=1, instance_count=1, close_capacity=1)
+        pools = _fill_pools(cfg, D, bulk=True)
+        s = pools.sizes[-1]
+        sampled = pools.membership.mask(0, s)
+        runs = [int(np.count_nonzero(np.delete(sampled, v))) for v in range(n)]
+        kept = pools.sketches[(0, s, s)].kept
+        assert max(runs) > cfg.budget(s, s) >= int(kept.max())
+        assert pools.peak_words > pools.words
 
 
 class TestQueryMemo:
+    """Queries are pure: no answer depends on which were asked before."""
+
     @pytest.mark.parametrize("sample_factor", [None, 4], ids=["scaled", "sampled"])
     def test_answers_do_not_depend_on_the_order_asked(self, sample_factor):
         n = 40

@@ -16,7 +16,6 @@ from streamfit.sketches import SketchConfig
 from streamfit.streams import (
     ConfigError,
     GeneratorSpec,
-    MemoryMeter,
     ParseError,
     StreamIntegrityError,
     StreamSource,
@@ -142,18 +141,6 @@ def test_a_pass_replayed_per_pivot_counts_once():
     assert len(result.pivots) == 4
     assert reads == [0, 1, 1, 1, 1]
     assert src.passes_read == 2
-
-
-class TestMemoryMeter:
-    def test_peak_is_monotone(self):
-        meter = MemoryMeter()
-        meter.add("a", 10)
-        meter.add("b", 5)
-        assert meter.peak == 15
-        meter.add("a", -8)
-        assert meter.peak == 15
-        meter.set_words("b", 20)
-        assert meter.peak == 22
 
 
 class TestGenerators:
