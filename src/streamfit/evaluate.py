@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .streams import StreamSource
-from .trees import DomainError, TreeMetricRep, UltrametricTree
+from .trees import DomainError
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,12 @@ def cost(tree, source: StreamSource) -> CostReport:
     The source holds each pair exactly once by construction, and none of
     the norms depends on order, so the stored arrays are read as they are.
     """
-    if not isinstance(tree, (UltrametricTree, TreeMetricRep)):
-        raise TypeError("tree must be an UltrametricTree or TreeMetricRep")
     if tree.n != source.n:
         raise DomainError("tree and stream disagree on point count")
-    u, v, d = source.u, source.v, source.d
-    induced = tree.induced_matrix()
-    diff = np.abs(induced[u, v] - d)
-    values = np.unique(d)
+    diff = tree.distances(source.u, source.v)
+    diff -= source.d
+    np.abs(diff, out=diff)
+    values = np.unique(source.d)
     if len(values) >= 2:
         gap_delta = int(np.diff(values).min())
         gap_big = int(values[-1] - values[0])

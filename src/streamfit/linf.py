@@ -117,10 +117,8 @@ def fit_linf_min_decrement(source: StreamSource) -> UltrametricTree:
 def fit_linf_exact(source: StreamSource) -> LinfExactResult:
     """Two passes: min-decrement tree, then raise all levels by slack/2."""
     under = fit_linf_min_decrement(source)
-    induced = under.induced_matrix()
     u, v, d = source.arrays(1)
-    gap = induced[u, v]
-    del induced
+    gap = under.distances(u, v)
     np.subtract(d, gap, out=gap)
     slack, cert = 0, None
     if len(gap):

@@ -421,7 +421,22 @@ def _tree_metric_matrix(rng, n, alphabet):
     return dist
 
 
-def _two_valued_matrix(rng, n, alphabet):
+def _planted_tree_metric(rng, n, alphabet, iu, iv):
+    """A random tree metric's distances at the pairs (iu, iv) and its truth:
+    the ultrametric D + C, built in place over D's matrix, plus pivot 0."""
+    if n == 1:
+        return np.zeros(0, dtype=np.int64), trees.UltrametricTree.single_leaf()
+    matrix = _tree_metric_matrix(rng, n, alphabet)
+    d = matrix[iu, iv]
+    row = matrix[0].copy()
+    matrix += 2 * row.max()
+    matrix -= row[:, None]
+    matrix -= row[None, :]
+    np.fill_diagonal(matrix, 0)
+    return d, trees.TreeMetricRep(trees.from_ultrametric_matrix(matrix), 0, row)
+
+
+def _two_valued_tree(rng, n, alphabet):
     if len(alphabet) != 2:
         raise ConfigError("two_valued needs exactly two alphabet values")
     lo, hi = sorted(alphabet)
@@ -429,8 +444,7 @@ def _two_valued_matrix(rng, n, alphabet):
     labels = rng.integers(0, groups, size=n)
     matrix = np.where(np.equal.outer(labels, labels), lo, hi).astype(np.int64)
     np.fill_diagonal(matrix, 0)
-    tree = trees.from_ultrametric_matrix(matrix)
-    return matrix, tree
+    return trees.from_ultrametric_matrix(matrix)
 
 
 def generate(spec: GeneratorSpec):
@@ -450,49 +464,34 @@ def generate(spec: GeneratorSpec):
     truth = None
     iu, iv = np.triu_indices(n, k=1)
 
+    # d holds the distance of every pair (iu[p], iv[p])
     if spec.kind == "planted_ultrametric":
         if alphabet is None:
             alphabet = [fixedpoint.from_int(v) for v in (1, 2, 3, 4)]
         truth = _planted_ultrametric_tree(rng, n, alphabet)
-        matrix = truth.induced_matrix()
+        d = truth.distances(iu, iv)
     elif spec.kind == "planted_tree_metric":
         if alphabet is None:
             alphabet = [fixedpoint.from_int(v) for v in (1, 2, 3)]
-        if n == 1:
-            matrix = np.zeros((1, 1), dtype=np.int64)
-            truth = trees.UltrametricTree.single_leaf()
-        else:
-            matrix = _tree_metric_matrix(rng, n, alphabet)
-            row = matrix[0].copy()
-            shifted = matrix + 2 * row.max() - np.add.outer(row, row)
-            np.fill_diagonal(shifted, 0)
-            truth = trees.TreeMetricRep(
-                trees.from_ultrametric_matrix(shifted), 0, row
-            )
+        d, truth = _planted_tree_metric(rng, n, alphabet, iu, iv)
     elif spec.kind == "two_valued":
         if alphabet is None:
             alphabet = [fixedpoint.from_int(1), fixedpoint.from_int(2)]
-        matrix, truth = _two_valued_matrix(rng, n, alphabet)
+        truth = _two_valued_tree(rng, n, alphabet)
+        d = truth.distances(iu, iv)
     else:
         if alphabet is None:
             alphabet = [fixedpoint.from_int(v) for v in (1, 2, 3)]
-        matrix = np.zeros((n, n), dtype=np.int64)
-        vals = rng.choice(np.asarray(alphabet, dtype=np.int64), size=m)
-        matrix[iu, iv] = vals
-        matrix += matrix.T
+        d = rng.choice(np.asarray(alphabet, dtype=np.int64), size=m)
 
     if spec.noise_k:
         pool = np.asarray(sorted(set(int(v) for v in alphabet)), dtype=np.int64)
         if spec.kind == "planted_tree_metric":
-            pool = np.unique(matrix[iu, iv])
+            pool = np.unique(d)
         if len(pool) < 2:
             raise ConfigError("noise needs at least two distinct values")
-        picks = rng.choice(m, size=spec.noise_k, replace=False)
-        for p in picks:
-            a, b = int(iu[p]), int(iv[p])
-            others = pool[pool != matrix[a, b]]
-            val = int(rng.choice(others))
-            matrix[a, b] = matrix[b, a] = val
+        for p in rng.choice(m, size=spec.noise_k, replace=False):
+            d[p] = int(rng.choice(pool[pool != d[p]]))
 
-    source = StreamSource(n, iu, iv, matrix[iu, iv], order_seed=spec.seed)
+    source = StreamSource(n, iu, iv, d, order_seed=spec.seed)
     return source, truth

@@ -171,11 +171,10 @@ def fit_l0_tree(
     pairwise = np.zeros((t, t), dtype=np.int64)
     # every pair once, in the stream's stored order: the counts need no
     # particular order
-    upper = [rep.induced_matrix()[source.u, source.v] for rep in reps]
+    upper = [rep.distances(source.u, source.v) for rep in reps]
     for i in range(t):
         for j in range(i + 1, t):
-            diff = int(np.count_nonzero(upper[i] != upper[j]))
-            pairwise[i, j] = pairwise[j, i] = diff
+            pairwise[i, j] = pairwise[j, i] = np.count_nonzero(upper[i] != upper[j])
     winner = select_tree_by_clique(pairwise, labels=pivots)
     return L0TreeResult(
         rep=reps[winner],

@@ -149,60 +149,63 @@ class UltrametricTree:
                 b = self.parent[b]
         return int(self.level[a])
 
-    def induced_matrix(self) -> np.ndarray:
-        """Full n x n matrix of LCA levels.
+    def distances(self, u, v) -> np.ndarray:
+        """LCA level of every pair (u[k], v[k]), and 0 where u[k] == v[k].
 
-        One post-order walk lists the leaves in depth-first order, so every
-        subtree's leaves are the contiguous run order[lo:hi]. The matrix is
-        filled in that order: at each internal node, the leaves of each
-        child but the last meet the leaves to their right at the node's
-        level, two slice blocks per child, and every off-diagonal cell is
-        written exactly once. The columns and then the rows are put back in
-        leaf-id order in place, a sixteenth of the matrix at a time, so that
-        the only temporary is one such block and not a second n x n matrix.
-        """
+        In depth-first leaf order every subtree's leaves are contiguous, so
+        the LCA level of two leaves is the largest LCA level of adjacent
+        leaves between them, a range maximum that a sparse table of n log2 n
+        words answers (Bender & Farach-Colton, LATIN 2000)."""
+        return _pair_query(self.n, u, v, self._lca_levels())
+
+    def _lca_levels(self):
+        """`query(a, b, out)`, writing the LCA levels of distinct pairs."""
         n = self.n
-        out = np.zeros((n, n), dtype=np.int64)
-        size = len(self.parent)
-        order = np.empty(n, dtype=np.int64)
-        lo = [0] * size
-        hi = [0] * size
-        pos = 0
-        for idx in self._postorder():
-            if idx < n:
-                order[pos] = idx
-                lo[idx] = pos
-                pos += 1
-                hi[idx] = pos
+        # the leaves in depth-first order, each with the LCA level it shares
+        # with the leaf before it: a first child inherits its parent's, the
+        # other children meet the leaf before them at the parent's level
+        order, gaps = [], []
+        stack = [(self.root, 0)]
+        while stack:
+            node, gap = stack.pop()
+            if node < n:
+                order.append(node)
+                gaps.append(gap)
                 continue
-            # post-order visits children left to right, so their runs are
-            # consecutive in list order
-            kids = self.children[idx]
-            lo[idx] = lo[kids[0]]
-            end = hi[idx] = hi[kids[-1]]
-            lvl = self.level[idx]
-            for child in kids[:-1]:
-                a, b = lo[child], hi[child]
-                out[a:b, b:end] = lvl
-                out[b:end, a:b] = lvl
-        # where[i] is leaf i's position in the depth-first order
+            kids = self.children[node]
+            stack.extend((child, self.level[node]) for child in reversed(kids[1:]))
+            stack.append((kids[0], gap))
         where = np.empty(n, dtype=np.int64)
         where[order] = np.arange(n)
-        step = -(-n // 16)
-        for a in range(0, n, step):
-            out[a : a + step] = out[a : a + step, where]
-        for a in range(0, n, step):
-            out[:, a : a + step] = out[where, a : a + step]
-        return out
+        # table[k, i]: largest LCA level of adjacent leaves among positions
+        # i .. i + 2**k; the last column only pads the table to width n
+        table = np.zeros((max(1, (n - 1).bit_length()), n), dtype=np.int64)
+        table[0, :-1] = gaps[1:]
+        for k in range(1, len(table)):
+            step = 1 << (k - 1)
+            np.maximum(table[k - 1, :-step], table[k - 1, step:], out=table[k, :-step])
+        # two runs of 2**k adjacent pairs, k = floor(log2 s), cover a span
+        # of s pairs: row k from lo, and row k back from hi; the flat index
+        # shifts by span are k n and k n - 2**k. A zero span reads a cell
+        # that the caller overwrites.
+        k = np.maximum(np.frexp(np.arange(n))[1] - 1, 0)
+        from_lo, from_hi, flat = k * n, k * n - (1 << k), table.ravel()
 
-    def _postorder(self):
-        order = []
-        stack = [self.root]
-        while stack:
-            idx = stack.pop()
-            order.append(idx)
-            stack.extend(self.children[idx])
-        return reversed(order)
+        def query(a, b, out):
+            pa, pb = where[a], where[b]
+            lo = np.minimum(pa, pb)
+            hi = np.maximum(pa, pb, out=pa)
+            span = hi - lo
+            lo += from_lo[span]
+            hi += from_hi[span]
+            np.maximum(flat[lo], flat[hi], out=out)
+
+        return query
+
+    def induced_matrix(self) -> np.ndarray:
+        """Full n x n distance matrix, a test reference built on `distances`."""
+        u, v = np.indices((self.n, self.n)).reshape(2, -1)
+        return self.distances(u, v).reshape(self.n, self.n)
 
     # -- transforms -----------------------------------------------------------
 
@@ -284,6 +287,21 @@ class UltrametricTree:
             lambda i: ")" if i == self.root else f"):{length(i)}",
             ",",
         ) + ";"
+
+
+def _pair_query(n: int, u, v, query) -> np.ndarray:
+    """`query(a, b, out)` over slices of 16 n pairs, so that its temporaries
+    stay O(n) beyond the output; pairs with a == b read 0."""
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+        raise DomainError("unknown point id in the pairs")
+    out = np.empty(len(u), dtype=np.int64)
+    step = 16 * n
+    for s in range(0, len(u), step):
+        a, b, part = u[s : s + step], v[s : s + step], out[s : s + step]
+        query(a, b, part)
+        part[a == b] = 0
+    return out
 
 
 def single_linkage_tree(n: int, edges) -> UltrametricTree:
@@ -500,16 +518,20 @@ class TreeMetricRep:
             return 0
         return self.base.distance(u, v) - self.centroid_value(u, v)
 
-    def induced_matrix(self) -> np.ndarray:
-        """T = U - C, with C subtracted in place: U - 2m + row[i] + row[j]
-        off the diagonal, zero on it."""
-        out = self.base.induced_matrix()
-        row = self.pivot_row
-        out -= 2 * self.m_a
-        out += row[:, None]
-        out += row[None, :]
-        np.fill_diagonal(out, 0)
-        return out
+    def distances(self, u, v) -> np.ndarray:
+        """T(u[k], v[k]) for every pair: the base tree's LCA level less the
+        centroid value 2m - row[u] - row[v], and 0 where u[k] == v[k]."""
+        levels, row = self.base._lca_levels(), self.pivot_row
+
+        def query(a, b, out):
+            levels(a, b, out)
+            out -= 2 * self.m_a
+            out += row[a]
+            out += row[b]
+
+        return _pair_query(self.n, u, v, query)
+
+    induced_matrix = UltrametricTree.induced_matrix
 
     def to_json(self) -> str:
         row = json.dumps([fixedpoint.to_decimal(v) for v in self.pivot_row.tolist()])

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -169,6 +170,19 @@ class TestGenerators:
         assert four_point_check(D)
         assert isinstance(truth, TreeMetricRep)
         assert np.array_equal(truth.induced_matrix(), D)
+
+    def test_planted_tree_metric_peak_memory_is_pinned_at_n_1024(self):
+        """The stream is built from the m distances taken off the tree
+        metric's matrix, which then becomes D + C in place and is dropped:
+        the peak stays under 3.5 n x n int64 matrices (it reads about 2.9)."""
+        n = 1024
+        tracemalloc.start()
+        try:
+            generate(GeneratorSpec(kind="planted_tree_metric", n=n, seed=1, noise_k=n // 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
 
     def test_two_valued_has_two_values(self):
         src, _ = generate(GeneratorSpec(kind="two_valued", n=12, seed=1))

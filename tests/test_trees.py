@@ -235,9 +235,20 @@ def random_nested_tree(draw):
     return n, build(ids, 2 * n + 1)
 
 
-@given(random_nested_tree())
+def scrambled_pairs(n, rng):
+    """Every ordered pair, u > v and u == v too, then 3n drawn again, all
+    shuffled: past n = 16 more than one 16 n slice of `distances`."""
+    u, v = np.indices((n, n)).reshape(2, -1)
+    again = rng.integers(n, size=(2, 3 * n))
+    order = rng.permutation(n * n + 3 * n)
+    return np.concatenate([u, again[0]])[order], np.concatenate([v, again[1]])[order]
+
+
+@given(random_nested_tree(), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=80, deadline=None)
-def test_induced_matrix_equals_pairwise_distance(spec):
+def test_induced_matrix_equals_pairwise_distance(spec, seed):
+    """`distances` on scrambled pairs, and `induced_matrix` built on it,
+    match the scalar parent walk `distance`."""
     n, nested = spec
     tree = UltrametricTree.from_nested(n, nested)
     M = tree.induced_matrix()
@@ -245,6 +256,8 @@ def test_induced_matrix_equals_pairwise_distance(spec):
         [[tree.distance(i, j) for j in range(n)] for i in range(n)], dtype=np.int64
     )
     assert np.array_equal(M, expected)
+    u, v = scrambled_pairs(n, np.random.default_rng(seed))
+    assert np.array_equal(tree.distances(u, v), expected[u, v])
 
 
 @given(random_nested_tree(), st.integers(min_value=0, max_value=2**32 - 1))
@@ -261,6 +274,8 @@ def test_tree_metric_induced_matrix_equals_pairwise_distance(spec, seed):
         [[rep.distance(i, j) for j in range(n)] for i in range(n)], dtype=np.int64
     )
     assert np.array_equal(M, expected)
+    u, v = scrambled_pairs(n, rng)
+    assert np.array_equal(rep.distances(u, v), expected[u, v])
     assert np.array_equal(M, M.T)
     assert (np.diag(M) == 0).all()
 
@@ -331,6 +346,72 @@ def test_spanning_tree_builder_matches_all_pairs_reference(matrix):
     reference = all_pairs_single_linkage(matrix)
     assert np.array_equal(tree.parent, reference.parent)
     assert np.array_equal(tree.level, reference.level)
+
+
+class TestDistances:
+    def test_600_leaf_caterpillar_on_pairs_across_slices(self):
+        """D(i, j) = max(i, j) is a 599-level caterpillar; pairs in any
+        order, repeated and equal ones too, over several 16 n slices."""
+        n = 600
+        tree = single_linkage_tree(n, [(i * U, i - 1, i) for i in range(1, n)])
+        rng = np.random.default_rng(6)
+        u, v = rng.integers(n, size=(2, 40 * n))
+        u[:n] = v[:n] = np.arange(n)
+        got = tree.distances(u, v)
+        assert np.array_equal(got, np.where(u == v, 0, np.maximum(u, v) * U))
+        for k in range(0, len(u), 97):
+            assert got[k] == tree.distance(int(u[k]), int(v[k]))
+
+    def test_one_and_two_points(self):
+        empty = np.zeros(0, dtype=np.int64)
+        leaf = UltrametricTree.single_leaf()
+        pair = UltrametricTree.from_nested(2, (3 * U, [0, 1]))
+        rep = TreeMetricRep(pair, 1, [U, 0])
+        for tree in (leaf, pair, rep):
+            out = tree.distances(empty, empty)
+            assert out.dtype == np.int64 and out.shape == (0,)
+        assert leaf.distances([0, 0], [0, 0]).tolist() == [0, 0]
+        assert pair.distances([1, 0, 1], [0, 0, 1]).tolist() == [3 * U, 0, 0]
+        # T = U - C with C(0, 1) = 2 * U - U - 0
+        assert rep.distances([0, 1, 0], [1, 0, 0]).tolist() == [2 * U, 2 * U, 0]
+
+    def test_a_point_with_itself_reads_zero(self):
+        """u == v reads 0 at every depth-first position, the first and the
+        last too, for the tree metric whose centroid term is not 0 there."""
+        tree = from_ultrametric_matrix(two_pair_gadget())
+        rep = TreeMetricRep(tree, 0, np.array([0, 1, 2, 2]) * (U // 4))
+        ids = np.arange(4)
+        assert not tree.distances(ids, ids).any()
+        assert not rep.distances(ids, ids).any()
+
+    def test_unknown_ids_are_rejected(self):
+        tree = from_ultrametric_matrix(two_pair_gadget())
+        for u, v in (([0, -1], [1, 2]), ([0, 1], [4, 2])):
+            with pytest.raises(DomainError):
+                tree.distances(u, v)
+
+
+def test_pair_query_peak_memory_stays_under_an_eighth_of_the_matrix():
+    """All m pairs at n = 2048 hold the sparse table and one slice's
+    temporaries beyond the m-word output: under n * n bytes, an eighth of
+    the n x n int64 matrix, for both tree kinds."""
+    n = 2048
+    rng = np.random.default_rng(1)
+    path = rng.permutation(n)
+    weights = rng.integers(1, 10**6, size=n - 1) * U
+    tree = single_linkage_tree(n, zip(weights.tolist(), path[:-1], path[1:]))
+    row = rng.integers(1, 10**6, size=n) * U
+    row[0] = 0
+    u, v = np.triu_indices(n, k=1)
+    for fitted in (tree, TreeMetricRep(tree, 0, row)):
+        tracemalloc.start()
+        try:
+            out = fitted.distances(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < n * n
+        del out
 
 
 def test_spanning_tree_builder_peak_memory_stays_under_twice_the_matrix():
