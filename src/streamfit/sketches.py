@@ -134,11 +134,16 @@ class SampleMembership:
         key = (instance, s_prime)
         got = self._masks.get(key)
         if got is None:
-            entropy = np.random.SeedSequence(
-                (self.config.seed, 101, instance, s_prime)
-            )
-            rng = np.random.Generator(np.random.Philox(seed=entropy))
-            got = rng.random(self.n) < self.config.sample_probability(s_prime)
+            p = self.config.sample_probability(s_prime)
+            if p >= 1:
+                # every draw in [0, 1) is below 1
+                got = np.ones(self.n, dtype=bool)
+            else:
+                entropy = np.random.SeedSequence(
+                    (self.config.seed, 101, instance, s_prime)
+                )
+                rng = np.random.Generator(np.random.Philox(seed=entropy))
+                got = rng.random(self.n) < p
             self._masks[key] = got
         return got
 

@@ -24,8 +24,16 @@ class ConfigError(ValueError):
 
 
 def pair_index(n: int, u: int, v: int):
-    """Index of unordered pair (u < v) in condensed row-major order."""
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
+    """Index of unordered pair (u < v) in condensed row-major order,
+    u (2n - 1 - u) / 2 + v - u - 1, built in one array of the pairs' length
+    when u and v are arrays."""
+    index = 2 * n - 1 - u
+    index *= u
+    index //= 2
+    index += v
+    index -= u
+    index -= 1
+    return index
 
 
 class StreamSource:
@@ -393,58 +401,58 @@ def _prufer_tree(rng, n):
     return edges
 
 
-def _tree_metric_matrix(rng, n, alphabet):
-    """Path lengths of a random weighted tree, breadth-first from vertex 0:
-    a vertex y reached from x over weight w lies w further than x from
-    every vertex placed before it, none of which is in y's subtree."""
-    edges = _prufer_tree(rng, n)
+def _planted_tree_metric(rng, n, alphabet):
+    """A random weighted tree's metric, kept as its truth: rooted at pivot
+    0, D + C is the ultrametric whose level at a pair is 2m - 2 row[lca],
+    so point x stands for node n + x at level 2m - 2 row[x], under its tree
+    parent's node, with leaf x below it."""
+    if n == 1:
+        return trees.UltrametricTree.single_leaf()
     adj = [[] for _ in range(n)]
-    for a, b in edges:
+    for a, b in _prufer_tree(rng, n):
         w = int(rng.choice(alphabet))
         adj[a].append((b, w))
         adj[b].append((a, w))
-    dist = np.zeros((n, n), dtype=np.int64)
-    order = np.zeros(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    placed = 1
-    for i in range(n):
-        x = int(order[i])
+    row, up = [0] * n, [-1] * n
+    order = [0]
+    for x in order:
         for y, w in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                before = order[:placed]
-                dist[y, before] = dist[x, before] + w
-                dist[before, y] = dist[y, before]
-                order[placed] = y
-                placed += 1
-    return dist
-
-
-def _planted_tree_metric(rng, n, alphabet, iu, iv):
-    """A random tree metric's distances at the pairs (iu, iv) and its truth:
-    the ultrametric D + C, built in place over D's matrix, plus pivot 0."""
-    if n == 1:
-        return np.zeros(0, dtype=np.int64), trees.UltrametricTree.single_leaf()
-    matrix = _tree_metric_matrix(rng, n, alphabet)
-    d = matrix[iu, iv]
-    row = matrix[0].copy()
-    matrix += 2 * row.max()
-    matrix -= row[:, None]
-    matrix -= row[None, :]
-    np.fill_diagonal(matrix, 0)
-    return d, trees.TreeMetricRep(trees.from_ultrametric_matrix(matrix), 0, row)
+            if y != up[x]:
+                row[y], up[y] = row[x] + w, x
+                order.append(y)
+    top = 2 * max(row)
+    if top > _INT64.max:
+        raise ConfigError("tree metric distances overflow 64 bits")
+    parent = list(range(n, 2 * n)) + [-1] + [n + x for x in up[1:]]
+    level = [0] * n + [top - 2 * r for r in row]
+    return trees.TreeMetricRep(trees.UltrametricTree(n, parent, level), 0, row)
 
 
 def _two_valued_tree(rng, n, alphabet):
+    """Points sharing a drawn label meet at the lower value, all others at
+    the higher: one node per label that occurs, under a root."""
     if len(alphabet) != 2:
         raise ConfigError("two_valued needs exactly two alphabet values")
     lo, hi = sorted(alphabet)
     groups = int(rng.integers(2, max(3, n // 3 + 1)))
     labels = rng.integers(0, groups, size=n)
-    matrix = np.where(np.equal.outer(labels, labels), lo, hi).astype(np.int64)
-    np.fill_diagonal(matrix, 0)
-    return trees.from_ultrametric_matrix(matrix)
+    # numbered 0.. among the labels that occur: an empty group would be an
+    # internal node without children
+    labels = np.unique(labels, return_inverse=True)[1]
+    k = int(labels.max()) + 1
+    parent = (n + labels).tolist() + [n + k] * k + [-1]
+    level = [0] * n + [lo] * k + [hi]
+    return trees.UltrametricTree(n, parent, level)
+
+
+# each kind's default alphabet, in whole units, and the builder of its
+# truth; uniform_random draws its distances and has none
+_BUILDERS = {
+    "planted_ultrametric": ((1, 2, 3, 4), _planted_ultrametric_tree),
+    "planted_tree_metric": ((1, 2, 3), _planted_tree_metric),
+    "two_valued": ((1, 2), _two_valued_tree),
+    "uniform_random": ((1, 2, 3), None),
+}
 
 
 def generate(spec: GeneratorSpec):
@@ -460,29 +468,21 @@ def generate(spec: GeneratorSpec):
     if spec.noise_k > m:
         raise ConfigError("noise_k exceeds pair count")
     rng = _rng(spec.seed, 1)
+    default, build = _BUILDERS[spec.kind]
     alphabet = spec.value_alphabet
+    if alphabet is None:
+        alphabet = [fixedpoint.from_int(v) for v in default]
+    if any(v > _INT64.max for v in alphabet):
+        raise ConfigError("alphabet value overflows 64 bits")
     truth = None
     iu, iv = np.triu_indices(n, k=1)
 
     # d holds the distance of every pair (iu[p], iv[p])
-    if spec.kind == "planted_ultrametric":
-        if alphabet is None:
-            alphabet = [fixedpoint.from_int(v) for v in (1, 2, 3, 4)]
-        truth = _planted_ultrametric_tree(rng, n, alphabet)
-        d = truth.distances(iu, iv)
-    elif spec.kind == "planted_tree_metric":
-        if alphabet is None:
-            alphabet = [fixedpoint.from_int(v) for v in (1, 2, 3)]
-        d, truth = _planted_tree_metric(rng, n, alphabet, iu, iv)
-    elif spec.kind == "two_valued":
-        if alphabet is None:
-            alphabet = [fixedpoint.from_int(1), fixedpoint.from_int(2)]
-        truth = _two_valued_tree(rng, n, alphabet)
-        d = truth.distances(iu, iv)
-    else:
-        if alphabet is None:
-            alphabet = [fixedpoint.from_int(v) for v in (1, 2, 3)]
+    if build is None:
         d = rng.choice(np.asarray(alphabet, dtype=np.int64), size=m)
+    else:
+        truth = build(rng, n, alphabet)
+        d = truth.distances(iu, iv)
 
     if spec.noise_k:
         pool = np.asarray(sorted(set(int(v) for v in alphabet)), dtype=np.int64)

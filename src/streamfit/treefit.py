@@ -104,9 +104,9 @@ def select_tree_by_clique(pairwise: np.ndarray, labels=None) -> int:
 
     `pairwise` is a symmetric candidate-vs-candidate dissimilarity matrix.
     Over the sorted distinct values x, the graph with edges
-    {pairwise <= 24x} gains edges monotonically; binary search finds the
-    smallest x whose graph holds a clique of at least half the candidates,
-    and the winner is the lowest-label member of a maximum clique there.
+    {pairwise <= 24x} gains edges as x grows; the first x whose graph holds
+    a clique of at least half the candidates decides, and the winner is the
+    lowest-label member of a maximum clique there.
     """
     t = pairwise.shape[0]
     if pairwise.shape != (t, t) or not np.array_equal(pairwise, pairwise.T):
@@ -119,27 +119,14 @@ def select_tree_by_clique(pairwise: np.ndarray, labels=None) -> int:
         raise ValueError("candidate count beyond the 32-vertex clique search")
     need = math.ceil(t / 2)
     iu, iv = np.triu_indices(t, k=1)
-    thresholds = np.unique(np.concatenate([[0], pairwise[iu, iv]]))
-
-    def clique_for(x):
-        close = pairwise <= 24 * int(x)
+    for x in np.unique(np.concatenate([[0], pairwise[iu, iv]])).tolist():
+        close = pairwise <= 24 * x
         np.fill_diagonal(close, False)
         adj_bits = [int(sum(1 << j for j in np.flatnonzero(close[i]))) for i in range(t)]
-        return _max_clique(adj_bits, t)
-
-    lo, hi = 0, len(thresholds) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if len(clique_for(thresholds[mid])) >= need:
-            hi = mid
-        else:
-            lo = mid + 1
-    clique = clique_for(thresholds[lo])
-    if len(clique) < need:
-        raise ValueError("no qualifying clique at the largest threshold")
-    if lo > 0 and len(clique_for(thresholds[lo - 1])) >= need:
-        raise AssertionError("clique feasibility is not monotone in the threshold")
-    return min(clique, key=lambda i: labels[i])
+        clique = _max_clique(adj_bits, t)
+        if len(clique) >= need:
+            return min(clique, key=lambda i: labels[i])
+    raise ValueError("no qualifying clique at the largest threshold")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import streamfit as sf
+from streamfit import cli
 from streamfit import fixedpoint as fp
 from streamfit import streams
 from streamfit.agreement import AgreementParams
@@ -24,7 +25,13 @@ from streamfit.streams import (
     pair_index,
 )
 from streamfit.treefit import fit_l0_tree, fit_linf_tree
-from streamfit.trees import TreeMetricRep, four_point_check, is_ultrametric
+from streamfit.trees import (
+    TreeMetricRep,
+    UltrametricTree,
+    four_point_check,
+    from_ultrametric_matrix,
+    is_ultrametric,
+)
 
 U = fp.SCALE
 
@@ -144,6 +151,31 @@ def test_a_pass_replayed_per_pivot_counts_once():
     assert src.passes_read == 2
 
 
+def drawn_tree_metric(n, seed):
+    """Path lengths, by Floyd-Warshall, of the weighted tree that
+    `planted_tree_metric` draws for (n, seed) with the default alphabet."""
+    rng = streams._rng(seed, 1)
+    D = np.full((n, n), np.iinfo(np.int64).max // 4)
+    np.fill_diagonal(D, 0)
+    if n > 1:
+        for a, b in streams._prufer_tree(rng, n):
+            D[a, b] = D[b, a] = int(rng.choice([U, 2 * U, 3 * U]))
+    for k in range(n):
+        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+    return D
+
+
+def drawn_two_valued(n, seed):
+    """The matrix of the labels that `two_valued` draws for (n, seed) with
+    the default alphabet: 1 within a label, 2 across."""
+    rng = streams._rng(seed, 1)
+    groups = int(rng.integers(2, max(3, n // 3 + 1)))
+    labels = rng.integers(0, groups, size=n)
+    D = np.where(np.equal.outer(labels, labels), U, 2 * U)
+    np.fill_diagonal(D, 0)
+    return D
+
+
 class TestGenerators:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
@@ -172,9 +204,10 @@ class TestGenerators:
         assert np.array_equal(truth.induced_matrix(), D)
 
     def test_planted_tree_metric_peak_memory_is_pinned_at_n_1024(self):
-        """The stream is built from the m distances taken off the tree
-        metric's matrix, which then becomes D + C in place and is dropped:
-        the peak stays under 3.5 n x n int64 matrices (it reads about 2.9)."""
+        """The truth is built from the tree's own parent and level arrays
+        and the stream from the m pair distances it answers, so no n x n
+        matrix exists: the peak stays under 3.5 n x n int64 matrices (it
+        reads about 2.2)."""
         n = 1024
         tracemalloc.start()
         try:
@@ -183,6 +216,74 @@ class TestGenerators:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * n * n * 8
+
+    @pytest.mark.parametrize("kind", GeneratorSpec.KINDS)
+    def test_every_kind_peaks_under_2_4_matrices_at_n_1024(self, kind):
+        """The pair arrays, the distances and the completeness check's one
+        index array of m words set the peak; an n x n int64 matrix would
+        lift it past 2.4 of them."""
+        n = 1024
+        generate(GeneratorSpec(kind=kind, n=8, seed=0, noise_k=4))  # warm-up
+        tracemalloc.start()
+        try:
+            generate(GeneratorSpec(kind=kind, n=n, seed=1, noise_k=n // 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.4 * n * n * 8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 40])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_planted_truths_match_their_matrix_reference(self, n, seed):
+        """The noiseless stream is the matrix that the generator's draws
+        describe, and each truth is the tree `from_ultrametric_matrix`
+        recovers from that matrix: D + C rooted at pivot 0 for the tree
+        metric, D itself for two_valued. Noise edits only the stream, never
+        the truth; below three points one value leaves no noise pool."""
+        D = drawn_tree_metric(n, seed)
+        row = D[0]
+        C = 2 * row.max() - row[:, None] - row[None, :]
+        np.fill_diagonal(C, 0)
+        for noise in sorted({0, 1, n // 2}) if n >= 3 else [0]:
+            src, truth = generate(GeneratorSpec(
+                kind="planted_tree_metric", n=n, seed=seed, noise_k=noise))
+            if noise == 0:
+                assert np.array_equal(src.dense(), D)
+            if n == 1:
+                assert truth == UltrametricTree.single_leaf()
+            else:
+                assert isinstance(truth, TreeMetricRep)
+                assert truth.base == from_ultrametric_matrix(D + C)
+                assert truth.pivot == 0
+                assert np.array_equal(truth.pivot_row, row)
+
+        D = drawn_two_valued(n, seed)
+        for noise in sorted({0, 1, n // 2}) if n >= 3 else [0]:
+            src, truth = generate(GeneratorSpec(
+                kind="two_valued", n=n, seed=seed, noise_k=noise))
+            if noise == 0:
+                assert np.array_equal(src.dense(), D)
+            assert truth == from_ultrametric_matrix(D)
+
+    @pytest.mark.parametrize("kind, alphabet", [
+        # each weight fits, but a path of three edges does not
+        ("planted_tree_metric", "999999999"),
+        # a value past 64 bits, on every kind
+        ("planted_tree_metric", "1,99999999999"),
+        ("planted_ultrametric", "1,99999999999"),
+        ("two_valued", "1,99999999999"),
+        ("uniform_random", "1,99999999999"),
+    ])
+    def test_distances_beyond_64_bits_exit_3(self, tmp_path, capsys, kind, alphabet):
+        out = tmp_path / "d.txt"
+        code = cli.main([
+            "gen", "--kind", kind, "--n", "10", "--alphabet", alphabet,
+            "--out", str(out),
+        ])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
 
     def test_two_valued_has_two_values(self):
         src, _ = generate(GeneratorSpec(kind="two_valued", n=12, seed=1))
