@@ -19,14 +19,15 @@ count from one float32 BLAS product of their S columns (exact, see
 The density invariant is checked on the S-by-S adjacency it holds.
 
 `SketchView` answers from the finished sketch pools with the relaxation
-bands built into float thresholds. Every pair statistic comes from a few
-arrays over S: per vertex whether its close queue is exact, its degree and
-its reported rung; among exact vertices the product of their closed
-neighbourhoods; and, one sample size s' at a time, the S-by-S matrix of
-which sample holds which vertex, whose BLAS product counts common sampled
-neighbours. Each statistic is computed once, a block of rows at a time,
-and compared against beta and 3 beta. No state is kept between calls in
-either mode.
+bands built into float thresholds. Every pair statistic comes from the
+pools' array queries over S: per vertex whether its close queue is exact,
+its degree and its reported rung; among exact vertices the product of their
+closed neighbourhoods; and, one sample size s' at a time, the S-by-S matrix
+of which sample holds which vertex, whose BLAS product counts common
+sampled neighbours. Each statistic is computed once, a block of rows at a
+time, and compared against beta and 3 beta. Loops run over ladder rungs
+and sample sizes, never over vertices, and no state is kept between calls
+in either mode.
 """
 
 from __future__ import annotations
@@ -145,35 +146,20 @@ class SketchView:
 
     A vertex whose close queue holds its whole neighbourhood at w is exact:
     its degree and neighbours come from the queue. Any other vertex is
-    estimated from the sketch `report_sketch` picks for it (its rung), and
-    a pair with such a vertex agrees only when the degree ratio allows it
-    and the common neighbours sampled in a shared R_{s'} bring the
-    estimated symmetric difference under the band.
+    estimated from the sketch `SketchPools.rungs` reports for it (its
+    rung), and a pair with such a vertex agrees only when the degree ratio
+    allows it and the common neighbours sampled in a shared R_{s'} bring
+    the estimated symmetric difference under the band.
     """
 
     def __init__(self, pools, instance: int):
         self.pools = pools
         self.instance = instance
 
-    def _close_within(self, vertices, w):
-        """Which of `vertices` have exact close queues at w, and the mask of
-        their queue entries at weight <= w."""
-        pools = self.pools
-        weights = pools.close_weights[vertices]
-        exact = ~pools.close_overflow[vertices] | (weights[:, -1] > w)
-        within = weights <= w
-        within &= np.arange(weights.shape[1]) < pools.close_lengths[vertices, None]
-        return exact, within
-
     def degrees(self, vertices, w: int) -> np.ndarray:
         """Closed degree at w of each of `vertices`, counted from the close
         queue where it is exact and estimated from the sketches elsewhere."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        exact, within = self._close_within(vertices, w)
-        d = within.sum(axis=1) + 1
-        for i in np.flatnonzero(~exact).tolist():
-            d[i] = self.pools.estimate_degree(int(vertices[i]), w, self.instance)
-        return d
+        return self.pools.degrees(vertices, w, self.instance)
 
     def claims(self, s_arr, w, params: AgreementParams) -> Claims:
         """Both agreement masks of S from one pass over its statistics,
@@ -188,14 +174,10 @@ class SketchView:
 
         # per vertex: exact queue, degree, and the ladder index of the
         # reported sketch (-1 for exact vertices and unreported ones)
-        exact, within = self._close_within(s_arr, w)
+        exact, within = pools.close_within(s_arr, w)
         d = self.degrees(s_arr, w)
         rung = np.full(k, -1, dtype=np.int64)
-        ladder = {s: i for i, s in enumerate(pools.sizes)}
-        for i in np.flatnonzero(~exact).tolist():
-            reported = pools.report_sketch(int(s_arr[i]), w, self.instance)
-            if reported is not None:
-                rung[i] = ladder[reported[1]]
+        rung[~exact] = pools.rungs(s_arr[~exact], w, self.instance)
         reported = rung >= 0
         d_f = d.astype(np.float64)
         # each statistic is computed once, in Python's float operation
@@ -228,13 +210,12 @@ class SketchView:
         last = len(pools.sizes) - 1
         # heaviness of an estimated vertex counts its sample one rung down
         # when that companion sketch exists, else its reported sketch's
-        below = np.minimum(rung + 1, last)
         heavy_space = rung.copy()
-        for i in np.flatnonzero(reported).tolist():
-            size = pools.sizes[rung[i]]
-            companion = (int(s_arr[i]), size, pools.sizes[below[i]])
-            if pools.get_sketch(self.instance, *companion) is not None:
-                heavy_space[i] = below[i]
+        for r in set(rung[reported].tolist()):
+            at, below = np.flatnonzero(rung == r), min(r + 1, last)
+            sizes = pools.sizes[r], pools.sizes[below]
+            held, _, _ = pools.entries(self.instance, *sizes, s_arr[at])
+            heavy_space[at[held]] = below
         heavy_sample = np.zeros((k, k), dtype=bool)
         rungs = np.unique(rung[usable])
         spaces = _sample_space(rungs[:, None], rungs, last)[
@@ -285,8 +266,7 @@ class SketchView:
         y = (heavy_sample & agree_b).sum(axis=1)[reported]
         prob = np.array([config.sample_probability(s) for s in pools.sizes])
         prob = prob[heavy_space[reported]]
-        deg = d[reported]
-        heavy[reported] = 1 - (1 + y / prob) / deg <= 1.1 * float(eps)
+        heavy[reported] = 1 - (1 + y / prob) / d[reported] <= 1.1 * float(eps)
         return Claims(heavy, agree_3b.__getitem__, None)
 
     def _samples(self, s_arr, pos, w, ex, near, rung, s_prime):
@@ -302,14 +282,13 @@ class SketchView:
         sample[ex, ex] = False
         present = np.zeros(k, dtype=bool)
         present[ex] = True
-        for i in np.flatnonzero(rung >= 0).tolist():
-            sk = pools.get_sketch(
-                self.instance, int(s_arr[i]), pools.sizes[rung[i]], s_prime
-            )
-            if sk is not None:
-                present[i] = True
-                col = pos[sk.others[: sk.count_at_most(w)]]
-                sample[i, col[col >= 0]] = True
+        for r in set(rung[rung >= 0].tolist()):
+            at = np.flatnonzero(rung == r)
+            sizes = pools.sizes[r], s_prime
+            i, weights, others = pools.entries(self.instance, *sizes, s_arr[at])
+            present[at[i]] = True
+            row, col = at[i[weights <= w]], pos[others[weights <= w]]
+            sample[row[col >= 0], col[col >= 0]] = True
         return sample, present
 
 

@@ -14,19 +14,25 @@ weights, sorted by (owner, weight, neighbour)); each (instance, s, s')
 `SketchPool` stores only how many entries of each owner's run it keeps.
 Instances whose samples R_{s'} coincide share one block and its pools. The
 close queues are one (n, close_capacity) pair of weight and neighbour
-arrays. Queries return a `SketchSlice` view and answer counts by
-`searchsorted`; they are pure functions of the state, which is fixed after
-`finalize`. The pools count the machine words they model (`words`) and the
-running maximum of that count (`peak_words`).
+arrays. After `finalize` the queries answer for a whole vertex array at
+once and keep no state: `close_within`, `rungs` (which sketch each vertex
+reports), `degrees`, and `entries`, which flattens the vertices' kept runs
+in one pool. They loop over ladder rungs, never over vertices; the scalar
+queries read one vertex through them. The pools count the machine words
+they model (`words`) and the running maximum of that count (`peak_words`).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# below every weight and its negation: the governing weight of a sketch a
+# vertex does not hold
+_NO_SKETCH = np.iinfo(np.int64).min
 
 
 class PhaseError(RuntimeError):
@@ -151,23 +157,18 @@ class SampleMembership:
         return len(self._masks)
 
 
+@dataclass
 class SketchSlice:
-    """One owner's kept entries in one (instance, s, s') pool: a view into
-    the CSR block of its (instance, s') group, sorted by (weight, other)."""
+    """One owner's kept entries in one (instance, s, s') pool, sorted by
+    (weight, other)."""
 
-    __slots__ = ("s", "s_prime", "weights", "others")
-
-    def __init__(self, s, s_prime, weights, others):
-        self.s = s
-        self.s_prime = s_prime
-        self.weights = weights
-        self.others = others
+    s: int
+    s_prime: int
+    weights: np.ndarray  # int64
+    others: np.ndarray  # int32
 
     def count_at_most(self, w: int) -> int:
         return int(self.weights.searchsorted(w, side="right"))
-
-    def count_above(self, w: int) -> int:
-        return len(self.weights) - self.count_at_most(w)
 
 
 @dataclass
@@ -187,21 +188,8 @@ class SketchPool:
     of its run in the group's shared block."""
 
     s: int
-    s_prime: int
     block: SketchBlock
     kept: np.ndarray  # int64, n
-
-    def sketch(self, v):
-        k = int(self.kept[v])
-        if k == 0:
-            return None
-        lo = int(self.block.offsets[v])
-        return SketchSlice(
-            self.s,
-            self.s_prime,
-            self.block.weights[lo : lo + k],
-            self.block.others[lo : lo + k],
-        )
 
 
 class CompressedSet:
@@ -255,7 +243,6 @@ class SketchPools:
         self.sketches: dict = {}
         self.w_max_seen = 0
         self.finalized = False
-        self._ladders: dict[int, list] = {}
         self._used_instances: dict[int, np.ndarray] = {}
 
     def bulk_ingest(self, u, v, d):
@@ -366,7 +353,7 @@ class SketchPools:
         np.cumsum(widest, out=offsets[1:])
         taken = np.arange(offsets[-1]) + np.repeat(seg_starts - offsets[:-1], widest)
         block = SketchBlock(offsets, ot[taken].astype(np.int32), wt[taken])
-        pools = [SketchPool(s, sp, block, kept) for s, kept in kept_by_s.items()]
+        pools = [SketchPool(s, block, kept) for s, kept in kept_by_s.items()]
         return block, pools, charges
 
     # -- finalize and queries --------------------------------------------------
@@ -381,74 +368,112 @@ class SketchPools:
     def get_sketch(self, instance, v, s, s_prime):
         """v's `SketchSlice` in pool (instance, s, s'), or None when the
         pool keeps nothing for v."""
+        _, weights, others = self.entries(instance, s, s_prime, [v])
+        return SketchSlice(s, s_prime, weights, others) if len(weights) else None
+
+    def entries(self, instance, s, s_prime, vertices):
+        """The kept entries of `vertices` in pool (instance, s, s'), one run
+        per vertex in the order given: each entry's position in `vertices`,
+        its weight and its neighbour. Empty when the pool does not exist."""
         pool = self.sketches.get((instance, s, s_prime))
-        return pool.sketch(v) if pool is not None else None
+        if pool is None:
+            return (np.zeros(0, dtype=np.int64),) * 3
+        kept = pool.kept[vertices]
+        at = np.repeat(np.arange(len(vertices)), kept)
+        taken = np.repeat(pool.block.offsets[vertices] - np.cumsum(kept) + kept, kept)
+        taken += np.arange(len(taken))
+        return at, pool.block.weights[taken], pool.block.others[taken]
+
+    def close_within(self, vertices, w):
+        """Which of `vertices` have exact close queues at w (the queue
+        provably holds every neighbour at w), and the mask of their queue
+        entries at weight <= w."""
+        weights = self.close_weights[vertices]
+        exact = ~self.close_overflow[vertices] | (weights[:, -1] > w)
+        within = weights <= w
+        within &= np.arange(weights.shape[1]) < self.close_lengths[vertices, None]
+        return exact, within
 
     def close_count(self, v, w) -> int:
         """How many of v's close-queue neighbours lie at weight <= w."""
-        row = self.close_weights[v, : self.close_lengths[v]]
-        return int(row.searchsorted(w, side="right"))
+        return int(self.close_within([v], w)[1].sum())
 
     def close_exact(self, v, w) -> bool:
         """True when v's close queue provably holds every neighbour at w."""
-        if not self.close_overflow[v]:
-            return True
-        return bool(self.close_weights[v, -1] > w)
+        return bool(self.close_within([v], w)[0][0])
 
-    def _ladder(self, v, instance):
-        """Sorted (governing_weight, size) pairs of v's nonempty s = s'
-        sketches, from a table built on the instance's first query."""
-        table = self._ladders.get(instance)
-        if table is None:
-            table = [[] for _ in range(self.n)]
-            for s in self.sizes:
-                pool = self.sketches.get((instance, s, s))
-                if pool is None:
-                    continue
-                owners = np.flatnonzero(pool.kept)
-                last = pool.block.offsets[owners] + pool.kept[owners] - 1
-                governing = pool.block.weights[last].tolist()
-                for owner, gw in zip(owners.tolist(), governing):
-                    table[owner].append((gw, s))
-            for ladder in table:
-                ladder.sort()
-            self._ladders[instance] = table
-        return table[v]
+    def rungs(self, vertices, w, instance):
+        """Ladder index of the s = s' sketch reported for each of
+        `vertices` at w, or -1 where the vertex holds none.
 
-    def report_sketch(self, v, w, instance):
-        """Choose the sketch whose governing weight brackets w.
-
-        Returns (governing_weight, size, sketch) or None when v holds no
-        sketches at all (callers then fall back to the close queue).
+        Of the sketches whose governing (heaviest kept) weight is >= w the
+        upper has the least, of those below w the lower has the greatest;
+        ties go to the smallest size, whose inclusion probability and so
+        count estimate are best, which is the largest index. The upper is
+        reported unless a lower exists and the upper keeps 4 zeta
+        sample_factor or more entries above w.
         """
         self._require_finalized()
-        ladder = self._ladder(v, instance)
-        if not ladder:
+        vertices = np.asarray(vertices, dtype=np.int64)
+        if not len(vertices):
+            return vertices
+        k, top = len(vertices), len(self.sizes) - 1
+        gw = np.full((k, top + 1), _NO_SKETCH, dtype=np.int64)
+        for r, s in enumerate(self.sizes):
+            pool = self.sketches.get((instance, s, s))
+            if pool is not None:
+                kept = pool.kept[vertices]
+                (held,) = kept.nonzero()
+                last = pool.block.offsets[vertices[held]] + kept[held] - 1
+                gw[held, r] = pool.block.weights[last]
+        # the upper sketch maximises -gw over gw >= w and the lower one gw
+        # over gw < w; on a reversed row argmax takes the largest index
+        flip = gw[:, ::-1]
+        up = np.where(flip >= w, -flip, _NO_SKETCH)
+        down = np.where(flip < w, flip, _NO_SKETCH)
+        upper = np.where(up.max(axis=1) > _NO_SKETCH, top - up.argmax(axis=1), -1)
+        lower = np.where(down.max(axis=1) > _NO_SKETCH, top - down.argmax(axis=1), -1)
+        rung = np.where(upper >= 0, upper, lower)
+        limit = 4 * self.config.zeta * self.config.sample_factor
+        contested = (upper >= 0) & (lower >= 0)
+        for r in set(upper[contested].tolist()):
+            at = np.flatnonzero(contested & (upper == r))
+            s = self.sizes[r]
+            i, weights, _ = self.entries(instance, s, s, vertices[at])
+            heavy = at[np.bincount(i[weights > w], minlength=len(at)) >= limit]
+            rung[heavy] = lower[heavy]
+        return rung
+
+    def report_sketch(self, v, w, instance):
+        """v's reported sketch at w (see `rungs`) as (governing_weight,
+        size, sketch), or None when v holds no s = s' sketch (callers then
+        fall back to the close queue)."""
+        r = int(self.rungs([v], w, instance)[0])
+        if r < 0:
             return None
-        # ties on governing weight prefer the smallest size: its inclusion
-        # probability is highest, so the count estimate is tightest
-        # upper: the first governing weight >= w; lower: the last one < w
-        split = bisect.bisect_left(ladder, (w,))
-        if split < len(ladder):
-            gw, s = ladder[split]
-            upper = (gw, s, self.get_sketch(instance, v, s, s))
-            heavier = upper[2].count_above(w)
-            if split == 0 or heavier < 4 * self.config.zeta * self.config.sample_factor:
-                return upper
-        gw, s = ladder[bisect.bisect_left(ladder, (ladder[split - 1][0],))]
-        return (gw, s, self.get_sketch(instance, v, s, s))
+        sk = self.get_sketch(instance, v, self.sizes[r], self.sizes[r])
+        return int(sk.weights[-1]), sk.s, sk
+
+    def degrees(self, vertices, w, instance):
+        """Closed d_w(v) estimate of each of `vertices`: one plus the close
+        queue's count where it is exact at w or `rungs` reports no sketch,
+        else one plus the reported sketch's count over its probability."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        exact, within = self.close_within(vertices, w)
+        d = within.sum(axis=1) + 1
+        (estimated,) = (~exact).nonzero()
+        rung = self.rungs(vertices[estimated], w, instance)
+        for r in set(rung[rung >= 0].tolist()):
+            at = estimated[rung == r]
+            s = self.sizes[r]
+            i, weights, _ = self.entries(instance, s, s, vertices[at])
+            count = np.bincount(i[weights <= w], minlength=len(at))
+            d[at] = np.rint(count / self.config.sample_probability(s)) + 1
+        return d
 
     def estimate_degree(self, v, w, instance):
         """d_w(v) estimate; exact from the close queue whenever possible."""
-        self._require_finalized()
-        if self.close_exact(v, w):
-            return self.close_count(v, w) + 1
-        reported = self.report_sketch(v, w, instance)
-        if reported is None:
-            return self.close_count(v, w) + 1
-        sk = reported[2]
-        prob = self.config.sample_probability(sk.s_prime)
-        return int(round(sk.count_at_most(w) / prob)) + 1
+        return int(self.degrees([v], w, instance)[0])
 
     def build_compressed_set(self) -> CompressedSet:
         self._require_finalized()
@@ -462,10 +487,7 @@ class SketchPools:
 
     def consume_instance(self, instance, vertices):
         """Mark a sketch instance as used for these vertices (once only)."""
-        used = self._used_instances.get(instance)
-        if used is None:
-            used = np.zeros(self.n, dtype=bool)
-            self._used_instances[instance] = used
+        used = self._used_instances.setdefault(instance, np.zeros(self.n, dtype=bool))
         vertices = np.asarray(vertices, dtype=np.int64)
         if used[vertices].any():
             hit = int(vertices[used[vertices]][0])

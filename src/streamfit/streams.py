@@ -474,6 +474,8 @@ def generate(spec: GeneratorSpec):
         alphabet = [fixedpoint.from_int(v) for v in default]
     if any(v > _INT64.max for v in alphabet):
         raise ConfigError("alphabet value overflows 64 bits")
+    if any(v <= 0 for v in alphabet):
+        raise ConfigError("alphabet values must be positive")
     truth = None
     iu, iv = np.triu_indices(n, k=1)
 

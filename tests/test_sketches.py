@@ -416,6 +416,23 @@ class TestPoolsEquivalence:
                     assert csr.estimate_degree(v, w, instance) == ref.estimate_degree(
                         v, w, instance
                     )
+        # the array queries answer all n vertices at once, in any order
+        shuffled = np.random.default_rng(levels).permutation(n)
+        for instance in range(cfg.instance_count):
+            for w in probes:
+                rungs = csr.rungs(shuffled, w, instance)
+                degrees = csr.degrees(shuffled, w, instance)
+                for v, rung, degree in zip(shuffled.tolist(), rungs, degrees):
+                    reported = ref.report_sketch(v, w, instance)
+                    assert rung == (-1 if reported is None else ref.sizes.index(reported[1]))
+                    assert degree == ref.estimate_degree(v, w, instance)
+                none = np.zeros(0, dtype=np.int64)
+                assert csr.rungs(none, w, instance).shape == (0,)
+                assert csr.degrees(none, w, instance).shape == (0,)
+        unfinished = SketchPools(cfg, n)
+        for query in (unfinished.rungs, unfinished.degrees):
+            with pytest.raises(PhaseError):
+                query(shuffled, probes[1], 0)
 
 
 class TestPoolsQueries:

@@ -273,6 +273,9 @@ class TestGenerators:
         ("planted_ultrametric", "1,99999999999"),
         ("two_valued", "1,99999999999"),
         ("uniform_random", "1,99999999999"),
+        # a zero weight, rejected before anything is drawn
+        ("planted_tree_metric", "0,1"),
+        ("two_valued", "0,1"),
     ])
     def test_distances_beyond_64_bits_exit_3(self, tmp_path, capsys, kind, alphabet):
         out = tmp_path / "d.txt"
@@ -283,6 +286,8 @@ class TestGenerators:
         assert code == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        if "0" in alphabet.split(","):
+            assert "alphabet" in lines[0]
         assert not out.exists()
 
     def test_two_valued_has_two_values(self):
