@@ -174,10 +174,7 @@ class SketchView:
 
         # per vertex: exact queue, degree, and the ladder index of the
         # reported sketch (-1 for exact vertices and unreported ones)
-        exact, within = pools.close_within(s_arr, w)
-        d = self.degrees(s_arr, w)
-        rung = np.full(k, -1, dtype=np.int64)
-        rung[~exact] = pools.rungs(s_arr[~exact], w, self.instance)
+        d, exact, within, rung = pools.estimates(s_arr, w, self.instance)
         reported = rung >= 0
         d_f = d.astype(np.float64)
         # each statistic is computed once, in Python's float operation
@@ -213,9 +210,11 @@ class SketchView:
         heavy_space = rung.copy()
         for r in set(rung[reported].tolist()):
             at, below = np.flatnonzero(rung == r), min(r + 1, last)
-            sizes = pools.sizes[r], pools.sizes[below]
-            held, _, _ = pools.entries(self.instance, *sizes, s_arr[at])
-            heavy_space[at[held]] = below
+            pool = pools.sketches.get(
+                (self.instance, pools.sizes[r], pools.sizes[below])
+            )
+            if pool is not None:
+                heavy_space[at[pool.kept[s_arr[at]] > 0]] = below
         heavy_sample = np.zeros((k, k), dtype=bool)
         rungs = np.unique(rung[usable])
         spaces = _sample_space(rungs[:, None], rungs, last)[

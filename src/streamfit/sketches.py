@@ -458,18 +458,26 @@ class SketchPools:
         """Closed d_w(v) estimate of each of `vertices`: one plus the close
         queue's count where it is exact at w or `rungs` reports no sketch,
         else one plus the reported sketch's count over its probability."""
+        return self.estimates(vertices, w, instance)[0]
+
+    def estimates(self, vertices, w, instance):
+        """`degrees` of `vertices`, with what it reads on the way: which
+        close queues are exact at w and their entries at most w (see
+        `close_within`), and the rung of each vertex, -1 where the queue is
+        exact or `rungs` reports no sketch."""
         vertices = np.asarray(vertices, dtype=np.int64)
         exact, within = self.close_within(vertices, w)
         d = within.sum(axis=1) + 1
         (estimated,) = (~exact).nonzero()
-        rung = self.rungs(vertices[estimated], w, instance)
+        rung = np.full(len(vertices), -1, dtype=np.int64)
+        rung[estimated] = self.rungs(vertices[estimated], w, instance)
         for r in set(rung[rung >= 0].tolist()):
-            at = estimated[rung == r]
+            at = np.flatnonzero(rung == r)
             s = self.sizes[r]
             i, weights, _ = self.entries(instance, s, s, vertices[at])
             count = np.bincount(i[weights <= w], minlength=len(at))
             d[at] = np.rint(count / self.config.sample_probability(s)) + 1
-        return d
+        return d, exact, within, rung
 
     def estimate_degree(self, v, w, instance):
         """d_w(v) estimate; exact from the close queue whenever possible."""

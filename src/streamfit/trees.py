@@ -175,32 +175,7 @@ class UltrametricTree:
             kids = self.children[node]
             stack.extend((child, self.level[node]) for child in reversed(kids[1:]))
             stack.append((kids[0], gap))
-        where = np.empty(n, dtype=np.int64)
-        where[order] = np.arange(n)
-        # table[k, i]: largest LCA level of adjacent leaves among positions
-        # i .. i + 2**k; the last column only pads the table to width n
-        table = np.zeros((max(1, (n - 1).bit_length()), n), dtype=np.int64)
-        table[0, :-1] = gaps[1:]
-        for k in range(1, len(table)):
-            step = 1 << (k - 1)
-            np.maximum(table[k - 1, :-step], table[k - 1, step:], out=table[k, :-step])
-        # two runs of 2**k adjacent pairs, k = floor(log2 s), cover a span
-        # of s pairs: row k from lo, and row k back from hi; the flat index
-        # shifts by span are k n and k n - 2**k. A zero span reads a cell
-        # that the caller overwrites.
-        k = np.maximum(np.frexp(np.arange(n))[1] - 1, 0)
-        from_lo, from_hi, flat = k * n, k * n - (1 << k), table.ravel()
-
-        def query(a, b, out):
-            pa, pb = where[a], where[b]
-            lo = np.minimum(pa, pb)
-            hi = np.maximum(pa, pb, out=pa)
-            span = hi - lo
-            lo += from_lo[span]
-            hi += from_hi[span]
-            np.maximum(flat[lo], flat[hi], out=out)
-
-        return query
+        return gap_max_query(order, gaps[1:])
 
     def induced_matrix(self) -> np.ndarray:
         """Full n x n distance matrix, a test reference built on `distances`."""
@@ -287,6 +262,42 @@ class UltrametricTree:
             lambda i: ")" if i == self.root else f"):{length(i)}",
             ",",
         ) + ";"
+
+
+def gap_max_query(order, gaps):
+    """`query(a, b, out)`, writing for each pair of distinct points the
+    largest of `gaps` between their positions in `order`, where gaps[i]
+    lies between order[i] and order[i + 1].
+
+    A sparse table of ceil(log2 n) n words answers each range maximum with
+    two reads (Bender & Farach-Colton, LATIN 2000)."""
+    n = len(order)
+    where = np.empty(n, dtype=np.int64)
+    where[order] = np.arange(n)
+    # table[k, i]: largest gap among positions i .. i + 2**k; the last
+    # column only pads the table to width n
+    table = np.zeros((max(1, (n - 1).bit_length()), n), dtype=np.int64)
+    table[0, :-1] = gaps
+    for k in range(1, len(table)):
+        step = 1 << (k - 1)
+        np.maximum(table[k - 1, :-step], table[k - 1, step:], out=table[k, :-step])
+    # two runs of 2**k adjacent gaps, k = floor(log2 s), cover a span of s
+    # gaps: row k from lo, and row k back from hi; the flat index shifts by
+    # span are k n and k n - 2**k. A zero span reads a cell that the caller
+    # overwrites.
+    k = np.maximum(np.frexp(np.arange(n))[1] - 1, 0)
+    from_lo, from_hi, flat = k * n, k * n - (1 << k), table.ravel()
+
+    def query(a, b, out):
+        pa, pb = where[a], where[b]
+        lo = np.minimum(pa, pb)
+        hi = np.maximum(pa, pb, out=pa)
+        span = hi - lo
+        lo += from_lo[span]
+        hi += from_hi[span]
+        np.maximum(flat[lo], flat[hi], out=out)
+
+    return query
 
 
 def _pair_query(n: int, u, v, query) -> np.ndarray:

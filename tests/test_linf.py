@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from streamfit import fixedpoint as fp
 from streamfit.linf import MstState, fit_linf_exact, fit_linf_min_decrement
 from streamfit.oracles import minimax_cert
-from streamfit.streams import StreamSource
+from streamfit.streams import GeneratorSpec, StreamSource, generate
 from streamfit.trees import is_ultrametric
 
 U = fp.SCALE
@@ -135,14 +135,19 @@ def kruskal_reference(n, edges):
 
 
 @given(
-    n=st.integers(min_value=10, max_value=30),
+    n=st.integers(min_value=10, max_value=120),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     max_weight=st.sampled_from([2, 5, 1000]),
+    late=st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_mst_state_matches_brute_force_kruskal(n, seed, max_weight):
+def test_mst_state_matches_brute_force_kruskal(n, seed, max_weight, late):
     """Random order, batches of random length (single edges among them);
-    the 4n buffer compacts several times mid-stream."""
+    the 4n buffer compacts several times mid-stream. Weights up to 2 tie
+    heavily, so the filter must compare whole keys. A late stream sends
+    the edges inside the sides of a random cut first, so the forest spans
+    only once the crossing edges arrive, and until then the filter meets
+    edges whose endpoints no forest path joins."""
     rng = np.random.default_rng(seed)
     iu, iv = np.triu_indices(n, 1)
     w = rng.integers(1, max_weight + 1, size=len(iu))
@@ -151,6 +156,11 @@ def test_mst_state_matches_brute_force_kruskal(n, seed, max_weight):
     u = np.where(flip, iv, iu)[order]
     v = np.where(flip, iu, iv)[order]
     w = w[order]
+    if late:
+        side = rng.integers(0, 2, size=n)
+        side[:2] = 0, 1
+        crossing = np.argsort(side[u] != side[v], kind="stable")
+        u, v, w = u[crossing], v[crossing], w[crossing]
     state = MstState(n)
     start = 0
     while start < len(w):
@@ -164,6 +174,27 @@ def test_mst_state_matches_brute_force_kruskal(n, seed, max_weight):
     expected = kruskal_reference(n, list(zip(u.tolist(), v.tolist(), w.tolist())))
     assert state.edges() == expected
     assert len(expected) == n - 1
+
+
+def test_filter_keeps_compactions_few(monkeypatch):
+    """On a uniform n = 192 stream (weights 1 to 3, so ties everywhere)
+    the state compacts 3 times; without the filter it compacts 24 times,
+    once per 4n edges."""
+    n = 192
+    source, _ = generate(GeneratorSpec(kind="uniform_random", n=n, seed=0))
+    compactions = 0
+    compact = MstState._compact
+
+    def counted(state):
+        nonlocal compactions
+        compactions += 1
+        compact(state)
+
+    monkeypatch.setattr(MstState, "_compact", counted)
+    state = MstState(n)
+    state.ingest_batch(*source.arrays(0))
+    assert len(state.edges()) == n - 1
+    assert compactions <= 6
 
 
 def test_mst_state_memory_is_forest_plus_linear_buffer():
