@@ -14,9 +14,13 @@ order claim what is still unclustered and the rest become singletons.
 
 `ExactView` answers from the dense matrix: it reads the |S|-by-n rows of S
 once, takes the degrees from their row sums and every common-neighbour
-count from one float32 BLAS product of their S columns (exact, see
-`_common_counts`), and compares the 3-beta bound only on the row of a seed.
-The density invariant is checked on the S-by-S adjacency it holds.
+count from one float32 BLAS product of their S columns, and builds each
+pair statistic in place in that product. A statistic is an integer in
+[0, 2n], held exactly in float32 (see `_common_counts`). The rational bound
+gamma * max(d_u, d_v) becomes an integer cut-off per vertex (`_cutoffs`),
+so the beta mask takes two comparisons against a length-|S| vector and a
+seed's 3-beta row one, with no S-by-S integer array. The density invariant
+is checked on the S-by-S adjacency it holds.
 
 `SketchView` answers from the finished sketch pools with the relaxation
 bands built into float thresholds. Every pair statistic comes from the
@@ -77,7 +81,7 @@ class Clustering:
 
     def assert_partition(self):
         merged = np.concatenate(self.clusters) if self.clusters else np.array([])
-        if sorted(merged.tolist()) != sorted(self.ground_set.tolist()):
+        if not np.array_equal(np.sort(merged), np.sort(self.ground_set)):
             raise ClusterInvariantError("clusters do not partition the ground set")
 
 
@@ -108,22 +112,29 @@ class ExactView:
 
     def claims(self, s_arr, w, params: AgreementParams) -> Claims:
         """Heaviness from one S-by-S beta mask; the 3-beta row of a seed is
-        compared when it is asked for. All arithmetic is on integers."""
+        compared when it is asked for.
+
+        Each pair statistic is an integer in [0, 2n], held exactly in the
+        float32 array of the common-neighbour product. The rational bound
+        gamma * max(d_u, d_v) is applied through integer cut-offs per
+        vertex (`_cutoffs`), so every decision is exact.
+        """
         rows = self.matrix[s_arr] <= w
         d = rows.sum(axis=1)
         sub = rows[:, s_arr]
         del rows
-        # stat = d_u + d_v - 2|N(u) cap N(v) cap S|, built in place
+        # stat = d_u + d_v - 2|N(u) cap N(v) cap S|, built in place; adding
+        # float32 degrees keeps numpy from casting the array to float64
         stat = _common_counts(sub)
         stat *= -2
-        stat += d[:, None]
-        stat += d[None, :]
+        d_f = d.astype(np.float32)
+        stat += d_f[:, None]
+        stat += d_f[None, :]
 
-        beta = params.beta
-        bound = np.maximum.outer(d, d)
-        bound *= beta.numerator
-        agree_b = stat * beta.denominator < bound
-        del bound
+        # stat < beta max(d_u, d_v) iff stat <= lim(d_u) or stat <= lim(d_v)
+        lim_b = _cutoffs(d, params.beta)
+        agree_b = stat <= lim_b[:, None]
+        agree_b |= stat <= lim_b[None, :]
         np.fill_diagonal(agree_b, True)
         agree_b &= sub
         inside = agree_b.sum(axis=1)
@@ -131,10 +142,10 @@ class ExactView:
         eps = params.epsilon
         heavy = (d - inside) * eps.denominator < eps.numerator * d
 
-        t_num, t_den = params.three_beta.numerator, params.three_beta.denominator
+        lim_3b = _cutoffs(d, params.three_beta)
 
         def row(i):
-            return stat[i] * t_den < t_num * np.maximum(d[i], d)
+            return stat[i] <= np.maximum(lim_3b[i], lim_3b)
 
         return Claims(heavy, row, sub)
 
@@ -323,7 +334,10 @@ def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clu
     """
     if not isinstance(s_vertices, np.ndarray):
         s_vertices = list(s_vertices)
-    s_arr = np.unique(np.asarray(s_vertices, dtype=np.int64))
+    s_arr = np.asarray(s_vertices, dtype=np.int64)
+    # the recursion passes strictly ascending sets, which need no np.unique
+    if s_arr.ndim != 1 or not (s_arr[1:] > s_arr[:-1]).all():
+        s_arr = np.unique(s_arr)
     if len(s_arr) == 0:
         raise ValueError("S must be nonempty")
     claims = view.claims(s_arr, w, params)
@@ -349,17 +363,31 @@ def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clu
 
 
 def _common_counts(sub):
-    """|N(u) cap N(v) cap S| for every pair of S, from the S-by-S adjacency.
+    """|N(u) cap N(v) cap S| for every pair of S, from the S-by-S adjacency,
+    as a float32 array the caller builds its statistics in.
 
     The product runs in float32 so that it goes through BLAS (numpy's
     integer matmul does not). It is exact: each entry sums at most
     |S| <= n products of 0 and 1, and n < 2**24 whenever a dense n-by-n
-    matrix fits in memory, so every partial sum is an integer float32
-    represents exactly. The float32 copy is freed on return, before the
-    caller allocates its k-by-k statistics.
+    matrix fits in memory, so every partial sum, and every statistic
+    within 2n of zero built from it, is an integer float32 represents
+    exactly. The float32 copy of `sub` is freed on return.
     """
     ones = sub.astype(np.float32)
-    return (ones @ ones.T).astype(np.int64)
+    return ones @ ones.T
+
+
+def _cutoffs(d, gamma):
+    """lim(x) = (num x - 1) // den for each degree x of `d`, where gamma is
+    num / den, as float32: the largest integer below gamma x, so an integer
+    statistic is below gamma x exactly when it is at most lim(x). lim never
+    decreases as x grows, so lim(max(a, b)) = max(lim(a), lim(b)). For the
+    gammas of a fit, all below 1, each cut-off lies in [-1, n) and is exact
+    in float32 like the statistics."""
+    lim = d * gamma.numerator
+    lim -= 1
+    lim //= gamma.denominator
+    return lim.astype(np.float32)
 
 
 def _assert_density(sub, label):

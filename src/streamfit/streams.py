@@ -116,8 +116,10 @@ class StreamSource:
         by construction."""
         self.passes_read = max(self.passes_read, 1)
         out = np.zeros((self.n, self.n), dtype=np.int64)
+        # scatter both triangles: adding the transpose would allocate a
+        # second n-by-n matrix
         out[self.u, self.v] = self.d
-        out += out.T
+        out[self.v, self.u] = self.d
         return out
 
     def check_complete(self):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -61,10 +62,11 @@ def agrees(nbhd, s_set, u, v, gamma):
     return stat < gamma * max(du, dv)
 
 
-def heavy(nbhd, s_set, u, eps):
+def heavy(nbhd, s_set, u, eps, beta=None):
     """u is heavy when fewer than eps * |N(u)| of its neighbours are outside
-    S or disagree with it under beta = 5 eps (1 + eps)."""
-    beta = 5 * eps * (1 + eps)
+    S or disagree with it under beta, by default 5 eps (1 + eps)."""
+    if beta is None:
+        beta = 5 * eps * (1 + eps)
     limit = eps * len(nbhd[u])
     misses = 0
     for x in nbhd[u]:
@@ -193,6 +195,17 @@ class TestExactClustering:
             s_structural_clustering(
                 [], 1 * U, AgreementParams(), ExactView(two_clique_matrix(3, 3))
             )
+
+    def test_unsorted_or_repeated_ids_are_deduplicated(self):
+        D = two_clique_matrix(8, 8)
+        want = s_structural_clustering(
+            range(16), 1 * U, AgreementParams(), ExactView(D)
+        )
+        for s in ([9, 3, 3, *range(16)], np.arange(16)[::-1].copy(), [[0, 1], [2, 3]]):
+            got = s_structural_clustering(s, 1 * U, AgreementParams(), ExactView(D))
+            assert np.array_equal(got.ground_set, np.unique(np.asarray(s)))
+            if len(got.ground_set) == 16:
+                assert got.to_lists() == want.to_lists()
 
     def test_partition_invariant_raised_on_bad_clustering(self):
         bad = Clustering(
@@ -326,6 +339,141 @@ def test_exact_clustering_matches_set_reference(case):
     view = ExactView(np.array(D, dtype=np.int64))
     got = s_structural_clustering(s_list, w, AgreementParams(epsilon=eps), view)
     assert got.to_lists() == reference_subset_clustering(D, s_list, w, eps)
+
+
+EPSILONS = [Fraction(1, 95), Fraction(1, 100), Fraction(1, 300)]
+
+
+def assert_claims_match_set_predicates(D, s_list, w, params, positions=None):
+    """`ExactView.claims` against the set predicates `agrees` and `heavy`:
+    the heavy mask, and every 3-beta row off its diagonal (the clustering
+    claims a seed itself whatever its row says), at the given positions of
+    S or at all of them."""
+    D = np.asarray(D, dtype=np.int64)
+    nbhd = neighbourhoods(D.tolist(), w)
+    s_set = set(s_list)
+    claims = ExactView(D).claims(np.array(s_list), w, params)
+    if positions is None:
+        positions = range(len(s_list))
+    for i in positions:
+        u = s_list[i]
+        assert claims.heavy[i] == heavy(nbhd, s_set, u, params.epsilon, params.beta)
+        got = claims.row(i).tolist()
+        want = [agrees(nbhd, s_set, u, v, params.three_beta) for v in s_list]
+        got[i] = want[i]
+        assert got == want, u
+
+
+def count_ties(D, s_list, w, params):
+    """The pairs of S whose statistic lies exactly on the beta bound, and
+    those exactly on the 3-beta bound."""
+    nbhd = neighbourhoods(np.asarray(D).tolist(), w)
+    s_set = set(s_list)
+    ties = [0, 0]
+    for a, u in enumerate(s_list):
+        for v in s_list[a + 1:]:
+            du, dv = len(nbhd[u]), len(nbhd[v])
+            stat = du + dv - 2 * len(nbhd[u] & nbhd[v] & s_set)
+            for t, gamma in enumerate((params.beta, params.three_beta)):
+                ties[t] += stat == gamma * max(du, dv)
+    return ties
+
+
+@given(subset_clustering_inputs())
+@settings(max_examples=100, deadline=None)
+def test_exact_claims_match_set_predicates(case):
+    D, s_list, w, eps = case
+    assert_claims_match_set_predicates(D, s_list, w, AgreementParams(epsilon=eps))
+
+
+@pytest.mark.parametrize("eps", EPSILONS, ids=str)
+@pytest.mark.parametrize(
+    "beta", [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5)], ids=str
+)
+def test_exact_claims_keep_the_bound_strict_on_ties(eps, beta):
+    """Gammas of small denominator put pairs exactly on the bound,
+    stat * den == num * max(d_u, d_v), where a pair must not agree. The
+    epsilons of the fits never tie below n = 1805, so the gammas are set by
+    hand here; 3 beta = 6/5 also puts the cut-offs above n."""
+    params = SimpleNamespace(epsilon=eps, beta=beta, three_beta=3 * beta)
+    rng = np.random.default_rng(int(beta.denominator))
+    ties = np.zeros(2, dtype=np.int64)
+    for seed in range(6):
+        n = 24
+        D = rng.integers(1, 7, size=(n, n))
+        D = np.triu(D, 1)
+        D += D.T
+        s_list = sorted(rng.choice(n, size=n - seed, replace=False).tolist())
+        for w in range(1, 7):
+            assert_claims_match_set_predicates(D, s_list, w, params)
+            ties += count_ties(D, s_list, w, params)
+    assert ties.min() > 0
+
+
+@pytest.mark.parametrize(
+    "params, w",
+    [
+        (AgreementParams(epsilon=Fraction(1, 95)), 92),
+        (AgreementParams(epsilon=Fraction(1, 300)), 95),
+        (SimpleNamespace(epsilon=Fraction(1, 100), beta=Fraction(1, 3),
+                         three_beta=Fraction(1)), 50),
+        (SimpleNamespace(epsilon=Fraction(1, 100), beta=Fraction(1, 3),
+                         three_beta=Fraction(1)), 99),
+    ],
+    ids=["eps95-w92", "eps300-w95", "gamma1-w50", "gamma1-w99"],
+)
+def test_exact_claims_match_on_a_dense_600_vertex_matrix(params, w):
+    """Degrees near n = 600, so cut-offs up to n - 1 (gamma = 1). At w = 92
+    a pair's statistic is near 3 beta of its degree for epsilon = 1/95, so
+    the rows mix both answers. Every pair is checked against the integer
+    bound; 24 positions also against the set predicates."""
+    n = 600
+    rng = np.random.default_rng(w)
+    D = rng.integers(1, 101, size=(n, n))
+    D = np.triu(D, 1)
+    D += D.T
+    s_list = sorted(rng.choice(n, size=n - 3, replace=False).tolist())
+    s_arr = np.array(s_list)
+    claims = ExactView(D).claims(s_arr, w, params)
+    adj = (D <= w)[s_arr]
+    d = adj.sum(axis=1)
+    sub = adj[:, s_arr].astype(np.int64)
+    stat = d[:, None] + d[None, :] - 2 * (sub @ sub.T)
+    gamma = params.three_beta
+    want = stat * gamma.denominator < gamma.numerator * np.maximum.outer(d, d)
+    rows = np.array([claims.row(i) for i in range(len(s_list))])
+    np.fill_diagonal(rows, True)
+    np.fill_diagonal(want, True)
+    assert np.array_equal(rows, want)
+    # at w = 99 every pair agrees under gamma = 1; elsewhere rows are mixed
+    assert want.any() and (w == 99 or not want.all())
+    assert_claims_match_set_predicates(
+        D, s_list, w, params, positions=rng.choice(len(s_list), 24, replace=False)
+    )
+
+
+def test_exact_claims_allocate_at_most_12_bytes_per_pair():
+    """With S = V on a planted n = 512 instance the float32 product and
+    statistic, the adjacency and the beta mask set the peak, about 9 bytes
+    per pair of S; int64 S-by-S statistics and bounds made it 26."""
+    n = 512
+    spec = GeneratorSpec(kind="planted_ultrametric", n=n, seed=1, noise_k=n // 2,
+                         value_alphabet=[fp.from_int(k) for k in range(1, 9)])
+    D = generate(spec)[0].dense()
+    view = ExactView(D)
+    s_arr = np.arange(n)
+    w = int(np.median(D[D > 0]))
+    params = AgreementParams()
+    view.claims(s_arr, w, params)  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        claims = view.claims(s_arr, w, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert claims.heavy.any()
+    assert peak - before <= 12 * n * n
 
 
 def make_sketch_view(D, seed=0, instance=0, **overrides):

@@ -217,6 +217,21 @@ class TestGenerators:
             tracemalloc.stop()
         assert peak < 3.5 * n * n * 8
 
+    def test_dense_allocates_one_matrix(self):
+        """`dense` scatters both triangles into its output, so its peak is
+        the n x n int64 matrix it returns; adding the transpose made it two."""
+        n = 512
+        src, _ = generate(GeneratorSpec(kind="uniform_random", n=n, seed=1))
+        tracemalloc.start()
+        try:
+            D = src.dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * n * n * 8
+        assert np.array_equal(D, D.T)
+        assert np.array_equal(D[src.u, src.v], src.d) and not D.diagonal().any()
+
     @pytest.mark.parametrize("kind", GeneratorSpec.KINDS)
     def test_every_kind_peaks_under_2_4_matrices_at_n_1024(self, kind):
         """The pair arrays, the distances and the completeness check's one
