@@ -43,7 +43,6 @@ class L0FitReport:
     participation_bound: int
     instances_consumed: int
     peak_words: int
-    levels_used: tuple
 
 
 @dataclass(frozen=True)
@@ -169,6 +168,5 @@ def fit_l0(
         participation_bound=bound,
         instances_consumed=(max_depth + 1) if params.mode == "sketch" else 0,
         peak_words=peak_words,
-        levels_used=tuple(tree.level[n:].tolist()),
     )
     return L0FitResult(tree=tree, report=report)

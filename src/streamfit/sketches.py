@@ -17,9 +17,12 @@ close queues are one (n, close_capacity) pair of weight and neighbour
 arrays. After `finalize` the queries answer for a whole vertex array at
 once and keep no state: `close_within`, `rungs` (which sketch each vertex
 reports), `degrees`, and `entries`, which flattens the vertices' kept runs
-in one pool. They loop over ladder rungs, never over vertices; the scalar
-queries read one vertex through them. The pools count the machine words
-they model (`words`) and the running maximum of that count (`peak_words`).
+in one pool. They loop over ladder rungs, never over vertices, and every
+reader of the state goes through them. `report_sketch` and
+`estimate_degree` remain only as one-vertex wrappers for the benchmark's
+patch table, until the program times its own layers. The pools count the
+machine words they model (`words`) and the running maximum of that count
+(`peak_words`).
 """
 
 from __future__ import annotations
@@ -155,20 +158,6 @@ class SampleMembership:
 
     def mask_count(self) -> int:
         return len(self._masks)
-
-
-@dataclass
-class SketchSlice:
-    """One owner's kept entries in one (instance, s, s') pool, sorted by
-    (weight, other)."""
-
-    s: int
-    s_prime: int
-    weights: np.ndarray  # int64
-    others: np.ndarray  # int32
-
-    def count_at_most(self, w: int) -> int:
-        return int(self.weights.searchsorted(w, side="right"))
 
 
 @dataclass
@@ -365,12 +354,6 @@ class SketchPools:
         if not self.finalized:
             raise PhaseError("queries require finalize()")
 
-    def get_sketch(self, instance, v, s, s_prime):
-        """v's `SketchSlice` in pool (instance, s, s'), or None when the
-        pool keeps nothing for v."""
-        _, weights, others = self.entries(instance, s, s_prime, [v])
-        return SketchSlice(s, s_prime, weights, others) if len(weights) else None
-
     def entries(self, instance, s, s_prime, vertices):
         """The kept entries of `vertices` in pool (instance, s, s'), one run
         per vertex in the order given: each entry's position in `vertices`,
@@ -393,14 +376,6 @@ class SketchPools:
         within = weights <= w
         within &= np.arange(weights.shape[1]) < self.close_lengths[vertices, None]
         return exact, within
-
-    def close_count(self, v, w) -> int:
-        """How many of v's close-queue neighbours lie at weight <= w."""
-        return int(self.close_within([v], w)[1].sum())
-
-    def close_exact(self, v, w) -> bool:
-        """True when v's close queue provably holds every neighbour at w."""
-        return bool(self.close_within([v], w)[0][0])
 
     def rungs(self, vertices, w, instance):
         """Ladder index of the s = s' sketch reported for each of
@@ -445,14 +420,16 @@ class SketchPools:
         return rung
 
     def report_sketch(self, v, w, instance):
-        """v's reported sketch at w (see `rungs`) as (governing_weight,
-        size, sketch), or None when v holds no s = s' sketch (callers then
-        fall back to the close queue)."""
+        """v's reported sketch at w as (governing_weight, size, weights,
+        others), read through `rungs` and `entries`, or None where `rungs`
+        reports none. A one-vertex wrapper kept for the benchmark's patch
+        table; no fit calls it."""
         r = int(self.rungs([v], w, instance)[0])
         if r < 0:
             return None
-        sk = self.get_sketch(instance, v, self.sizes[r], self.sizes[r])
-        return int(sk.weights[-1]), sk.s, sk
+        s = self.sizes[r]
+        _, weights, others = self.entries(instance, s, s, [v])
+        return int(weights[-1]), s, weights, others
 
     def degrees(self, vertices, w, instance):
         """Closed d_w(v) estimate of each of `vertices`: one plus the close
@@ -480,7 +457,8 @@ class SketchPools:
         return d, exact, within, rung
 
     def estimate_degree(self, v, w, instance):
-        """d_w(v) estimate; exact from the close queue whenever possible."""
+        """v's entry of `degrees`. A one-vertex wrapper kept for the
+        benchmark's patch table; no fit calls it."""
         return int(self.degrees([v], w, instance)[0])
 
     def build_compressed_set(self) -> CompressedSet:

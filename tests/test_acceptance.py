@@ -239,11 +239,15 @@ def test_07_sketch_concentration_two_shell():
         pools = SketchPools(cfg, n)
         pools.bulk_ingest(u, v, d)
         pools.finalize()
-        gw, _, sk = pools.report_sketch(0, w, 0)
-        prob = cfg.sample_probability(sk.s_prime)
-        size_est = sk.count_at_most(gw) / prob + 1
+        (rung,) = pools.rungs([0], w, 0)
+        assert rung >= 0
+        s = pools.sizes[rung]
+        _, weights, _ = pools.entries(0, s, s, [0])
+        gw = weights[-1]
+        prob = cfg.sample_probability(s)
+        size_est = weights.searchsorted(gw, side="right") / prob + 1
         ok_size += (1 - 5 * zeta) * true_deg <= size_est <= (1 + 5 * zeta) * true_deg
-        deg_est = pools.estimate_degree(0, w, 0)
+        (deg_est,) = pools.degrees([0], w, 0)
         ok_deg += abs(deg_est - true_deg) <= lam * true_deg
     assert ok_size >= math.ceil(0.95 * trials)
     assert ok_deg >= math.ceil(0.95 * trials)

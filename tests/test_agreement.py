@@ -501,33 +501,58 @@ def test_sketch_clustering_matches_set_reference_when_queues_hold_all(case):
 class PairwiseSketchReference:
     """Sketch agreement and heaviness decided one pair at a time from the
     pools' queries, in Python floats: the definition the array kernel of
-    `SketchView.claims` is checked against."""
+    `SketchView.claims` is checked against. The queries are read once for
+    all of S, and each pool's runs once when first needed; every decision
+    is made per pair."""
 
     def __init__(self, view, s_list, w, params):
-        self.pools, self.instance, self.w = view.pools, view.instance, w
+        pools = self.pools = view.pools
+        self.instance, self.w = view.instance, w
+        self.s_list = list(s_list)
         self.s_set = set(s_list)
         self.params = params
+        s_arr = self.s_arr = np.array(self.s_list, dtype=np.int64)
+        exact, within = pools.close_within(s_arr, w)
+        # each closed neighbourhood from its close queue, or None when the
+        # queue does not hold all of it
+        self.nbhds = {
+            v: {v, *pools.close_others[v, : int(count)].tolist()} if ex else None
+            for v, ex, count in zip(self.s_list, exact, within.sum(axis=1))
+        }
+        self.degree = dict(zip(self.s_list, pools.degrees(s_arr, w, view.instance).tolist()))
+        rungs = pools.rungs(s_arr, w, view.instance).tolist()
+        self.size = {v: pools.sizes[r] if r >= 0 else None for v, r in zip(self.s_list, rungs)}
+        self.pool_runs = {}
 
-    def nbhd(self, v):
-        """v's closed neighbourhood from its close queue, or None when the
-        queue does not hold all of it."""
-        pools, w = self.pools, self.w
-        if not pools.close_exact(v, w):
-            return None
-        return {v, *pools.close_others[v, : pools.close_count(v, w)].tolist()}
+    def run(self, x, s, s_prime):
+        """x's kept (weights, others) in pool (instance, s, s'), or None
+        when the pool keeps nothing for x."""
+        runs = self.pool_runs.get((s, s_prime))
+        if runs is None:
+            at, weights, others = self.pools.entries(
+                self.instance, s, s_prime, self.s_arr
+            )
+            cuts = np.searchsorted(at, np.arange(len(self.s_list) + 1))
+            runs = self.pool_runs[(s, s_prime)] = {
+                v: (weights[a:b], others[a:b])
+                for v, a, b in zip(self.s_list, cuts[:-1], cuts[1:])
+                if b > a
+            }
+        return runs.get(x)
 
     def below(self, s):
         sizes = self.pools.sizes
         return sizes[min(sizes.index(s) + 1, len(sizes) - 1)]
 
-    def members(self, sk):
-        return set(sk.others[: sk.count_at_most(self.w)].tolist())
+    def members(self, run):
+        weights, others = run
+        return set(others[: weights.searchsorted(self.w, side="right")].tolist())
 
     def agrees(self, u, v, gamma):
         if u == v:
             return True
-        pools, w, inst = self.pools, self.w, self.instance
-        nu, nv = self.nbhd(u), self.nbhd(v)
+        pools = self.pools
+        nu, nv = self.nbhds[u], self.nbhds[v]
         if nu is not None and nv is not None:
             stat = len(nu) + len(nv) - 2 * len(nu & nv & self.s_set)
             return stat < gamma * max(len(nu), len(nv))
@@ -536,27 +561,25 @@ class PairwiseSketchReference:
                for a, b in ((nu, nv), (nv, nu))):
             return False
         zeta = pools.config.zeta
-        deg_u = pools.estimate_degree(u, w, inst)
-        deg_v = pools.estimate_degree(v, w, inst)
+        deg_u, deg_v = self.degree[u], self.degree[v]
         d_small, d_big = min(deg_u, deg_v), max(deg_u, deg_v)
         if 1 - ((1 + 5 * zeta) * d_small) / ((1 - zeta) * d_big) > 0.8 * gamma:
             return False
         rung = {}
         for x, nb in ((u, nu), (v, nv)):
             if nb is None:
-                reported = pools.report_sketch(x, w, inst)
-                if reported is None:
+                if self.size[x] is None:
                     return False
-                rung[x] = reported[1]
+                rung[x] = self.size[x]
         lo, hi = min(rung.values()), max(rung.values())
         s_prime = self.below(lo) if lo == hi else lo
 
         def sample(x, nb):
             if nb is not None:
-                mask = pools.membership.mask(inst, s_prime)
+                mask = pools.membership.mask(self.instance, s_prime)
                 return {y for y in nb if y != x and mask[y]}
-            sk = pools.get_sketch(inst, x, rung[x], s_prime)
-            return None if sk is None else self.members(sk)
+            run = self.run(x, rung[x], s_prime)
+            return None if run is None else self.members(run)
 
         su, sv = sample(u, nu), sample(v, nv)
         if su is None or sv is None:
@@ -566,24 +589,26 @@ class PairwiseSketchReference:
         return (deg_u + deg_v - 2 * x_count / prob) / d_big <= 0.9 * gamma
 
     def heavy(self, u):
-        pools, w, inst, params = self.pools, self.w, self.instance, self.params
+        pools, params = self.pools, self.params
         beta = float(params.beta)
-        nu = self.nbhd(u)
+        nu = self.nbhds[u]
         if nu is not None:
             inside = sum(1 for x in nu if x in self.s_set and self.agrees(u, x, beta))
             eps = params.epsilon
             return (len(nu) - inside) * eps.denominator < eps.numerator * len(nu)
-        reported = pools.report_sketch(u, w, inst)
-        if reported is None:
+        s = self.size[u]
+        if s is None:
             return False
-        sk = reported[2]
-        sk = pools.get_sketch(inst, u, sk.s, self.below(sk.s)) or sk
+        # the sample one rung down when u keeps one there, else the reported
+        s_prime = self.below(s)
+        run = self.run(u, s, s_prime)
+        if run is None:
+            s_prime, run = s, self.run(u, s, s)
         y = sum(
-            1 for x in self.members(sk) if x in self.s_set and self.agrees(u, x, beta)
+            1 for x in self.members(run) if x in self.s_set and self.agrees(u, x, beta)
         )
-        prob = pools.config.sample_probability(sk.s_prime)
-        deg = pools.estimate_degree(u, w, inst)
-        return 1 - (1 + y / prob) / deg <= 1.1 * float(params.epsilon)
+        prob = pools.config.sample_probability(s_prime)
+        return 1 - (1 + y / prob) / self.degree[u] <= 1.1 * float(params.epsilon)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -41,7 +41,7 @@ class TestExactMode:
         D = src.dense()
         allowed = set(np.unique(D[np.triu_indices(32, 1)]).tolist())
         res = fit_l0(src)
-        assert set(res.report.levels_used) <= allowed
+        assert set(res.tree.level[32:].tolist()) <= allowed
 
     def test_single_point(self):
         res = fit_l0(StreamSource(1, [], [], []))

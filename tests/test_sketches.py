@@ -322,15 +322,39 @@ def _fill_pools(cfg, D, bulk, order_seed=0):
     return pools
 
 
-def _contents(sk):
-    """A sketch as ({weight: sorted members}, kept count), from either
-    store."""
-    if isinstance(sk, VertexSketch):
-        return {w: sorted(m) for w, m in sk.collections.items()}, sk.counter
+def _contents(weights, others):
+    """Kept entries as ({weight: sorted members}, kept count)."""
     groups = {}
-    for w, x in zip(sk.weights.tolist(), sk.others.tolist()):
+    for w, x in zip(weights, others):
         groups.setdefault(w, []).append(x)
-    return {w: sorted(m) for w, m in groups.items()}, len(sk.weights)
+    return {w: sorted(m) for w, m in groups.items()}, len(weights)
+
+
+def _reference_contents(sk):
+    """A `VertexSketch` as ({weight: sorted members}, kept count)."""
+    return {w: sorted(m) for w, m in sk.collections.items()}, sk.counter
+
+
+def _runs(pools, instance, s, s_prime, vertices):
+    """Each of `vertices`' kept run in pool (instance, s, s') as a pair of
+    weight and neighbour lists, empty where it keeps none, from one
+    `entries` call."""
+    at, weights, others = pools.entries(instance, s, s_prime, vertices)
+    cuts = np.searchsorted(at, np.arange(1, len(vertices)))
+    return [
+        (a.tolist(), b.tolist())
+        for a, b in zip(np.split(weights, cuts), np.split(others, cuts))
+    ]
+
+
+def _reported_runs(pools, instance, vertices, rungs):
+    """Each of `vertices`' run in the s = s' pool of its rung, or None
+    where its rung is -1, from one `entries` call per rung."""
+    runs = {
+        r: _runs(pools, instance, pools.sizes[r], pools.sizes[r], vertices)
+        for r in set(rungs) - {-1}
+    }
+    return [None if r < 0 else runs[r][i] for i, r in enumerate(rungs)]
 
 
 def _close_entries(pools, v):
@@ -349,21 +373,15 @@ def _canonical(pools):
     if isinstance(pools, ReferencePools):
         for key, sk in pools.sketches.items():
             if sk.collections:
-                sketches[key] = _contents(sk)
+                sketches[key] = _reference_contents(sk)
     else:
+        vertices = np.arange(pools.n)
         for instance, s, sp in pools.sketches:
-            for v in range(pools.n):
-                sk = pools.get_sketch(instance, v, s, sp)
-                if sk is not None:
-                    sketches[(instance, v, s, sp)] = _contents(sk)
+            runs = _runs(pools, instance, s, sp, vertices)
+            for v, (weights, others) in enumerate(runs):
+                if weights:
+                    sketches[(instance, v, s, sp)] = _contents(weights, others)
     return close, sketches
-
-
-def _reported(triple):
-    if triple is None:
-        return None
-    gw, s, sk = triple
-    return gw, s, sk.s, sk.s_prime, _contents(sk)
 
 
 class TestPoolsEquivalence:
@@ -407,16 +425,8 @@ class TestPoolsEquivalence:
         assert _canonical(csr) == _canonical(ref)
         assert csr.build_compressed_set().weights.tolist() == ref.compressed_weights()
         probes = [0] + np.unique(D).tolist()
-        for instance in range(cfg.instance_count):
-            for v in range(n):
-                for w in probes:
-                    assert _reported(csr.report_sketch(v, w, instance)) == _reported(
-                        ref.report_sketch(v, w, instance)
-                    )
-                    assert csr.estimate_degree(v, w, instance) == ref.estimate_degree(
-                        v, w, instance
-                    )
-        # the array queries answer all n vertices at once, in any order
+        # the array queries answer all n vertices at once, in any order;
+        # with the pools equal above, equal rungs give equal reported sketches
         shuffled = np.random.default_rng(levels).permutation(n)
         for instance in range(cfg.instance_count):
             for w in probes:
@@ -445,8 +455,9 @@ class TestPoolsQueries:
 
     def test_queries_require_finalize(self):
         pools = SketchPools(SketchConfig(), 4)
-        with pytest.raises(PhaseError):
-            pools.report_sketch(0, U, 0)
+        for query in (pools.rungs, pools.degrees):
+            with pytest.raises(PhaseError):
+                query([0], U, 0)
 
     def test_ingest_after_finalize_fails(self):
         pools = SketchPools(SketchConfig(), 2)
@@ -458,19 +469,20 @@ class TestPoolsQueries:
     def test_estimate_degree_exact_from_close_queue(self):
         pools, D = self.make()
         w = int(np.median(D[D > 0]))
-        for v in range(pools.n):
-            if pools.close_exact(v, w):
-                exact = int(np.count_nonzero(D[v] <= w))  # includes self
-                assert pools.estimate_degree(v, w, 0) == exact
+        vertices = np.arange(pools.n)
+        exact, _ = pools.close_within(vertices, w)
+        truth = np.count_nonzero(D <= w, axis=1)  # includes self
+        degrees = pools.degrees(vertices, w, 0)
+        assert np.array_equal(degrees[exact], truth[exact])
 
     def test_estimate_degree_close_to_truth_with_saturating_samples(self):
         # sample_factor >= n makes every sketch probability 1, so the
         # sketch-path estimate is exact wherever nothing was pruned
         pools, D = self.make(n=24, seed=8)
         w = int(np.max(D))
-        for v in range(pools.n):
-            est = pools.estimate_degree(v, w, 0)
-            truth = int(np.count_nonzero(D[v] <= w))
+        degrees = pools.degrees(np.arange(pools.n), w, 0)
+        for est, row in zip(degrees.tolist(), D):
+            truth = int(np.count_nonzero(row <= w))
             assert abs(est - truth) <= max(2, truth // 3)
 
     def test_compressed_set_covers_close_queue_weights(self):
@@ -489,11 +501,54 @@ class TestPoolsQueries:
             cfg = SketchConfig(sample_factor=1, instance_count=1, seed=seed)
             pools = _fill_pools(cfg, D, bulk=True)
             (size,) = pools.sizes
+            rungs = pools.rungs([0, 1], U, 0)
             for owner in (0, 1):
                 sampled = bool(pools.membership.mask(0, size)[1 - owner])
-                assert (pools.report_sketch(owner, U, 0) is None) == (not sampled)
+                assert (rungs[owner] < 0) == (not sampled)
                 outcomes.add(sampled)
         assert outcomes == {True, False}
+
+    def test_one_vertex_wrappers_read_the_array_queries(self):
+        # `report_sketch` and `estimate_degree` remain for the benchmark's
+        # patch table; pin them to the array queries at every (instance,
+        # v, w). Queues of 2 leave most degrees to the sketches. Samples of
+        # probability 1/8 or 1/16 with budget 1 leave some vertices without
+        # a reported sketch; budgets of 4 over 24 weight levels keep runs
+        # whose first and governing weights differ.
+        n = 16
+        alphabet = [fp.from_int(k) for k in range(1, 25)]
+        spec = GeneratorSpec(kind="uniform_random", n=n, seed=6, value_alphabet=alphabet)
+        D = generate(spec)[0].dense()
+        vertices = np.arange(n)
+        reported, estimated, spread = set(), 0, 0
+        for sample_factor in (1, 4):
+            cfg = SketchConfig(
+                close_capacity=2, sample_factor=sample_factor, min_size=8 // sample_factor,
+                instance_count=3, seed=6,
+            )
+            pools = _fill_pools(cfg, D, bulk=True)
+            for instance in range(cfg.instance_count):
+                for w in [0] + np.unique(D).tolist():
+                    rungs = pools.rungs(vertices, w, instance).tolist()
+                    degrees = pools.degrees(vertices, w, instance).tolist()
+                    exact, _ = pools.close_within(vertices, w)
+                    estimated += int((~exact & (np.array(rungs) >= 0)).sum())
+                    runs = _reported_runs(pools, instance, vertices, rungs)
+                    for v in range(n):
+                        assert pools.estimate_degree(v, w, instance) == degrees[v]
+                        got = pools.report_sketch(v, w, instance)
+                        reported.add(got is not None)
+                        if runs[v] is None:
+                            assert got is None
+                            continue
+                        weights, others = runs[v]
+                        spread += weights[0] != weights[-1]
+                        gw, size, got_weights, got_others = got
+                        assert (gw, size) == (weights[-1], pools.sizes[rungs[v]])
+                        assert got_weights.tolist() == weights
+                        assert got_others.tolist() == others
+        assert reported == {True, False}
+        assert estimated > 0 and spread > 0
 
     def test_consume_instance_once_only(self):
         pools, _ = self.make(n=16, seed=2)
@@ -505,17 +560,47 @@ class TestPoolsQueries:
 
 
 def _answers(pools, triples):
-    """Every (instance, v, w) query's report, degree estimate and close
-    queue count and exactness, asked in the given order."""
-    return {
-        (instance, v, w): (
-            _reported(pools.report_sketch(v, w, instance)),
-            pools.estimate_degree(v, w, instance),
-            pools.close_count(v, w),
-            pools.close_exact(v, w),
-        )
-        for instance, v, w in triples
-    }
+    """Every (instance, v, w) query's reported sketch (governing weight,
+    size and kept entries), degree estimate, and close queue count and
+    exactness. `ReferencePools` answers one query at a time in the given
+    order; `SketchPools` answers each (instance, w) for all its vertices at
+    once, in the order they are first asked."""
+    if isinstance(pools, ReferencePools):
+        answers = {}
+        for instance, v, w in triples:
+            reported = pools.report_sketch(v, w, instance)
+            if reported is not None:
+                gw, size, sk = reported
+                reported = gw, size, _reference_contents(sk)
+            answers[(instance, v, w)] = (
+                reported,
+                pools.estimate_degree(v, w, instance),
+                pools.close_count(v, w),
+                pools.close_exact(v, w),
+            )
+        return answers
+    asked = {}
+    for instance, v, w in triples:
+        asked.setdefault((instance, w), []).append(v)
+    answers = {}
+    for (instance, w), vertices in asked.items():
+        vertices = np.array(vertices)
+        rungs = pools.rungs(vertices, w, instance).tolist()
+        degrees = pools.degrees(vertices, w, instance).tolist()
+        exact, within = pools.close_within(vertices, w)
+        runs = _reported_runs(pools, instance, vertices, rungs)
+        for i, v in enumerate(vertices.tolist()):
+            reported = None
+            if runs[i] is not None:
+                weights, others = runs[i]
+                reported = weights[-1], pools.sizes[rungs[i]], _contents(weights, others)
+            answers[(instance, v, w)] = (
+                reported,
+                degrees[i],
+                int(within[i].sum()),
+                bool(exact[i]),
+            )
+    return answers
 
 
 class TestSharedStorage:
