@@ -51,15 +51,12 @@ class ClusterInvariantError(AssertionError):
 @dataclass(frozen=True)
 class AgreementParams:
     epsilon: Fraction = Fraction(1, 100)
-    mode: str = "exact"
 
     def __post_init__(self):
         eps = Fraction(self.epsilon)
         object.__setattr__(self, "epsilon", eps)
         if not (0 < eps <= Fraction(1, 95)):
             raise ValueError("epsilon must be in (0, 1/95]")
-        if self.mode not in ("exact", "sketch"):
-            raise ValueError("mode must be 'exact' or 'sketch'")
 
     # the thresholds are worked out once per instance, not once per call
     @cached_property

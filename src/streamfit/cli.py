@@ -10,7 +10,6 @@ import sys
 import numpy as np
 
 from . import fixedpoint
-from .agreement import AgreementParams
 from .evaluate import cost
 from .l0fit import SketchBudgetError, fit_l0
 from .linf import fit_linf_exact, fit_linf_min_decrement
@@ -147,7 +146,6 @@ def _run_fit(args, source, seed):
     if args.structure == "tree" and args.objective == "linf":
         if not 0 <= pivot < source.n:
             raise UsageError(f"--pivot {pivot} is outside 0..{source.n - 1}")
-    params = AgreementParams(mode=args.mode)
     config = None
     if args.mode == "sketch":
         overrides = {"instance_count": args.instances} if args.instances else {}
@@ -163,7 +161,7 @@ def _run_fit(args, source, seed):
                 fields["optimal_cost"] = fixedpoint.to_decimal(result.optimal_cost)
                 fields["certificate_pair"] = list(result.certificate_pair or ())
         else:
-            result = fit_l0(source, params=params, config=config)
+            result = fit_l0(source, config=config)
             fitted = result.tree
             fields["recursion_calls"] = result.report.recursion_calls
             fields["max_participation"] = result.report.max_participation
@@ -173,7 +171,7 @@ def _run_fit(args, source, seed):
         fitted = fit_linf_tree(source, pivot=pivot)
         fields["pivot"] = pivot
     else:
-        result = fit_l0_tree(source, params=params, config=config, seed=seed)
+        result = fit_l0_tree(source, config=config, seed=seed)
         fitted = result.rep
         fields["pivots"] = list(result.pivots)
         fields["chosen_pivot"] = result.chosen_pivot

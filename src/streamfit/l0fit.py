@@ -37,7 +37,6 @@ class SketchBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class L0FitReport:
-    mode: str
     recursion_calls: int
     max_participation: int
     participation_bound: int
@@ -58,9 +57,10 @@ def fit_l0(
 ) -> L0FitResult:
     """Fit an ultrametric tree minimizing disagreement count (approximately).
 
-    `params.mode` selects the predicate backend. Sketch mode consumes the
-    stream once up front; exact mode materializes the matrix and is the
-    deterministic reference path.
+    `config` selects the predicate backend. Without one, exact mode
+    materializes the matrix and is the deterministic reference path; with a
+    `SketchConfig`, sketch mode consumes the stream once up front into
+    pools of that configuration.
     """
     if params is None:
         params = AgreementParams()
@@ -68,7 +68,7 @@ def fit_l0(
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    if params.mode == "exact":
+    if config is None:
         matrix = source.dense()
         # the distances of pass 0, which `dense` has just read
         weights = CompressedSet(source.d)
@@ -79,13 +79,10 @@ def fit_l0(
         def make_view(depth):
             return exact_view
 
-    elif params.mode == "sketch":
-        if config is None:
-            config = SketchConfig.scaled(n)
+    else:
         pools = SketchPools(config, n)
         pools.bulk_ingest(*source.arrays(0))
         peak_words = pools.peak_words
-        pools.finalize()
         weights = pools.build_compressed_set()
         w_max = pools.w_max_seen
 
@@ -97,12 +94,10 @@ def fit_l0(
                 )
             return SketchView(pools, depth)
 
-    else:
-        raise ValueError(f"unsupported mode {params.mode!r}")
-
     participation = np.zeros(n, dtype=np.int64)
     calls = 0
-    max_depth = 0
+    # one past the deepest call that clustered: the sketch instances read
+    instances = 0
     # tree arrays: leaves 0..n-1, then one internal node per call on more
     # than one vertex
     parent = [-1] * n
@@ -114,7 +109,6 @@ def fit_l0(
     while stack:
         s_arr, w, depth, up = stack.pop()
         calls += 1
-        max_depth = max(max_depth, depth)
         participation[s_arr] += 1
         if len(s_arr) == 1:
             parent[int(s_arr[0])] = up
@@ -124,6 +118,7 @@ def fit_l0(
         level.append(int(w))
         w_check = weights.pred(w)
         view = make_view(depth)
+        instances = max(instances, depth + 1)
         clustering = s_structural_clustering(s_arr, w_check, params, view)
         size_s = len(s_arr)
         leaves = []
@@ -139,7 +134,6 @@ def fit_l0(
             # each singleton is the leaf its own call would make, counted as
             # that call would count it
             calls += len(leaves)
-            max_depth = max(max_depth, depth + 1)
             participation[leaves] += 1
             for v in leaves:
                 parent[v] = node
@@ -162,11 +156,10 @@ def fit_l0(
 
     bound = PARTICIPATION_FACTOR * max(1, math.ceil(math.log2(max(n, 2))))
     report = L0FitReport(
-        mode=params.mode,
         recursion_calls=calls,
         max_participation=int(participation.max()),
         participation_bound=bound,
-        instances_consumed=(max_depth + 1) if params.mode == "sketch" else 0,
+        instances_consumed=0 if config is None else instances,
         peak_words=peak_words,
     )
     return L0FitResult(tree=tree, report=report)

@@ -14,15 +14,16 @@ weights, sorted by (owner, weight, neighbour)); each (instance, s, s')
 `SketchPool` stores only how many entries of each owner's run it keeps.
 Instances whose samples R_{s'} coincide share one block and its pools. The
 close queues are one (n, close_capacity) pair of weight and neighbour
-arrays. After `finalize` the queries answer for a whole vertex array at
-once and keep no state: `close_within`, `rungs` (which sketch each vertex
-reports), `degrees`, and `entries`, which flattens the vertices' kept runs
-in one pool. They loop over ladder rungs, never over vertices, and every
-reader of the state goes through them. `report_sketch` and
-`estimate_degree` remain only as one-vertex wrappers for the benchmark's
-patch table, until the program times its own layers. The pools count the
-machine words they model (`words`) and the running maximum of that count
-(`peak_words`).
+arrays. One `bulk_ingest` builds and finalizes the state; before it
+every query raises `PhaseError`, and after it the queries answer for a
+whole vertex array at once and keep no state: `close_within`, `rungs`
+(which sketch each vertex reports), `degrees`, and `entries`, which
+flattens the vertices' kept runs in one pool. They loop over ladder
+rungs, never over vertices, and every reader of the state goes through
+them. `report_sketch` and `estimate_degree` remain only as one-vertex
+wrappers for the benchmark's patch table, until the program times its own
+layers. The pools count the machine words they model (`words`) and the
+running maximum of that count (`peak_words`).
 """
 
 from __future__ import annotations
@@ -252,7 +253,10 @@ class SketchPools:
         instance's pools.
 
         The entries come from a `StreamSource`, which guarantees each pair
-        exactly once, so the pools keep no record of the pairs seen.
+        exactly once, so the pools keep no record of the pairs seen. One
+        call builds the whole state and finalizes it; a second call, or one
+        after `finalize`, raises `PhaseError` instead of replacing the
+        state with a part of the stream.
         """
         if self.finalized:
             raise PhaseError("stream entries after finalize")
@@ -304,6 +308,7 @@ class SketchPools:
                     self.sketches[(instance, pool.s, sp)] = pool
         self._charge(2 * int(lengths.sum()))
         self._charge(self.membership.mask_count() * ((self.n + 63) // 64))
+        self.finalize()
 
     def _charge(self, words):
         self.words += int(words)
@@ -348,16 +353,19 @@ class SketchPools:
     # -- finalize and queries --------------------------------------------------
 
     def finalize(self):
+        """End the ingest phase. `bulk_ingest` ends with this call, so only
+        pools that are given no stream need it."""
         self.finalized = True
 
     def _require_finalized(self):
         if not self.finalized:
-            raise PhaseError("queries require finalize()")
+            raise PhaseError("queries require bulk_ingest() or finalize()")
 
     def entries(self, instance, s, s_prime, vertices):
         """The kept entries of `vertices` in pool (instance, s, s'), one run
         per vertex in the order given: each entry's position in `vertices`,
         its weight and its neighbour. Empty when the pool does not exist."""
+        self._require_finalized()
         pool = self.sketches.get((instance, s, s_prime))
         if pool is None:
             return (np.zeros(0, dtype=np.int64),) * 3
@@ -371,6 +379,7 @@ class SketchPools:
         """Which of `vertices` have exact close queues at w (the queue
         provably holds every neighbour at w), and the mask of their queue
         entries at weight <= w."""
+        self._require_finalized()
         weights = self.close_weights[vertices]
         exact = ~self.close_overflow[vertices] | (weights[:, -1] > w)
         within = weights <= w

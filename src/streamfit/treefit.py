@@ -99,20 +99,18 @@ def _max_clique(adj_bits, t):
     return best
 
 
-def select_tree_by_clique(pairwise: np.ndarray, labels=None) -> int:
+def select_tree_by_clique(pairwise: np.ndarray) -> int:
     """Pick a candidate by majority-clique consensus.
 
     `pairwise` is a symmetric candidate-vs-candidate dissimilarity matrix.
     Over the sorted distinct values x, the graph with edges
     {pairwise <= 24x} gains edges as x grows; the first x whose graph holds
     a clique of at least half the candidates decides, and the winner is the
-    lowest-label member of a maximum clique there.
+    lowest-index member of a maximum clique there.
     """
     t = pairwise.shape[0]
     if pairwise.shape != (t, t) or not np.array_equal(pairwise, pairwise.T):
         raise ValueError("pairwise matrix must be square and symmetric")
-    if labels is None:
-        labels = list(range(t))
     if t == 1:
         return 0
     if t > 32:
@@ -125,7 +123,8 @@ def select_tree_by_clique(pairwise: np.ndarray, labels=None) -> int:
         adj_bits = [int(sum(1 << j for j in np.flatnonzero(close[i]))) for i in range(t)]
         clique = _max_clique(adj_bits, t)
         if len(clique) >= need:
-            return min(clique, key=lambda i: labels[i])
+            # `_max_clique` lists its members in ascending order
+            return clique[0]
     raise ValueError("no qualifying clique at the largest threshold")
 
 
@@ -162,7 +161,7 @@ def fit_l0_tree(
     for i in range(t):
         for j in range(i + 1, t):
             pairwise[i, j] = pairwise[j, i] = np.count_nonzero(upper[i] != upper[j])
-    winner = select_tree_by_clique(pairwise, labels=pivots)
+    winner = select_tree_by_clique(pairwise)
     return L0TreeResult(
         rep=reps[winner],
         pivots=tuple(pivots),

@@ -94,7 +94,6 @@ def l0_recovery_runs():
         exact_runs.append((n, sf.cost(res.tree, src).l0, res.report))
 
     sketch_runs = []
-    params = AgreementParams(mode="sketch")
     sizes = [16, 24, 32, 48, 64, 96, 128]
     for seed in range(50):
         n = sizes[seed % len(sizes)]
@@ -102,7 +101,7 @@ def l0_recovery_runs():
             sf.GeneratorSpec(kind="planted_ultrametric", n=n, seed=1000 + seed)
         )
         cfg = SketchConfig.scaled(n, seed=seed)
-        res = sf.fit_l0(src, params=params, config=cfg)
+        res = sf.fit_l0(src, config=cfg)
         sketch_runs.append((n, sf.cost(res.tree, src).l0, res.report))
     return exact_runs, sketch_runs
 
@@ -205,9 +204,8 @@ def test_06_structural_clustering_guarantees():
         pools = SketchPools(SketchConfig.scaled(n, seed=seed), n)
         u, v, d = sf.StreamSource.from_square(D, order_seed=seed).arrays(0)
         pools.bulk_ingest(u, v, d)
-        pools.finalize()
         result = s_structural_clustering(
-            s_vertices, lo, AgreementParams(mode="sketch"), SketchView(pools, 0)
+            s_vertices, lo, AgreementParams(), SketchView(pools, 0)
         )
         sketch_hits += groups_contained(result, groups)
     assert sketch_hits >= math.ceil(0.95 * sketch_trials)
@@ -238,7 +236,6 @@ def test_07_sketch_concentration_two_shell():
         )
         pools = SketchPools(cfg, n)
         pools.bulk_ingest(u, v, d)
-        pools.finalize()
         (rung,) = pools.rungs([0], w, 0)
         assert rung >= 0
         s = pools.sizes[rung]
@@ -269,7 +266,6 @@ def test_09_streaming_memory_budget():
         pools = SketchPools(SketchConfig.polylog_shape(n, seed=0), n)
         u, v, d = src.arrays(0)
         pools.bulk_ingest(u, v, d)
-        pools.finalize()
         peaks[n] = pools.peak_words
         assert peaks[n] <= C_MEM * n * math.log2(n) ** 4
     assert peaks[2**12] / (2**12) ** 2 < 0.05

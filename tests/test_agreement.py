@@ -90,10 +90,6 @@ class TestParams:
             AgreementParams(epsilon=0)
         AgreementParams(epsilon=Fraction(1, 95))
 
-    def test_mode_validated(self):
-        with pytest.raises(ValueError):
-            AgreementParams(mode="fuzzy")
-
 
 class TestExactQueries:
     """Exact agreement and heaviness, as the set predicates that the matrix
@@ -482,7 +478,6 @@ def make_sketch_view(D, seed=0, instance=0, **overrides):
     pools = SketchPools(cfg, n)
     u, v, d = StreamSource.from_square(D, order_seed=seed).arrays(0)
     pools.bulk_ingest(u, v, d)
-    pools.finalize()
     return SketchView(pools, instance)
 
 
@@ -493,7 +488,7 @@ def test_sketch_clustering_matches_set_reference_when_queues_hold_all(case):
     D, s_list, w, eps = case
     D = np.array(D, dtype=np.int64)
     view = make_sketch_view(D, close_capacity=max(len(D), 8))
-    params = AgreementParams(epsilon=eps, mode="sketch")
+    params = AgreementParams(epsilon=eps)
     got = s_structural_clustering(s_list, w, params, view)
     assert got.to_lists() == reference_subset_clustering(D.tolist(), s_list, w, eps)
 
@@ -620,7 +615,7 @@ def test_sketch_claims_match_pairwise_reference_when_sampling(seed, sample_facto
     spec = GeneratorSpec(kind="planted_ultrametric", n=n, seed=seed, noise_k=n // 2,
                          value_alphabet=[fp.from_int(k) for k in range(1, 6)])
     D = generate(spec)[0].dense()
-    params = AgreementParams(epsilon=Fraction(1, 95), mode="sketch")
+    params = AgreementParams(epsilon=Fraction(1, 95))
     rng = np.random.default_rng(seed)
     for instance, w in enumerate(sorted(set(D[D > 0].tolist()))[1:]):
         view = make_sketch_view(D, seed=seed, instance=instance,
@@ -666,7 +661,7 @@ class TestSketchQueries:
     def test_matches_exact_on_two_cliques(self):
         D = two_clique_matrix(10, 10)
         view = make_sketch_view(D, seed=1)
-        params = AgreementParams(mode="sketch")
+        params = AgreementParams()
         claims = view.claims(np.arange(20), 1 * U, params)
         assert claims.row(0)[1]
         assert not claims.row(0)[10]
@@ -676,7 +671,7 @@ class TestSketchQueries:
         D = two_clique_matrix(12, 12)
         view = make_sketch_view(D, seed=2)
         result = s_structural_clustering(
-            range(24), 1 * U, AgreementParams(mode="sketch"), view
+            range(24), 1 * U, AgreementParams(), view
         )
         got = sorted(tuple(sorted(c)) for c in result.to_lists())
         assert got == [tuple(range(12)), tuple(range(12, 24))]
@@ -693,7 +688,7 @@ class TestSketchQueries:
             w = int(np.median(D[D > 0]))
             nbhd = neighbourhoods(D, w)
             sketch = make_sketch_view(D, seed=trial)
-            params = AgreementParams(mode="sketch")
+            params = AgreementParams()
             claims = sketch.claims(np.arange(n), w, params)
             S = set(range(n))
             for _ in range(40):
@@ -710,9 +705,9 @@ class TestSketchQueries:
         D = two_clique_matrix(6, 6)
         view = make_sketch_view(D, seed=3)
         s_structural_clustering(
-            range(12), 1 * U, AgreementParams(mode="sketch"), view
+            range(12), 1 * U, AgreementParams(), view
         )
         with pytest.raises(ContractViolation):
             s_structural_clustering(
-                range(12), 1 * U, AgreementParams(mode="sketch"), view
+                range(12), 1 * U, AgreementParams(), view
             )

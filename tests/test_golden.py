@@ -5,8 +5,10 @@ stood before the tree builder moved to flat arrays; the `treel0sketch`
 digests were recorded before the sketch clustering moved onto the array
 kernel the exact mode uses; the `bench` CSVs and the n = 24 tree-metric
 files were recorded before `fit` and `bench` shared one dispatcher and the
-stream counted its own passes. A change that alters
-output bytes on purpose re-records them with
+stream counted its own passes; the `l0sketch` reports were recorded when
+`instances_consumed` stopped counting singleton leaves, which read no
+sketch instance. A change that alters output bytes on purpose re-records
+them with
 
     PYTHONPATH=src python tests/test_golden.py
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from streamfit import fixedpoint as fp
-from streamfit.agreement import AgreementParams
 from streamfit.evaluate import cost
 from streamfit.l0fit import SketchBudgetError, fit_l0
 from streamfit.oracles import brute_correlation
@@ -28,7 +27,7 @@ class TestExactMode:
             assert np.array_equal(
                 res.tree.induced_matrix(), truth.induced_matrix()
             )
-            assert res.report.mode == "exact"
+            assert res.report.instances_consumed == 0
 
     def test_participation_within_bound(self):
         for seed in range(4):
@@ -88,16 +87,15 @@ class TestExactMode:
 
 class TestSketchMode:
     def test_recovers_planted_ultrametric(self):
-        params = AgreementParams(mode="sketch")
         hits = 0
         for seed in range(6):
             src, truth = planted(48, seed + 20)
             cfg = SketchConfig.scaled(48, seed=seed)
-            res = fit_l0(src, params=params, config=cfg)
+            res = fit_l0(src, config=cfg)
             hits += np.array_equal(
                 res.tree.induced_matrix(), truth.induced_matrix()
             )
-            assert res.report.mode == "sketch"
+            assert res.report.instances_consumed >= 1
             assert res.report.instances_consumed <= cfg.instance_count
         assert hits >= 5
 
@@ -105,13 +103,36 @@ class TestSketchMode:
         src, _ = planted(64, 1)
         cfg = SketchConfig.scaled(64, seed=0, instance_count=1)
         with pytest.raises(SketchBudgetError):
-            fit_l0(src, params=AgreementParams(mode="sketch"), config=cfg)
+            fit_l0(src, config=cfg)
 
     def test_peak_words_reported(self):
         src, _ = planted(32, 2)
         cfg = SketchConfig.scaled(32, seed=0)
-        res = fit_l0(src, params=AgreementParams(mode="sketch"), config=cfg)
+        res = fit_l0(src, config=cfg)
         assert res.report.peak_words > 0
+
+    @pytest.mark.parametrize(
+        "n, seed, noise_k, fits_at",
+        [(48, 21, 24, 2), (60, 1, 0, 3), (40, 3, 0, 4), (80, 4, 40, 1)],
+    )
+    def test_instances_consumed_is_the_smallest_budget_that_fits(
+        self, n, seed, noise_k, fits_at
+    ):
+        src, _ = planted(n, seed, noise_k)
+
+        def fit(instance_count):
+            cfg = SketchConfig.scaled(n, seed=seed, instance_count=instance_count)
+            return fit_l0(src, config=cfg)
+
+        if fits_at > 1:
+            with pytest.raises(SketchBudgetError):
+                fit(fits_at - 1)
+        assert fit(fits_at).report.instances_consumed == fits_at
+
+    def test_single_point_reads_no_instance(self):
+        cfg = SketchConfig.scaled(1, seed=0)
+        res = fit_l0(StreamSource(1, [], [], []), config=cfg)
+        assert res.report.instances_consumed == 0
 
 
 @pytest.mark.parametrize(
@@ -120,15 +141,16 @@ class TestSketchMode:
         # recovers the planted levels: leaves at several depths
         ("exact", "planted_ultrametric", 60, 1, 0, (70, 4, 0, 3600)),
         # mostly singleton leaves, some one level below the root's children
-        ("sketch", "planted_ultrametric", 48, 21, 24, (50, 3, 3, 488508)),
+        ("sketch", "planted_ultrametric", 48, 21, 24, (50, 3, 2, 488508)),
     ],
 )
 def test_report_counts_are_pinned(mode, kind, n, seed, noise_k, expected):
-    """Recursion calls, participation and sketch instances count every
-    singleton leaf as the recursion call that returns it."""
+    """Recursion calls and participation count every singleton leaf as the
+    recursion call that returns it; sketch instances count only the calls
+    that cluster, since a singleton reads no instance."""
     src, _ = generate(GeneratorSpec(kind=kind, n=n, seed=seed, noise_k=noise_k))
     config = SketchConfig.scaled(n, seed=seed) if mode == "sketch" else None
-    report = fit_l0(src, params=AgreementParams(mode=mode), config=config).report
+    report = fit_l0(src, config=config).report
     got = (
         report.recursion_calls,
         report.max_participation,

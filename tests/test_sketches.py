@@ -314,7 +314,6 @@ def _fill_pools(cfg, D, bulk, order_seed=0):
         pools = SketchPools(cfg, n)
         u, v, d = src.arrays(0)
         pools.bulk_ingest(u, v, d)
-        pools.finalize()
     else:
         pools = ReferencePools(cfg, n)
         for u, v, d in zip(*(a.tolist() for a in src.arrays(0))):
@@ -455,16 +454,33 @@ class TestPoolsQueries:
 
     def test_queries_require_finalize(self):
         pools = SketchPools(SketchConfig(), 4)
-        for query in (pools.rungs, pools.degrees):
+        s = pools.sizes[0]
+        for query in (
+            lambda: pools.close_within([0], U),
+            lambda: pools.entries(0, s, s, [0]),
+            lambda: pools.rungs([0], U, 0),
+            lambda: pools.degrees([0], U, 0),
+            pools.build_compressed_set,
+        ):
             with pytest.raises(PhaseError):
-                query([0], U, 0)
+                query()
 
     def test_ingest_after_finalize_fails(self):
         pools = SketchPools(SketchConfig(), 2)
-        pools.bulk_ingest([0], [1], [U])
         pools.finalize()
         with pytest.raises(PhaseError):
             pools.bulk_ingest([0], [1], [U])
+
+    def test_second_bulk_ingest_fails(self):
+        # one call builds the whole state, so a second one would replace it
+        # with the second half of the stream
+        src, _ = generate(GeneratorSpec(kind="uniform_random", n=12, seed=3))
+        u, v, d = src.arrays(0)
+        half = len(d) // 2
+        pools = SketchPools(SketchConfig.scaled(12, seed=3), 12)
+        pools.bulk_ingest(u[:half], v[:half], d[:half])
+        with pytest.raises(PhaseError):
+            pools.bulk_ingest(u[half:], v[half:], d[half:])
 
     def test_estimate_degree_exact_from_close_queue(self):
         pools, D = self.make()

@@ -11,7 +11,6 @@ import streamfit as sf
 from streamfit import cli
 from streamfit import fixedpoint as fp
 from streamfit import streams
-from streamfit.agreement import AgreementParams
 from streamfit.l0fit import fit_l0
 from streamfit.linf import fit_linf_exact, fit_linf_min_decrement
 from streamfit.sketches import SketchConfig
@@ -110,12 +109,11 @@ FIT_PATHS = (
     ("linf2", 2, fit_linf_exact),
     ("l0exact", 1, fit_l0),
     ("l0sketch", 1, lambda src: fit_l0(
-        src, AgreementParams(mode="sketch"), SketchConfig.scaled(src.n, seed=1))),
+        src, config=SketchConfig.scaled(src.n, seed=1))),
     ("treelinf", 2, fit_linf_tree),
     ("treel0", 2, lambda src: fit_l0_tree(src, seed=1)),
     ("treel0sketch", 2, lambda src: fit_l0_tree(
-        src, AgreementParams(mode="sketch"), SketchConfig.scaled(src.n, seed=1),
-        seed=1)),
+        src, config=SketchConfig.scaled(src.n, seed=1), seed=1)),
 )
 
 

@@ -116,8 +116,8 @@ class TestCliqueSelection:
         P[0, 1] = P[1, 0] = 1000
         P[0, 2] = P[2, 0] = 1000
         # {1, 2} is the only 2-clique at threshold 0; candidate 1 has the
-        # smaller label
-        assert select_tree_by_clique(P, labels=[9, 4, 7]) == 1
+        # smaller index
+        assert select_tree_by_clique(P) == 1
 
     def test_threshold_slack_factor(self):
         # majority pair at dissimilarity 24 qualifies already at x = 1
