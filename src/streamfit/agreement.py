@@ -285,7 +285,7 @@ class SketchView:
         pools = self.pools
         k = len(s_arr)
         sample = np.zeros((k, k), dtype=bool)
-        sample[ex] = near & pools.membership.mask(self.instance, s_prime)[s_arr]
+        sample[ex] = near & pools.masks[(self.instance, s_prime)][s_arr]
         sample[ex, ex] = False
         present = np.zeros(k, dtype=bool)
         present[ex] = True

@@ -128,39 +128,6 @@ class SketchConfig:
         return min(1.0, self.sample_factor / s_prime)
 
 
-class SampleMembership:
-    """Keyed pseudo-random membership predicate for the sets R_{s'}.
-
-    Realized as lazily cached boolean arrays keyed on (instance, s'); the
-    draw depends only on (seed, instance, s'), never on stream order.
-    """
-
-    def __init__(self, config: SketchConfig, n: int):
-        self.config = config
-        self.n = n
-        self._masks = {}
-
-    def mask(self, instance: int, s_prime: int) -> np.ndarray:
-        key = (instance, s_prime)
-        got = self._masks.get(key)
-        if got is None:
-            p = self.config.sample_probability(s_prime)
-            if p >= 1:
-                # every draw in [0, 1) is below 1
-                got = np.ones(self.n, dtype=bool)
-            else:
-                entropy = np.random.SeedSequence(
-                    (self.config.seed, 101, instance, s_prime)
-                )
-                rng = np.random.Generator(np.random.Philox(seed=entropy))
-                got = rng.random(self.n) < p
-            self._masks[key] = got
-        return got
-
-    def mask_count(self) -> int:
-        return len(self._masks)
-
-
 @dataclass
 class SketchBlock:
     """Kept entries of the widest-budget pool of one (instance, s') group,
@@ -200,10 +167,12 @@ class CompressedSet:
 class SketchPools:
     """All streaming state: close queues plus instance_count sketch pools.
 
-    `sketches` maps (instance, s, s') to a `SketchPool`; `blocks` maps
-    (instance, s') to the `SketchBlock` that group's pools share. Instances
+    `masks` maps (instance, s') to the boolean mask of the sample R_{s'}
+    over the vertices. Every mask is drawn when the pools are built, from
+    (seed, instance, s') alone, so the samples are fixed before any entry
+    arrives. `sketches` maps (instance, s, s') to a `SketchPool`. Instances
     whose R_{s'} masks have the same content hold the same group, so they
-    point at one block and one set of pools.
+    point at one `SketchBlock` and one set of pools.
 
     The close queues are flat: row v of `close_weights` and `close_others`
     holds v's `close_lengths[v]` nearest neighbours in (weight, neighbour)
@@ -216,8 +185,19 @@ class SketchPools:
         # modelled machine words held, and their running maximum
         self.words = 0
         self.peak_words = 0
-        self.membership = SampleMembership(config, n)
         self.sizes = config.ladder(n)
+        self.masks = {}
+        for instance in range(config.instance_count):
+            for sp in self.sizes:
+                p = config.sample_probability(sp)
+                if p >= 1:
+                    # every draw in [0, 1) is below 1
+                    mask = np.ones(n, dtype=bool)
+                else:
+                    entropy = np.random.SeedSequence((config.seed, 101, instance, sp))
+                    rng = np.random.Generator(np.random.Philox(seed=entropy))
+                    mask = rng.random(n) < p
+                self.masks[(instance, sp)] = mask
         self.pairs = [
             (s, sp)
             for s in self.sizes
@@ -229,7 +209,6 @@ class SketchPools:
         self.close_others = np.zeros((n, cap), dtype=np.int32)
         self.close_lengths = np.zeros(n, dtype=np.int64)
         self.close_overflow = np.zeros(n, dtype=bool)
-        self.blocks: dict = {}
         self.sketches: dict = {}
         self.w_max_seen = 0
         self.finalized = False
@@ -286,28 +265,22 @@ class SketchPools:
         self.close_lengths = lengths
         self.close_overflow = ends - starts > cap
 
-        groups = {}  # (s', mask content) -> (block, pools, charges)
-        s_primes = sorted({sp for _, sp in self.pairs}, reverse=True)
-        for instance in range(self.config.instance_count):
-            for sp in s_primes:
-                mask = self.membership.mask(instance, sp)
-                key = (sp, mask.tobytes())
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = self._build_group(
-                        sp, mask[other_s], owner_s, other_s, weight_s
-                    )
-                block, pools, charges = group
-                for peak_items, kept in charges:
-                    self._charge(2 * peak_items)
-                    self._charge(2 * (kept - peak_items))
-                if block is None:
-                    continue
-                self.blocks[(instance, sp)] = block
-                for pool in pools:
-                    self.sketches[(instance, pool.s, sp)] = pool
+        groups = {}  # (s', mask content) -> (pools, charges)
+        for (instance, sp), mask in self.masks.items():
+            key = (sp, mask.tobytes())
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = self._build_group(
+                    sp, mask[other_s], owner_s, other_s, weight_s
+                )
+            pools, charges = group
+            for peak_items, kept in charges:
+                self._charge(2 * peak_items)
+                self._charge(2 * (kept - peak_items))
+            for pool in pools:
+                self.sketches[(instance, pool.s, sp)] = pool
         self._charge(2 * int(lengths.sum()))
-        self._charge(self.membership.mask_count() * ((self.n + 63) // 64))
+        self._charge(len(self.masks) * ((self.n + 63) // 64))
         self.finalize()
 
     def _charge(self, words):
@@ -315,15 +288,15 @@ class SketchPools:
         self.peak_words = max(self.peak_words, self.words)
 
     def _build_group(self, sp, sel, owner_s, other_s, weight_s):
-        """The shared block and pools of one (s', mask) group, and the
-        (peak, kept) entry counts of each pool for `words`; the block is
-        None when the mask samples no entry."""
+        """The pools of one (s', mask) group, which share one block, and
+        the (peak, kept) entry counts of each pool for `words`; no pools
+        when the mask samples no entry."""
         if sel.all():
             ow, ot, wt = owner_s, other_s, weight_s
         else:
             ow, ot, wt = owner_s[sel], other_s[sel], weight_s[sel]
         if not len(ow):
-            return None, [], []
+            return [], []
         seg_starts = np.searchsorted(ow, np.arange(self.n))
         lengths = np.searchsorted(ow, np.arange(self.n), side="right") - seg_starts
         # where each run of equal (owner, weight) starts: a pool keeps an
@@ -348,7 +321,7 @@ class SketchPools:
         taken = np.arange(offsets[-1]) + np.repeat(seg_starts - offsets[:-1], widest)
         block = SketchBlock(offsets, ot[taken].astype(np.int32), wt[taken])
         pools = [SketchPool(s, block, kept) for s, kept in kept_by_s.items()]
-        return block, pools, charges
+        return pools, charges
 
     # -- finalize and queries --------------------------------------------------
 
@@ -476,7 +449,7 @@ class SketchPools:
         # deduplicate block by block: the blocks together can outweigh the
         # rest of the state, and one concatenation would copy them all
         weights = [self.close_weights[held]]
-        distinct = {id(block): block for block in self.blocks.values()}
+        distinct = {id(pool.block): pool.block for pool in self.sketches.values()}
         weights += [np.unique(block.weights) for block in distinct.values()]
         return CompressedSet(np.concatenate(weights))
 

@@ -571,7 +571,7 @@ class PairwiseSketchReference:
 
         def sample(x, nb):
             if nb is not None:
-                mask = pools.membership.mask(self.instance, s_prime)
+                mask = pools.masks[(self.instance, s_prime)]
                 return {y for y in nb if y != x and mask[y]}
             run = self.run(x, rung[x], s_prime)
             return None if run is None else self.members(run)

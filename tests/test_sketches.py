@@ -8,7 +8,6 @@ from streamfit.sketches import (
     CompressedSet,
     ContractViolation,
     PhaseError,
-    SampleMembership,
     SketchConfig,
     SketchPools,
 )
@@ -111,7 +110,7 @@ class ReferencePools:
         self.n = n
         self.sizes = layout.sizes
         self.pairs = layout.pairs
-        self.membership = layout.membership
+        self.masks = layout.masks
         self.close = [CloseNeighbors(v, config.close_capacity) for v in range(n)]
         self.sketches = {}
 
@@ -120,7 +119,7 @@ class ReferencePools:
             self.close[owner].offer(d, other)
             for instance in range(self.config.instance_count):
                 for s, sp in self.pairs:
-                    if not self.membership.mask(instance, sp)[other]:
+                    if not self.masks[(instance, sp)][other]:
                         continue
                     key = (instance, owner, s, sp)
                     sk = self.sketches.get(key)
@@ -210,17 +209,41 @@ class TestConfig:
             SketchConfig(close_capacity=0)
 
 
-class TestSampleMembership:
+class TestSampleMasks:
+    """`SketchPools.masks` holds the sample R_{s'} of every (instance, s'),
+    drawn when the pools are built."""
+
     def test_deterministic_across_objects(self):
         cfg = SketchConfig(seed=5)
-        a = SampleMembership(cfg, 64).mask(0, 32)
-        b = SampleMembership(cfg, 64).mask(0, 32)
+        a = SketchPools(cfg, 64).masks[(0, 32)]
+        b = SketchPools(cfg, 64).masks[(0, 32)]
         assert np.array_equal(a, b)
 
     def test_distinct_instances_differ(self):
         cfg = SketchConfig(seed=5, sample_factor=8)
-        mem = SampleMembership(cfg, 256)
-        assert not np.array_equal(mem.mask(0, 128), mem.mask(1, 128))
+        masks = SketchPools(cfg, 256).masks
+        assert not np.array_equal(masks[(0, 128)], masks[(1, 128)])
+
+    def test_drawn_at_construction_and_fixed_by_the_pass(self):
+        n = 40
+        D = generate(GeneratorSpec(kind="uniform_random", n=n, seed=3))[0].dense()
+        cfg = SketchConfig(sample_factor=4, instance_count=3, seed=9)
+        built = SketchPools(cfg, n)
+        expected = {(i, sp) for i in range(cfg.instance_count) for sp in built.sizes}
+        assert set(built.masks) == expected
+        assert all(m.dtype == bool and m.shape == (n,) for m in built.masks.values())
+        assert not all(m.all() for m in built.masks.values())
+
+        def same(a, b):
+            return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+        # the pass in stored order, then permuted
+        for order_seed in (None, 4):
+            pools = SketchPools(cfg, n)
+            before = {key: mask.copy() for key, mask in pools.masks.items()}
+            assert same(before, built.masks)
+            pools.bulk_ingest(*StreamSource.from_square(D, order_seed=order_seed).arrays(0))
+            assert same(pools.masks, before)
 
 
 class TestCloseNeighbors:
@@ -519,7 +542,7 @@ class TestPoolsQueries:
             (size,) = pools.sizes
             rungs = pools.rungs([0, 1], U, 0)
             for owner in (0, 1):
-                sampled = bool(pools.membership.mask(0, size)[1 - owner])
+                sampled = bool(pools.masks[(0, size)][1 - owner])
                 assert (rungs[owner] < 0) == (not sampled)
                 outcomes.add(sampled)
         assert outcomes == {True, False}
@@ -629,15 +652,13 @@ class TestSharedStorage:
         csr = _fill_pools(cfg, D, bulk=True, order_seed=1)
         ref = _fill_pools(cfg, D, bulk=False, order_seed=2)
         outcomes = set()
-        for (i, sp), block in csr.blocks.items():
+        for (i, s, sp), pool in csr.sketches.items():
             for j in range(i + 1, cfg.instance_count):
-                other = csr.blocks.get((j, sp))
+                other = csr.sketches.get((j, s, sp))
                 if other is None:
                     continue
-                same_mask = np.array_equal(
-                    csr.membership.mask(i, sp), csr.membership.mask(j, sp)
-                )
-                assert (block is other) == same_mask
+                same_mask = np.array_equal(csr.masks[(i, sp)], csr.masks[(j, sp)])
+                assert (pool.block is other.block) == same_mask
                 outcomes.add(same_mask)
         assert outcomes == {True, False}
         assert _canonical(csr) == _canonical(ref)
@@ -658,7 +679,8 @@ class TestSharedStorage:
         D = generate(GeneratorSpec(kind="planted_ultrametric", n=n, seed=3))[0].dense()
         cfg = SketchConfig.scaled(n, seed=1)
         pools = _fill_pools(cfg, D, bulk=True)
-        assert len({id(block) for block in pools.blocks.values()}) == len(pools.sizes)
+        blocks = {id(pool.block) for pool in pools.sketches.values()}
+        assert len(blocks) == len(pools.sizes)
         assert len(pools.sketches) == cfg.instance_count * len(pools.pairs)
         kept = sum(int(pool.kept.sum()) for pool in pools.sketches.values())
         masks = cfg.instance_count * len(pools.sizes) * ((n + 63) // 64)
@@ -685,7 +707,7 @@ class TestWordCount:
         cfg = SketchConfig(sample_factor=1, instance_count=1, close_capacity=1)
         pools = _fill_pools(cfg, D, bulk=True)
         s = pools.sizes[-1]
-        sampled = pools.membership.mask(0, s)
+        sampled = pools.masks[(0, s)]
         runs = [int(np.count_nonzero(np.delete(sampled, v))) for v in range(n)]
         kept = pools.sketches[(0, s, s)].kept
         assert max(runs) > cfg.budget(s, s) >= int(kept.max())
