@@ -24,14 +24,18 @@ is checked on the S-by-S adjacency it holds.
 
 `SketchView` answers from the finished sketch pools with the relaxation
 bands built into float thresholds. Every pair statistic comes from the
-pools' array queries over S: per vertex whether its close queue is exact,
-its degree and its reported rung; among exact vertices the product of their
-closed neighbourhoods; and, one sample size s' at a time, the S-by-S matrix
-of which sample holds which vertex, whose BLAS product counts common
-sampled neighbours. Each statistic is computed once, a block of rows at a
-time, and compared against beta and 3 beta. Loops run over ladder rungs
-and sample sizes, never over vertices, and no state is kept between calls
-in either mode.
+pools over S: per vertex whether its close queue is exact, its degree and
+its reported rung; among exact vertices the product of their closed
+neighbourhoods; and, one sample size s' at a time, the S-by-S matrix of
+which sample holds which vertex, whose BLAS product counts common sampled
+neighbours. The pools' array queries (`estimates` and `entries`) give most
+of this. Three reads go to the pools' arrays directly: the queue
+neighbours of exact vertices (`close_others`), the sample masks (`masks`),
+and a companion pool's `kept` lengths, which say whether a vertex holds
+that sketch without copying its run. Each statistic is computed once, a
+block of rows at a time, and compared against beta and 3 beta. Loops run
+over ladder rungs and sample sizes, never over vertices, and no state is
+kept between calls in either mode.
 """
 
 from __future__ import annotations

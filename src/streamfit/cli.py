@@ -130,7 +130,7 @@ def _validate_fit(args):
         if args.passes != 2:
             raise UsageError("tree fitting needs exactly 2 passes")
     if args.instances < 0:
-        raise UsageError("--instances must be positive")
+        raise UsageError("--instances must be >= 0")
     if args.objective == "linf" and args.mode != "exact":
         raise UsageError("--mode applies to l0 fitting only")
     if args.instances and args.mode != "sketch":

@@ -3,7 +3,9 @@
 One top-down recursion over (vertex set, working threshold) pairs: cluster S
 against the predecessor threshold, recurse into every cluster that lost at
 least one percent of S, and peel low-degree rims off a dominant cluster
-while stepping the threshold down through the stored weight set. A call's
+while stepping the threshold down through the stored weight set. Each rim
+meets what remains of the cluster at the threshold it was peeled below, so
+every peel step that takes a rim adds one tree node there. A call's
 clustering and its peel loop's degree probes go through one view: exact
 mode answers from the dense matrix, sketch mode from the single-pass sketch
 pools, spending one fresh sketch instance per recursion level.
@@ -99,7 +101,7 @@ def fit_l0(
     # one past the deepest call that clustered: the sketch instances read
     instances = 0
     # tree arrays: leaves 0..n-1, then one internal node per call on more
-    # than one vertex
+    # than one vertex and one per peeled rim
     parent = [-1] * n
     level = [0] * n
     # work-list of calls (S, w, depth, parent node id). A call's degree
@@ -139,6 +141,7 @@ def fit_l0(
                 parent[v] = node
         if big is not None:
             cur = big
+            hang = node
             w_lo = w_check
             w_probe = weights.pred(w_lo)
             while 100 * len(cur) > 99 * size_s:
@@ -147,11 +150,16 @@ def fit_l0(
                     break
                 rim = 100 * degs < 65 * size_s
                 if rim.any():
-                    stack.append((cur[rim], w_lo, depth + 1, node))
+                    # a rim peeled at w_probe meets what remains at w_lo, so
+                    # both hang on a node at w_lo below the last one
+                    parent.append(hang)
+                    level.append(int(w_lo))
+                    hang = len(parent) - 1
+                    stack.append((cur[rim], w_lo, depth + 1, hang))
                     cur = cur[~rim]
                 w_lo = w_probe
                 w_probe = weights.pred(w_probe)
-            stack.append((cur, w_lo, depth + 1, node))
+            stack.append((cur, w_lo, depth + 1, hang))
     tree = UltrametricTree(n, parent, level)
 
     bound = PARTICIPATION_FACTOR * max(1, math.ceil(math.log2(max(n, 2))))

@@ -8,19 +8,23 @@ budget (1 + zeta/2) * (s/s') * sample_factor. The resulting cutoff makes
 the final state independent of stream order, which the bulk builder
 exploits (see `bulk_ingest`).
 
-The state is flat arrays, not per-vertex objects. Each (instance, s')
-group stores one CSR `SketchBlock` (owner offsets, int32 neighbours, int64
-weights, sorted by (owner, weight, neighbour)); each (instance, s, s')
-`SketchPool` stores only how many entries of each owner's run it keeps.
-Instances whose samples R_{s'} coincide share one block and its pools. The
-close queues are one (n, close_capacity) pair of weight and neighbour
-arrays. One `bulk_ingest` builds and finalizes the state; before it
-every query raises `PhaseError`, and after it the queries answer for a
-whole vertex array at once and keep no state: `close_within`, `rungs`
-(which sketch each vertex reports), `degrees`, and `entries`, which
-flattens the vertices' kept runs in one pool. They loop over ladder
-rungs, never over vertices, and every reader of the state goes through
-them. `report_sketch` and `estimate_degree` remain only as one-vertex
+The state is flat arrays, not per-vertex objects. The samples R_{s'} of
+every (instance, s') are drawn when the pools are built, as boolean masks
+(`masks`). Each (instance, s') group stores one CSR `SketchBlock` (owner
+offsets, int32 neighbours, int64 weights, sorted by (owner, weight,
+neighbour)); each (instance, s, s') `SketchPool` stores only how many
+entries of each owner's run it keeps. Instances whose samples R_{s'}
+coincide share one block and its pools. The close queues are one
+(n, close_capacity) pair of weight and neighbour arrays. One `bulk_ingest`
+builds and finalizes the state; before it every query raises
+`PhaseError`, and after it the queries answer for a whole vertex array at
+once and keep no state: `close_within`, `rungs` (which sketch each vertex
+reports), `degrees`, and `entries`, which flattens the vertices' kept runs
+in one pool. They loop over ladder rungs, never over vertices. Besides
+them, `SketchView` reads three arrays directly: `masks`, `close_others`
+at the queue slots `close_within` marks, and a pool's `kept` lengths,
+which say whether a vertex holds a sketch without copying its run through
+`entries`. `report_sketch` and `estimate_degree` remain only as one-vertex
 wrappers for the benchmark's patch table, until the program times its own
 layers. The pools count the machine words they model (`words`) and the
 running maximum of that count (`peak_words`).

@@ -520,6 +520,9 @@ class TestFitUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
+        if flags[-2:] == ("--instances", "-2"):
+            # 0 is accepted and means the preset's count
+            assert err == "error: --instances must be >= 0\n"
         assert not report.exists()
         assert not tree_out.exists()
 

@@ -79,6 +79,28 @@ class TestExactMode:
             assert got >= brute_correlation(D)
             assert is_ultrametric(res.tree.induced_matrix())
 
+    # from n = 202 on, each call clusters off one singleton and then peels
+    # rims; every rim must meet the remainder at the level it was peeled
+    # below, not at the call's own level
+    @pytest.mark.parametrize("n", [202, 250, 300, 1000])
+    def test_recovers_noiseless_chain(self, n):
+        i = np.arange(n)
+        D = (np.maximum(i[:, None], i) + 1) * U
+        np.fill_diagonal(D, 0)
+        src = StreamSource.from_square(D)
+        assert cost(fit_l0(src).tree, src).l0 == 0
+
+    @pytest.mark.parametrize("n", [250, 400])
+    def test_recovers_noiseless_shuffled_caterpillar(self, n):
+        # point rank[v] joins the spine at levels[rank[v]]; the gaps vary
+        rng = np.random.default_rng(n)
+        levels = np.cumsum(rng.integers(1, 5, size=n))
+        rank = rng.permutation(n)
+        D = levels[np.maximum(rank[:, None], rank)] * U
+        np.fill_diagonal(D, 0)
+        src = StreamSource.from_square(D)
+        assert cost(fit_l0(src).tree, src).l0 == 0
+
     @pytest.mark.parametrize("n", [1, 2, 17])
     def test_peak_words_is_the_matrix(self, n):
         src, _ = planted(n, 3)
