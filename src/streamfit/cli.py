@@ -81,9 +81,12 @@ def _cost_doc(report):
     }
 
 
-def _check_seed(args):
-    if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
+def _check_seed(args, runs=1):
+    # fit and bench key Philox with the seed of every run, which from 2^63
+    # is rounded through a float and from 2^64 overflows; gen keeps to the
+    # same range, so a stream's seed can also order its fit
+    if not 0 <= args.seed <= 2**63 - runs:
+        raise UsageError(f"--seed must be in 0..{2**63 - runs}")
 
 
 def cmd_gen(args):
@@ -120,7 +123,7 @@ def cmd_gen(args):
 
 
 def _validate_fit(args):
-    _check_seed(args)
+    _check_seed(args, args.runs)
     if args.structure == "ultrametric":
         if args.objective == "linf" and args.passes not in (1, 2):
             raise UsageError("linf ultrametric fitting needs 1 or 2 passes")
@@ -176,9 +179,10 @@ def _run_fit(args, source, seed):
         fields["pivots"] = list(result.pivots)
         fields["chosen_pivot"] = result.chosen_pivot
     # `_validate_fit` pinned --passes to the budget: linf 1 or 2, l0 1, tree 2
-    if source.passes_read > args.passes:
+    fields["passes"] = source.passes_read
+    if fields["passes"] > args.passes:
         raise PassBudgetError(
-            f"the fit read {source.passes_read} passes, over its budget of "
+            f"the fit read {fields['passes']} passes, over its budget of "
             f"{args.passes}"
         )
     return fitted, fields
@@ -200,7 +204,6 @@ def cmd_fit(args):
         "command": "fit",
         "structure": args.structure,
         "objective": args.objective,
-        "passes": source.passes_read,
         "seed": args.seed,
         "mode": args.mode,
         "n": source.n,
@@ -312,7 +315,8 @@ def cmd_bench(args):
                 "structure": args.structure,
                 "objective": args.objective,
                 "mode": args.mode if args.objective == "l0" else "",
-                "passes": source.passes_read,
+                # counted before the oracle's own read of the stream
+                "passes": fields["passes"],
                 "cost_l0": report.l0,
                 "cost_l1": fixedpoint.to_decimal(report.l1),
                 "cost_linf": fixedpoint.to_decimal(report.linf),
@@ -361,7 +365,8 @@ def build_parser():
     p.add_argument("--out-tree", default=None)
     p.add_argument("--out-newick", default=None)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_fit)
+    # a fit is one run of `_check_seed`'s seed range
+    p.set_defaults(func=cmd_fit, runs=1)
 
     p = sub.add_parser("cost", help="evaluate a stored tree against a stream")
     p.add_argument("--input", required=True)

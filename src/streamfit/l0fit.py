@@ -72,7 +72,7 @@ def fit_l0(
 
     if config is None:
         matrix = source.dense()
-        # the distances of pass 0, which `dense` has just read
+        # the distances of the pass that `dense` has just read
         weights = CompressedSet(source.d)
         w_max = int(weights.weights[-1]) if len(weights) else 0
         exact_view = ExactView(matrix)
@@ -83,7 +83,7 @@ def fit_l0(
 
     else:
         pools = SketchPools(config, n)
-        pools.bulk_ingest(*source.arrays(0))
+        pools.bulk_ingest(*source.arrays())
         peak_words = pools.peak_words
         weights = pools.build_compressed_set()
         w_max = pools.w_max_seen

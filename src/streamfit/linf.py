@@ -173,14 +173,14 @@ class LinfExactResult:
 def fit_linf_min_decrement(source: StreamSource) -> UltrametricTree:
     """One-pass pointwise-maximal ultrametric below D (2-approximate)."""
     state = MstState(source.n)
-    state.ingest_batch(*source.arrays(0))
+    state.ingest_batch(*source.arrays())
     return single_linkage_tree(source.n, state.edges())
 
 
 def fit_linf_exact(source: StreamSource) -> LinfExactResult:
     """Two passes: min-decrement tree, then raise all levels by slack/2."""
     under = fit_linf_min_decrement(source)
-    u, v, d = source.arrays(1)
+    u, v, d = source.arrays()
     gap = under.distances(u, v)
     np.subtract(d, gap, out=gap)
     slack, cert = 0, None

@@ -1,4 +1,4 @@
-"""Replayable distance streams, file I/O, and instance generators."""
+"""Multi-pass distance streams, file I/O, and instance generators."""
 
 from __future__ import annotations
 
@@ -37,17 +37,17 @@ def pair_index(n: int, u: int, v: int):
 
 
 class StreamSource:
-    """Replayable arbitrary-order sequence of (u, v, d) entries.
+    """Multi-pass arbitrary-order sequence of (u, v, d) entries.
 
     The backing arrays hold every unordered pair of the n points exactly
     once, in canonical u < v form: the constructor checks this once, so a
     built source is complete and every consumer trusts it. An order seed
     permutes the sequence; each pass uses a fresh permutation derived from
-    (seed, pass index). Without a seed every pass replays the stored order.
+    (seed, pass index). Without a seed every pass keeps the stored order.
 
-    Passes are numbered from 0, and `passes_read` counts those handed out:
-    `arrays(k)` raises it to at least k + 1 and `dense` reads pass 0, so a
-    replayed pass counts once, and `cost`, reading the stored arrays, none.
+    Passes are handed out once each, in order, and never replayed:
+    `arrays` and `dense` each read the next pass, so `passes_read` is the
+    number of reads, and `cost`, reading the stored arrays, reads none.
     """
 
     def __init__(self, n, u, v, d, order_seed=None):
@@ -105,16 +105,16 @@ class StreamSource:
         rng = np.random.Generator(np.random.Philox(key=key))
         return rng.permutation(len(self.d))
 
-    def arrays(self, pass_index: int = 0):
-        """Permuted (u, v, d) arrays for one pass."""
-        self.passes_read = max(self.passes_read, pass_index + 1)
-        order = self._order(pass_index)
+    def arrays(self):
+        """The next pass, in fresh (u, v, d) arrays the caller may overwrite."""
+        order = self._order(self.passes_read)
+        self.passes_read += 1
         return self.u[order], self.v[order], self.d[order]
 
     def dense(self) -> np.ndarray:
-        """Full symmetric matrix, read as pass 0; the source is complete
-        by construction."""
-        self.passes_read = max(self.passes_read, 1)
+        """Full symmetric matrix, read as the next pass; the source is
+        complete by construction."""
+        self.passes_read += 1
         out = np.zeros((self.n, self.n), dtype=np.int64)
         # scatter both triangles: adding the transpose would allocate a
         # second n-by-n matrix

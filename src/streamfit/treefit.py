@@ -23,44 +23,47 @@ from .streams import StreamSource
 from .trees import TreeMetricRep
 
 
-def collect_pivot_rows(source: StreamSource, pivots, pass_index: int = 0) -> np.ndarray:
-    """One stream pass gathering D(a, .) for every pivot a, one row per
-    pivot in a (t, n) array."""
-    pivots = tuple(int(p) for p in pivots)
+def collect_pivot_rows(source: StreamSource, pivots) -> np.ndarray:
+    """One stream pass gathering D(a, .) for every distinct pivot a into a
+    (t, n) array, scattered through an n-length slot array of pivot rows."""
     n = source.n
+    # a repeated or outside pivot shrinks the set
+    if len({int(p) for p in pivots if 0 <= p < n}) != len(pivots):
+        raise ValueError(f"pivots must be distinct points of 0..{n - 1}")
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[list(pivots)] = np.arange(len(pivots))
     rows = np.zeros((len(pivots), n), dtype=np.int64)
-    slot = {p: i for i, p in enumerate(pivots)}
-    u, v, d = source.arrays(pass_index)
+    u, v, d = source.arrays()
     for side, far in ((u, v), (v, u)):
-        for p, i in slot.items():
-            hit = side == p
-            rows[i, far[hit]] = d[hit]
+        i = slot[side]
+        hit = i >= 0
+        rows[i[hit], far[hit]] = d[hit]
     return rows
 
 
-def centroid_transformed_source(
-    source: StreamSource, row: np.ndarray, pass_index: int
-) -> StreamSource:
-    """Stream of D + C over one pass, preserving that pass's order."""
-    u, v, d = source.arrays(pass_index)
-    m = int(row.max())
-    shifted = d + (2 * m - row[u] - row[v])
-    return StreamSource(source.n, u, v, shifted)
+def centroid_transformed_source(n, u, v, d, row, prior=0) -> StreamSource:
+    """Stream of D + C over one pass's (u, v, d) arrays, in that order, for
+    the pivot row `row`. `d` is shifted in place from D, or from D plus the
+    centroid of the pivot row `prior`, so the pivots share one buffer."""
+    step = row - prior
+    d += 2 * (int(row.max()) - int(np.max(prior)))
+    d -= step[u]
+    d -= step[v]
+    return StreamSource(n, u, v, d)
 
 
 def _fit_pivots(source: StreamSource, pivots, fit_base) -> list:
-    """One tree metric per pivot: pass 0 gathers every pivot row, then each
-    pivot replays pass 1 through its centroid transform into `fit_base`, so
-    one shifted stream at a time is alive."""
-    rows = collect_pivot_rows(source, pivots, pass_index=0)
-    return [
-        TreeMetricRep(
-            fit_base(centroid_transformed_source(source, row, pass_index=1)),
-            pivot,
-            row,
-        )
-        for pivot, row in zip(pivots, rows)
-    ]
+    """One tree metric per pivot: pass 0 gathers every pivot row, then
+    pass 1 is read once, and its distance buffer is shifted in place from
+    one pivot's centroid transform to the next, each fed to `fit_base`."""
+    rows = collect_pivot_rows(source, pivots)
+    u, v, d = source.arrays()
+    reps, prior = [], 0
+    for pivot, row in zip(pivots, rows):
+        shifted = centroid_transformed_source(source.n, u, v, d, row, prior)
+        reps.append(TreeMetricRep(fit_base(shifted), pivot, row))
+        prior = row
+    return reps
 
 
 def fit_linf_tree(source: StreamSource, pivot: int = 0) -> TreeMetricRep:
@@ -69,8 +72,6 @@ def fit_linf_tree(source: StreamSource, pivot: int = 0) -> TreeMetricRep:
     Pass one records the pivot row; pass two runs the min-decrement
     ultrametric fit on the centroid-shifted distances.
     """
-    if not (0 <= pivot < source.n):
-        raise ValueError(f"pivot {pivot} out of range")
     return _fit_pivots(source, [pivot], fit_linf_min_decrement)[0]
 
 

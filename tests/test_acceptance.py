@@ -202,7 +202,7 @@ def test_06_structural_clustering_guarantees():
         D, s_vertices, groups, lo = clustered_subset_instance(seed)
         n = D.shape[0]
         pools = SketchPools(SketchConfig.scaled(n, seed=seed), n)
-        u, v, d = sf.StreamSource.from_square(D, order_seed=seed).arrays(0)
+        u, v, d = sf.StreamSource.from_square(D, order_seed=seed).arrays()
         pools.bulk_ingest(u, v, d)
         result = s_structural_clustering(
             s_vertices, lo, AgreementParams(), SketchView(pools, 0)
@@ -220,7 +220,7 @@ def test_07_sketch_concentration_two_shell():
     D[0, k1 + 1 :] = D[k1 + 1 :, 0] = d2
     w = 4 * U
     true_deg = k1 + 1  # closed neighborhood of vertex 0 at threshold w
-    u, v, d = sf.StreamSource.from_square(D).arrays(0)
+    u, v, d = sf.StreamSource.from_square(D).arrays()
 
     zeta, lam = 0.05, 0.25
     trials = 1000
@@ -264,7 +264,7 @@ def test_09_streaming_memory_budget():
             sf.GeneratorSpec(kind="planted_ultrametric", n=n, seed=0)
         )
         pools = SketchPools(SketchConfig.polylog_shape(n, seed=0), n)
-        u, v, d = src.arrays(0)
+        u, v, d = src.arrays()
         pools.bulk_ingest(u, v, d)
         peaks[n] = pools.peak_words
         assert peaks[n] <= C_MEM * n * math.log2(n) ** 4
@@ -285,7 +285,7 @@ def test_10_tree_metric_linf_chain():
         rep = fit_linf_tree(src)
         M = rep.induced_matrix()
         err = int(np.abs(M - D).max())
-        shifted = centroid_transformed_source(src, D[0], 0)
+        shifted = centroid_transformed_source(n, *src.arrays(), D[0])
         opt = fit_linf_exact(shifted).optimal_cost
         assert err <= 2 * opt
         assert four_point_check(M)

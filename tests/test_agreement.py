@@ -476,7 +476,7 @@ def make_sketch_view(D, seed=0, instance=0, **overrides):
     n = D.shape[0]
     cfg = SketchConfig.scaled(n, seed=seed, **overrides)
     pools = SketchPools(cfg, n)
-    u, v, d = StreamSource.from_square(D, order_seed=seed).arrays(0)
+    u, v, d = StreamSource.from_square(D, order_seed=seed).arrays()
     pools.bulk_ingest(u, v, d)
     return SketchView(pools, instance)
 

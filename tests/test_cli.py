@@ -59,8 +59,10 @@ class TestGen:
             (("--alphabet", "1.0000000001"), 3),
             (("--noise-k", "-1"), 3),
             (("--seed", "-1"), 2),
+            (("--seed", str(2**63)), 2),
         ],
-        ids=["alphabet-word", "alphabet-digits", "noise-neg", "seed-neg"],
+        ids=["alphabet-word", "alphabet-digits", "noise-neg", "seed-neg",
+             "seed-2^63"],
     )
     def test_bad_values_exit_without_output(self, tmp_path, capsys, flags, code):
         outs = [tmp_path / name for name in ("d.txt", "truth.json", "gen.json")]
@@ -416,7 +418,7 @@ class TestPassBudget:
 
             def fit(source, *args, **kwargs):
                 result = real(source, *args, **kwargs)
-                source.arrays(budget)
+                source.arrays()
                 return result
 
             monkeypatch.setattr(cli, fitter, fit)
@@ -501,11 +503,20 @@ class TestFitUsageErrors:
              "--seed", "-1"),
             ("--structure", "tree", "--objective", "l0", "--passes", "2",
              "--seed", "-1"),
+            ("--structure", "ultrametric", "--objective", "linf", "--passes", "2",
+             "--seed", str(2**63)),
+            ("--structure", "tree", "--objective", "l0", "--passes", "2",
+             "--seed", str(2**63)),
+            ("--structure", "ultrametric", "--objective", "l0", "--passes", "1",
+             "--mode", "sketch", "--seed", str(2**64)),
+            ("--structure", "tree", "--objective", "l0", "--passes", "2",
+             "--seed", str(2**64)),
         ],
         ids=["pivot-99", "pivot-neg", "instances-neg", "linf-sketch",
              "linf-instances", "tree-linf-sketch", "exact-instances",
              "tree-l0-pivot", "l0-pivot", "linf-pivot", "sketch-seed-neg",
-             "exact-seed-neg", "tree-l0-seed-neg"],
+             "exact-seed-neg", "tree-l0-seed-neg", "linf-seed-2^63",
+             "tree-l0-seed-2^63", "sketch-seed-2^64", "tree-l0-seed-2^64"],
     )
     def test_exit_2_without_output(self, instance, tmp_path, capsys, flags):
         _, stream, _ = instance
@@ -523,8 +534,31 @@ class TestFitUsageErrors:
         if flags[-2:] == ("--instances", "-2"):
             # 0 is accepted and means the preset's count
             assert err == "error: --instances must be >= 0\n"
+        if flags[-1] in (str(2**63), str(2**64)):
+            # Philox would round the seed through a float, or overflow
+            assert err == f"error: --seed must be in 0..{2**63 - 1}\n"
         assert not report.exists()
         assert not tree_out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--structure", "ultrametric", "--objective", "linf", "--passes", "2"),
+            ("--structure", "ultrametric", "--objective", "l0", "--passes", "1",
+             "--mode", "sketch"),
+            ("--structure", "tree", "--objective", "l0", "--passes", "2"),
+        ],
+        ids=["linf", "sketch", "tree-l0"],
+    )
+    def test_largest_seed_fits(self, instance, tmp_path, flags):
+        _, stream, _ = instance
+        report = tmp_path / "r.json"
+        code = run(
+            "fit", "--input", str(stream), *flags, "--seed", str(2**63 - 1),
+            "--report", str(report),
+        )
+        assert code == 0
+        assert json.loads(report.read_text())["seed"] == 2**63 - 1
 
 
 class TestBench:
@@ -563,9 +597,14 @@ class TestBench:
             (("--runs", "0"), 2),
             (("--runs", "-1"), 2),
             (("--seed", "-1"), 2),
+            (("--seed", str(2**63)), 2),
+            (("--seed", str(2**64)), 2),
+            # the last run's seed would be 2^63
+            (("--seed", str(2**63 - 1), "--runs", "2"), 2),
             (("--noise-k", "-3"), 3),
         ],
-        ids=["runs-0", "runs-neg", "seed-neg", "noise-neg"],
+        ids=["runs-0", "runs-neg", "seed-neg", "seed-2^63", "seed-2^64",
+             "last-seed-2^63", "noise-neg"],
     )
     def test_bad_counts_exit_without_output(self, tmp_path, capsys, flags, code):
         out = tmp_path / "bench.csv"
@@ -596,6 +635,10 @@ class TestBench:
             "peak_words",
         }
         assert rows[0]["ratio_l0"] == "1.0000"
+        # the oracle fills at n = 6; its own read of the stream is not the
+        # fit's pass
+        assert all(row["oracle_l0"] for row in rows)
+        assert [row["passes"] for row in rows] == ["1", "1", "1"]
 
 
 class TestDeterminism:

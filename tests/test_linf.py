@@ -192,7 +192,7 @@ def test_filter_keeps_compactions_few(monkeypatch):
 
     monkeypatch.setattr(MstState, "_compact", counted)
     state = MstState(n)
-    state.ingest_batch(*source.arrays(0))
+    state.ingest_batch(*source.arrays())
     assert len(state.edges()) == n - 1
     assert compactions <= 6
 

@@ -242,7 +242,7 @@ class TestSampleMasks:
             pools = SketchPools(cfg, n)
             before = {key: mask.copy() for key, mask in pools.masks.items()}
             assert same(before, built.masks)
-            pools.bulk_ingest(*StreamSource.from_square(D, order_seed=order_seed).arrays(0))
+            pools.bulk_ingest(*StreamSource.from_square(D, order_seed=order_seed).arrays())
             assert same(pools.masks, before)
 
 
@@ -335,11 +335,11 @@ def _fill_pools(cfg, D, bulk, order_seed=0):
     src = StreamSource.from_square(D, order_seed=order_seed)
     if bulk:
         pools = SketchPools(cfg, n)
-        u, v, d = src.arrays(0)
+        u, v, d = src.arrays()
         pools.bulk_ingest(u, v, d)
     else:
         pools = ReferencePools(cfg, n)
-        for u, v, d in zip(*(a.tolist() for a in src.arrays(0))):
+        for u, v, d in zip(*(a.tolist() for a in src.arrays())):
             pools.ingest_entry(u, v, d)
     return pools
 
@@ -498,7 +498,7 @@ class TestPoolsQueries:
         # one call builds the whole state, so a second one would replace it
         # with the second half of the stream
         src, _ = generate(GeneratorSpec(kind="uniform_random", n=12, seed=3))
-        u, v, d = src.arrays(0)
+        u, v, d = src.arrays()
         half = len(d) // 2
         pools = SketchPools(SketchConfig.scaled(12, seed=3), 12)
         pools.bulk_ingest(u[:half], v[:half], d[:half])

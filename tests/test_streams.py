@@ -51,15 +51,21 @@ class TestStreamSource:
         D = small_matrix()
         src = StreamSource.from_square(D, order_seed=11)
         assert np.array_equal(src.dense(), D)
+        # each read is a pass of its own
+        src.dense()
+        assert src.passes_read == 2
 
     def test_each_pass_is_permuted_but_complete(self):
-        D = small_matrix()
+        # 28 pairs, so two passes in one order would be a 1 in 28! chance
+        D = generate(GeneratorSpec(kind="uniform_random", n=8, seed=1))[0].dense()
         src = StreamSource.from_square(D, order_seed=11)
-        a = list(zip(*src.arrays(0)))
-        b = list(zip(*src.arrays(1)))
+        a = list(zip(*src.arrays()))
+        b = list(zip(*src.arrays()))
         assert sorted(a) == sorted(b)
-        # the same pass replays identically
-        assert a == list(zip(*src.arrays(0)))
+        assert a != b
+        # a second source with the seed hands out the same passes in turn
+        again = StreamSource.from_square(D, order_seed=11)
+        assert [list(zip(*again.arrays())) for _ in range(2)] == [a, b]
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(StreamIntegrityError):
@@ -132,21 +138,31 @@ def test_each_fit_reads_exactly_its_pass_budget(kind, n, noise, fit):
     assert src.passes_read == budget
 
 
-def test_a_pass_replayed_per_pivot_counts_once():
-    src, _ = generate(GeneratorSpec(kind="planted_tree_metric", n=40, seed=3))
+@pytest.mark.parametrize("fit", FIT_PATHS, ids=[f[0] for f in FIT_PATHS])
+def test_each_fit_reads_its_input_once_per_pass(fit):
+    """Every read of the input goes through `arrays` or `dense`, and a fit
+    makes no more of them than its budget: a tree fit's four pivots share
+    one read of pass 1."""
+    _, budget, fitter = fit
+    src, _ = generate(
+        GeneratorSpec(kind="planted_ultrametric", n=40, seed=3, noise_k=60)
+    )
     reads = []
-    arrays = StreamSource.arrays
 
-    def spy(self, pass_index=0):
-        if self is src:
-            reads.append(pass_index)
-        return arrays(self, pass_index)
+    def spy(name):
+        real = getattr(StreamSource, name)
 
-    with mock.patch.object(StreamSource, "arrays", spy):
-        result = fit_l0_tree(src, seed=1)
-    assert len(result.pivots) == 4
-    assert reads == [0, 1, 1, 1, 1]
-    assert src.passes_read == 2
+        def read(self):
+            if self is src:
+                reads.append(name)
+            return real(self)
+
+        return read
+
+    with mock.patch.object(StreamSource, "arrays", spy("arrays")), \
+            mock.patch.object(StreamSource, "dense", spy("dense")):
+        fitter(src)
+    assert len(reads) == budget == src.passes_read
 
 
 def drawn_tree_metric(n, seed):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,13 +31,24 @@ class TestCentroidTransform:
         src = StreamSource.from_square(D, order_seed=0)
         rows = collect_pivot_rows(src, [0, 2])
         assert np.array_equal(rows, D[[0, 2]])
+        # the pivots may come in any order; each keeps its own row
+        assert np.array_equal(collect_pivot_rows(src, [2, 1, 0]), D[[2, 1, 0]])
+
+    @pytest.mark.parametrize("pivots", [[2, 2], [7], [-1], [0, 6]])
+    def test_pivots_must_be_distinct_points(self, pivots):
+        # a slot array would wrap -1 round to row n - 1, and a repeated
+        # pivot would leave its first row zero
+        src, _ = generate(GeneratorSpec(kind="uniform_random", n=6, seed=0))
+        with pytest.raises(ValueError, match="distinct points of 0..5"):
+            collect_pivot_rows(src, pivots)
+        assert src.passes_read == 0
 
     def test_transformed_pair_with_pivot_hits_2m(self):
         D = path3()
         src = StreamSource.from_square(D, order_seed=0)
         row = D[0]
         m = int(row.max())
-        shifted = centroid_transformed_source(src, row, 0).dense()
+        shifted = centroid_transformed_source(3, *src.arrays(), row).dense()
         # any pair containing the pivot lands exactly at 2m
         assert shifted[0, 1] == 2 * m
         assert shifted[0, 2] == 2 * m
@@ -46,15 +59,29 @@ class TestCentroidTransform:
                 GeneratorSpec(kind="planted_tree_metric", n=16, seed=seed)
             )
             D = src.dense()
-            shifted = centroid_transformed_source(src, D[0], 0).dense()
+            shifted = centroid_transformed_source(16, *src.arrays(), D[0]).dense()
             assert is_ultrametric(shifted)
+
+    def test_shift_moves_one_buffer_from_pivot_to_pivot(self):
+        # D + C(row a), shifted on to row b, is the transform of D for b
+        src, _ = generate(GeneratorSpec(kind="planted_tree_metric", n=16, seed=2))
+        D = src.dense()
+        u, v, d = src.arrays()
+        prior = 0
+        for pivot in (0, 5, 11, 3):
+            moved = centroid_transformed_source(16, u, v, d, D[pivot], prior)
+            fresh = centroid_transformed_source(16, *src.arrays(), D[pivot])
+            assert np.array_equal(moved.dense(), fresh.dense())
+            prior = D[pivot]
 
     def test_transform_preserves_pass_order(self):
         D = path3()
         src = StreamSource.from_square(D, order_seed=7)
-        u0, v0, _ = src.arrays(1)
-        shifted = centroid_transformed_source(src, D[0], 1)
-        u1, v1, _ = shifted.arrays(0)
+        src.arrays()
+        u, v, d = src.arrays()
+        u0, v0 = u.copy(), v.copy()
+        shifted = centroid_transformed_source(3, u, v, d, D[0])
+        u1, v1, _ = shifted.arrays()
         assert np.array_equal(u0, u1)
         assert np.array_equal(v0, v1)
 
@@ -91,7 +118,7 @@ class TestLinfTree:
             D = src.dense()
             rep = fit_linf_tree(src)
             err = int(np.abs(rep.induced_matrix() - D).max())
-            shifted = centroid_transformed_source(src, D[0], 0)
+            shifted = centroid_transformed_source(10, *src.arrays(), D[0])
             opt = fit_linf_exact(shifted).optimal_cost
             assert err <= 2 * opt
 
@@ -165,3 +192,21 @@ class TestL0Tree:
         M = res.rep.induced_matrix()
         assert np.array_equal(M, M.T)
         assert four_point_check(M)
+
+    def test_peak_memory_is_pinned_at_n_512(self):
+        """Pass 1 is read once and its distances are shifted in place from
+        pivot to pivot, so the fit's peak stays under 4.1 n x n int64
+        matrices (it reads about 3.95, set by the consensus); holding pass
+        1's distances beside a shifted copy lifts it to about 4.35."""
+        n = 512
+        src, _ = generate(
+            GeneratorSpec(kind="planted_tree_metric", n=n, seed=1, noise_k=n // 2)
+        )
+        fit_l0_tree(generate(GeneratorSpec(kind="planted_tree_metric", n=8, seed=0))[0])
+        tracemalloc.start()
+        try:
+            fit_l0_tree(src, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.1 * n * n * 8
