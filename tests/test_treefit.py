@@ -33,6 +33,10 @@ class TestCentroidTransform:
         assert np.array_equal(rows, D[[0, 2]])
         # the pivots may come in any order; each keeps its own row
         assert np.array_equal(collect_pivot_rows(src, [2, 1, 0]), D[[2, 1, 0]])
+        src, _ = generate(GeneratorSpec(kind="uniform_random", n=16, seed=4))
+        D = src.dense()
+        pivots = [15, 0, 7, 3, 8]
+        assert np.array_equal(collect_pivot_rows(src, pivots), D[pivots])
 
     @pytest.mark.parametrize("pivots", [[2, 2], [7], [-1], [0, 6]])
     def test_pivots_must_be_distinct_points(self, pivots):
