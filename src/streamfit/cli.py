@@ -365,7 +365,7 @@ def build_parser():
     p.add_argument("--out-tree", default=None)
     p.add_argument("--out-newick", default=None)
     p.add_argument("--report", default=None)
-    # a fit is one run of `_check_seed`'s seed range
+    # `_validate_fit` checks the seed of every run, and a fit is one run
     p.set_defaults(func=cmd_fit, runs=1)
 
     p = sub.add_parser("cost", help="evaluate a stored tree against a stream")

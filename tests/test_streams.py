@@ -141,8 +141,8 @@ def test_each_fit_reads_exactly_its_pass_budget(kind, n, noise, fit):
 @pytest.mark.parametrize("fit", FIT_PATHS, ids=[f[0] for f in FIT_PATHS])
 def test_each_fit_reads_its_input_once_per_pass(fit):
     """Every read of the input goes through `arrays` or `dense`, and a fit
-    makes no more of them than its budget: a tree fit's four pivots share
-    one read of pass 1."""
+    makes no more of them than its budget: the four pivots of an `l0` tree
+    fit share one read of pass 1."""
     _, budget, fitter = fit
     src, _ = generate(
         GeneratorSpec(kind="planted_ultrametric", n=40, seed=3, noise_k=60)
