@@ -22,6 +22,15 @@ so the beta mask takes two comparisons against a length-|S| vector and a
 seed's 3-beta row one, with no S-by-S integer array. The density invariant
 is checked on the S-by-S adjacency it holds.
 
+Both views also answer the l0 peel loop's degree probes (`peel_probe`):
+for a dominant cluster and two degree cut-offs fixed for the whole loop,
+a probe says which of its vertices are dense at w and which fall on the
+rim. `ExactView` counts a loop's first probe from the rows; a second
+probe partitions them once, and from then on each vertex's order
+statistic at the dense cut-off is compared with w and only the rows that
+fail are read again. `SketchView` reads the pools' degrees at every
+probe.
+
 `SketchView` answers from the finished sketch pools with the relaxation
 bands built into float thresholds. Every pair statistic comes from the
 pools over S: per vertex whether its close queue is exact, its degree and
@@ -111,6 +120,42 @@ class ExactView:
         """Closed degree at w of each of `vertices`."""
         return (self.matrix[vertices] <= w).sum(axis=1)
 
+    def peel_probe(self, big, k_dense: int, k_rim: int) -> Callable:
+        """The peel loop's test over positions of `big`: `probe(pos, w)`
+        gives, for each vertex at `pos`, whether its closed degree at w is
+        at least `k_dense` and whether it is below `k_rim`, which is at
+        most `k_dense`.
+
+        A loop often stops at its first probe, which counts the rows as
+        `degrees` does. A degree at w is at least k exactly when the row's
+        k-th smallest entry is at most w, so a second probe reads the rows
+        of `big` once more, partitions them in place and keeps only their
+        `k_dense`-th entries. A rim vertex fails the dense test, so from
+        then on only the rows that fail it are read again.
+        """
+        first = True
+        kth = None
+
+        def probe(pos, w):
+            nonlocal first, kth
+            if first:
+                first = False
+                d = self.degrees(big[pos], w)
+                return d >= k_dense, d < k_rim
+            if kth is None:
+                rows = self.matrix[big]
+                # ndarray.partition works in place; np.partition would copy
+                rows.partition(k_dense - 1, axis=1)
+                kth = rows[:, k_dense - 1].copy()
+                del rows
+            dense = kth[pos] <= w
+            rim = np.zeros(len(pos), dtype=bool)
+            (low,) = (~dense).nonzero()
+            rim[low] = self.degrees(big[pos[low]], w) < k_rim
+            return dense, rim
+
+        return probe
+
     def claims(self, s_arr, w, params: AgreementParams) -> Claims:
         """Heaviness from one S-by-S beta mask; the 3-beta row of a seed is
         compared when it is asked for.
@@ -168,10 +213,17 @@ class SketchView:
         self.pools = pools
         self.instance = instance
 
-    def degrees(self, vertices, w: int) -> np.ndarray:
-        """Closed degree at w of each of `vertices`, counted from the close
-        queue where it is exact and estimated from the sketches elsewhere."""
-        return self.pools.degrees(vertices, w, self.instance)
+    def peel_probe(self, big, k_dense: int, k_rim: int) -> Callable:
+        """`ExactView.peel_probe` from the pools: each probe reads the
+        closed degrees at w of the vertices at `pos`, counted from the
+        close queue where it is exact and estimated from the sketches
+        elsewhere, and compares them with both cut-offs."""
+
+        def probe(pos, w):
+            d = self.pools.degrees(big[pos], w, self.instance)
+            return d >= k_dense, d < k_rim
+
+        return probe
 
     def claims(self, s_arr, w, params: AgreementParams) -> Claims:
         """Both agreement masks of S from one pass over its statistics,

@@ -8,7 +8,10 @@ meets what remains of the cluster at the threshold it was peeled below, so
 every peel step that takes a rim adds one tree node there. A call's
 clustering and its peel loop's degree probes go through one view: exact
 mode answers from the dense matrix, sketch mode from the single-pass sketch
-pools, spending one fresh sketch instance per recursion level.
+pools, spending one fresh sketch instance per recursion level. The dense
+and rim tests compare degrees with integer cut-offs fixed by |S|, so a
+peel loop asks its view once for a probe (`peel_probe`) and each probe
+takes the positions of the dominant cluster still left and a threshold.
 """
 
 from __future__ import annotations
@@ -140,26 +143,30 @@ def fit_l0(
             for v in leaves:
                 parent[v] = node
         if big is not None:
-            cur = big
+            # a degree d is dense when 100 d > 66 |S| and on the rim when
+            # 100 d < 65 |S|: integer cut-offs fixed for the whole loop
+            k_dense = 66 * size_s // 100 + 1
+            k_rim = (65 * size_s + 99) // 100
+            probe = view.peel_probe(big, k_dense, k_rim)
+            pos = np.arange(len(big))
             hang = node
             w_lo = w_check
             w_probe = weights.pred(w_lo)
-            while 100 * len(cur) > 99 * size_s:
-                degs = view.degrees(cur, w_probe)
-                if not 100 * int(np.count_nonzero(100 * degs > 66 * size_s)) > 99 * size_s:
+            while 100 * len(pos) > 99 * size_s:
+                dense, rim = probe(pos, w_probe)
+                if not 100 * int(np.count_nonzero(dense)) > 99 * size_s:
                     break
-                rim = 100 * degs < 65 * size_s
                 if rim.any():
                     # a rim peeled at w_probe meets what remains at w_lo, so
                     # both hang on a node at w_lo below the last one
                     parent.append(hang)
                     level.append(int(w_lo))
                     hang = len(parent) - 1
-                    stack.append((cur[rim], w_lo, depth + 1, hang))
-                    cur = cur[~rim]
+                    stack.append((big[pos[rim]], w_lo, depth + 1, hang))
+                    pos = pos[~rim]
                 w_lo = w_probe
                 w_probe = weights.pred(w_probe)
-            stack.append((cur, w_lo, depth + 1, hang))
+            stack.append((big[pos], w_lo, depth + 1, hang))
     tree = UltrametricTree(n, parent, level)
 
     bound = PARTICIPATION_FACTOR * max(1, math.ceil(math.log2(max(n, 2))))

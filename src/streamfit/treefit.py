@@ -20,7 +20,9 @@ from .l0fit import fit_l0
 from .linf import fit_linf_min_decrement
 from .sketches import SketchConfig
 from .streams import StreamSource
-from .trees import TreeMetricRep
+from .trees import DomainError, TreeMetricRep
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def collect_pivot_rows(source: StreamSource, pivots) -> np.ndarray:
@@ -44,9 +46,21 @@ def collect_pivot_rows(source: StreamSource, pivots) -> np.ndarray:
 def centroid_transformed_source(n, u, v, d, row, prior=0) -> StreamSource:
     """Stream of D + C over one pass's (u, v, d) arrays, in that order, for
     the pivot row `row`. `d` is shifted in place from D, or from D plus the
-    centroid of the pivot row `prior`, so the pivots share one buffer."""
+    centroid of the pivot row `prior`, so the pivots share one buffer.
+
+    Raises `DomainError` when a shifted entry could pass the int64 range.
+    """
     step = row - prior
-    d += 2 * (int(row.max()) - int(np.max(prior)))
+    shift = 2 * (int(row.max()) - int(np.max(prior)))
+    top = int(d.max()) if len(d) else 0
+    # an entry passes through d + shift and d + shift - step[u] on its way
+    # to d + shift - step[u] - step[v]; all three are at most this bound
+    if top + shift - 2 * min(int(step.min()), 0) > INT64_MAX:
+        raise DomainError(
+            "pivot centroid shift passes the int64 range: "
+            "distances too large for a tree fit"
+        )
+    d += shift
     d -= step[u]
     d -= step[v]
     return StreamSource(n, u, v, d)

@@ -148,6 +148,74 @@ def test_exact_degrees_count_each_row(seed):
     assert np.array_equal(view.degrees(np.arange(n), int(D.max())), np.full(n, n))
 
 
+@st.composite
+def peel_probe_inputs(draw):
+    """A matrix with one to five distinct levels (so rows tie), a vertex
+    order `big` of a nonempty subset, cut-offs 1 <= k_rim <= k_dense <= n
+    (k_dense often 1 or n), every stored weight and 0 in a random order,
+    and for each probe which positions the next one keeps."""
+    n = draw(st.integers(1, 24))
+    levels = draw(st.sets(st.integers(1, 9), min_size=1, max_size=5))
+    D = np.zeros((n, n), dtype=np.int64)
+    iu = np.triu_indices(n, 1)
+    D[iu] = draw(st.lists(st.sampled_from(sorted(levels)), min_size=len(iu[0]),
+                          max_size=len(iu[0])))
+    D += D.T
+    D *= U
+    order = draw(st.permutations(range(n)))
+    big = np.array(order[: draw(st.integers(1, n))], dtype=np.int64)
+    k_dense = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    k_rim = draw(st.integers(1, k_dense))
+    ws = draw(st.permutations([0, *np.unique(D[iu]).tolist()]))
+    keeps = [
+        draw(st.lists(st.booleans(), min_size=len(big), max_size=len(big)))
+        for _ in ws
+    ]
+    return D, big, k_dense, k_rim, ws, keeps
+
+
+@given(peel_probe_inputs())
+@settings(max_examples=200, deadline=None)
+def test_exact_peel_probe_counts_each_row_against_both_cutoffs(case):
+    D, big, k_dense, k_rim, ws, keeps = case
+    probe = ExactView(D).peel_probe(big, k_dense, k_rim)
+    pos = np.arange(len(big))
+    for w, keep in zip(ws, keeps):
+        dense, rim = probe(pos, w)
+        degs = (D[big[pos]] <= w).sum(axis=1)
+        assert np.array_equal(dense, degs >= k_dense)
+        assert np.array_equal(rim, degs < k_rim)
+        pos = pos[np.array(keep)[: len(pos)]]
+
+
+@pytest.mark.parametrize("close_capacity", [2, 8])
+def test_sketch_peel_probe_thresholds_the_pool_degrees(close_capacity):
+    # shallow queues leave most degrees to the sampled estimates
+    n = 40
+    spec = GeneratorSpec(kind="planted_ultrametric", n=n, seed=3, noise_k=n // 2,
+                         value_alphabet=[fp.from_int(k) for k in range(1, 6)])
+    D = generate(spec)[0].dense()
+    view = make_sketch_view(D, seed=3, close_capacity=close_capacity,
+                            sample_factor=4)
+    rng = np.random.default_rng(close_capacity)
+    big = rng.permutation(n)[:30]
+    ws = sorted({0, *D[D > 0].tolist()}, reverse=True)
+    estimated = 0
+    # every cut-off from 1 to n, so some degree meets each one
+    for k_dense in range(1, n + 1):
+        for k_rim in {k_dense, (k_dense + 1) // 2}:
+            probe = view.peel_probe(big, k_dense, k_rim)
+            pos = np.arange(len(big))
+            for w in ws:
+                dense, rim = probe(pos, w)
+                degs, exact, *_ = view.pools.estimates(big[pos], w, view.instance)
+                estimated += int(np.count_nonzero(~exact))
+                assert np.array_equal(dense, degs >= k_dense)
+                assert np.array_equal(rim, degs < k_rim)
+                pos = pos[1:]
+    assert estimated > 0
+
+
 class TestExactClustering:
     def test_two_cliques_recovered(self):
         D = two_clique_matrix(8, 8)
@@ -648,7 +716,7 @@ def test_exact_side_half_a_queue_deep_never_matches_an_estimated_side():
     )
     s_list = list(range(big + 2))
     claims = view.claims(np.array(s_list), 1 * U, wide)
-    degrees = view.degrees(np.array([big, big + 1]), 1 * U)
+    degrees = view.pools.degrees([big, big + 1], 1 * U, view.instance)
     assert degrees.tolist() == [cap // 2, cap // 2 + 1]
     assert not claims.row(big)[:big].any()
     assert claims.row(big + 1)[:big].all()

@@ -369,6 +369,26 @@ class TestIncompleteStream:
         assert len(err.splitlines()) == 1
         assert not report.exists()
 
+    @pytest.mark.parametrize("objective", ["l0", "linf"])
+    def test_tree_shift_past_int64_exits_3(self, tmp_path, capsys, objective):
+        # each distance parses, but twice the pivot row's largest one
+        # passes the int64 range once scaled
+        bad = tmp_path / "far.txt"
+        bad.write_text("3\n0 1 4000000000\n0 2 4000000000\n1 2 1\n")
+        report = tmp_path / "r.json"
+        tree_out = tmp_path / "t.json"
+        code = run(
+            "fit", "--input", str(bad), "--structure", "tree",
+            "--objective", objective, "--passes", "2",
+            "--out-tree", str(tree_out), "--report", str(report),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "int64" in err
+        assert len(err.splitlines()) == 1
+        assert not report.exists()
+        assert not tree_out.exists()
+
     def test_huge_header_is_rejected_before_allocating(self, tmp_path):
         bad = tmp_path / "huge.txt"
         bad.write_text("10000000000\n0 1 1\n")

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from streamfit import fixedpoint as fp
+from streamfit import fixedpoint as fp, l0fit
+from streamfit.agreement import ExactView
 from streamfit.evaluate import cost
 from streamfit.l0fit import SketchBudgetError, fit_l0
 from streamfit.oracles import brute_correlation
-from streamfit.sketches import SketchConfig
+from streamfit.sketches import CompressedSet, SketchConfig
 from streamfit.streams import GeneratorSpec, StreamSource, generate
+from streamfit.treefit import centroid_transformed_source
 from streamfit.trees import is_ultrametric
 
 U = fp.SCALE
@@ -105,6 +107,86 @@ class TestExactMode:
     def test_peak_words_is_the_matrix(self, n):
         src, _ = planted(n, 3)
         assert fit_l0(src).report.peak_words == n * n
+
+
+class RowLog(np.ndarray):
+    """A matrix that logs how many rows each integer-array read gathers."""
+
+    def __getitem__(self, index):
+        if isinstance(index, np.ndarray) and index.ndim == 1:
+            self.log.append(len(index))
+        return super().__getitem__(index).view(np.ndarray)
+
+
+def low_rows_per_probe(D, weights, size_s, big, w_check):
+    """The rows each probe of a peel loop on `big` finds below the dense
+    cut-off, from a direct count over every row at every probe."""
+    k_dense = 66 * size_s // 100 + 1
+    k_rim = (65 * size_s + 99) // 100
+    cur, w_probe, low = big, weights.pred(w_check), []
+    while 100 * len(cur) > 99 * size_s:
+        degs = (D[cur] <= w_probe).sum(axis=1)
+        low.append(int(np.count_nonzero(degs < k_dense)))
+        if not 100 * int(np.count_nonzero(degs >= k_dense)) > 99 * size_s:
+            break
+        cur = cur[degs >= k_rim]
+        w_probe = weights.pred(w_probe)
+    return low
+
+
+def test_peel_loop_reads_the_rows_twice_plus_the_low_rows(monkeypatch):
+    """On a tree-metric pivot fit, a peel loop gathers the rows of its
+    dominant cluster at its first probe and once more to partition them;
+    after that it reads again only the rows that fail the dense test."""
+    src, _ = generate(
+        GeneratorSpec(kind="planted_tree_metric", n=128, seed=4, noise_k=128)
+    )
+    D0 = src.dense()
+    shifted = centroid_transformed_source(128, *src.arrays(), D0[0])
+    log, loops = [], []
+
+    class SpyView(ExactView):
+        def __init__(self, matrix):
+            super().__init__(matrix)
+            self.matrix = self.matrix.view(RowLog)
+            self.matrix.log = log
+
+        def claims(self, s_arr, w, params):
+            before = len(log)
+            claims = super().claims(s_arr, w, params)
+            del log[before:]
+            return claims
+
+    clustering = l0fit.s_structural_clustering
+
+    def spy_clustering(s_arr, w, params, view):
+        result = clustering(s_arr, w, params, view)
+        loops.append((len(log), len(s_arr), w, result.clusters))
+        return result
+
+    monkeypatch.setattr(l0fit, "ExactView", SpyView)
+    monkeypatch.setattr(l0fit, "s_structural_clustering", spy_clustering)
+    fit_l0(shifted)
+
+    D = shifted.dense()
+    weights = CompressedSet(D[np.triu_indices(128, 1)])
+    peeled, probes = 0, 0
+    ends = [start for start, *_ in loops[1:]] + [len(log)]
+    for (start, size_s, w, clusters), end in zip(loops, ends):
+        reads = log[start:end]
+        big = [c for c in clusters if 100 * len(c) > 99 * size_s]
+        if not big:
+            assert reads == []
+            continue
+        low = low_rows_per_probe(D, weights, size_s, big[0], w)
+        peeled += 1
+        probes += len(low)
+        # the first probe reads every row, a second one reads them again
+        # to partition them, and later probes read the low rows alone
+        again = [len(big[0]), *low[1:]] if len(low) > 1 else []
+        assert reads == [len(big[0]), *again]
+    # the loops probe many times each, so a fresh gather per probe shows
+    assert probes > 4 * peeled > 0
 
 
 class TestSketchMode:

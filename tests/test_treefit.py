@@ -14,7 +14,7 @@ from streamfit.treefit import (
     fit_linf_tree,
     select_tree_by_clique,
 )
-from streamfit.trees import four_point_check, is_ultrametric
+from streamfit.trees import DomainError, four_point_check, is_ultrametric
 
 U = fp.SCALE
 
@@ -77,6 +77,57 @@ class TestCentroidTransform:
             fresh = centroid_transformed_source(16, *src.arrays(), D[pivot])
             assert np.array_equal(moved.dense(), fresh.dense())
             prior = D[pivot]
+
+    def test_shift_past_int64_raises_domain_error(self):
+        # 2 max(row) passes the int64 range on the first pivot, and the
+        # buffer is left as it was
+        top = 8 * 10**18
+        src = StreamSource(3, [0, 0, 1], [1, 2, 2], [top, top, 1])
+        row = collect_pivot_rows(src, [0])[0]
+        u, v, d = src.arrays()
+        before = d.copy()
+        with pytest.raises(DomainError, match="int64"):
+            centroid_transformed_source(3, u, v, d, row)
+        assert np.array_equal(d, before)
+
+    def test_non_metric_shift_past_int64_raises_domain_error(self):
+        # 2 max(row) fits, but D(1, 2) + C(1, 2) = D(1, 2) + 2m - 2 would
+        # wrap; the check bounds every entry by max D + 2m
+        big = int(np.iinfo(np.int64).max)
+        m = 10**18
+        for d12, fits in ((big - 2 * m, True), (big - 2 * m + 3, False)):
+            src = StreamSource(
+                4, [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3], [1, 1, m, d12, m, m]
+            )
+            row = collect_pivot_rows(src, [0])[0]
+            u, v, d = src.arrays()
+            if fits:
+                shifted = centroid_transformed_source(4, u, v, d, row).dense()
+                assert shifted[1, 2] == big - 2
+            else:
+                with pytest.raises(DomainError):
+                    centroid_transformed_source(4, u, v, d, row)
+
+    def test_shift_check_takes_the_prior_centroid_back_out(self):
+        # D + C(0) reaches 2X; moving on to pivot 1, next to pivot 0, keeps
+        # every entry at most 2X, though 2X plus twice pivot 1's row
+        # passes the int64 range
+        x = 3 * 10**18
+        D = np.array([[0, 1, x], [1, 0, x], [x, x, 0]], dtype=np.int64)
+        src = StreamSource.from_square(D, order_seed=0)
+        u, v, d = src.arrays()
+        assert centroid_transformed_source(3, u, v, d, D[0]).dense().max() == 2 * x
+        moved = centroid_transformed_source(3, u, v, d, D[1], D[0]).dense()
+        fresh = StreamSource.from_square(D, order_seed=0)
+        assert np.array_equal(
+            moved, centroid_transformed_source(3, *fresh.arrays(), D[1]).dense()
+        )
+
+    @pytest.mark.parametrize("fit", [fit_linf_tree, fit_l0_tree])
+    def test_tree_fits_raise_domain_error_past_int64(self, fit):
+        top = 8 * 10**18
+        with pytest.raises(DomainError, match="int64"):
+            fit(StreamSource(3, [0, 0, 1], [1, 2, 2], [top, top, 1]))
 
     def test_transform_preserves_pass_order(self):
         D = path3()
