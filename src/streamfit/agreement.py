@@ -61,15 +61,56 @@ class ClusterInvariantError(AssertionError):
     pass
 
 
+# The rules of the l0 algorithm, each stated once, with its source at the
+# end of its line. The algorithm streams the agreement/heaviness recursion
+# of Cohen-Addad, Fan, Lee & de Mesmay (FOCS 2022), but no value below is
+# yet derived from that analysis (ROADMAP items 1 and 11).
+# `AgreementParams`, the clustering views, `fit_l0` and `fit_l0_tree` read
+# each rule from here.
+
+# epsilon's default; beta = 5 epsilon (1 + epsilon) and the heaviness
+# tolerance epsilon follow from it
+EPSILON = Fraction(1, 100)  # implementation choice
+# the largest epsilon `AgreementParams` accepts; the range is (0, EPSILON_MAX]
+EPSILON_MAX = Fraction(1, 95)  # implementation choice
+# every member of an exact cluster of two or more vertices is adjacent to
+# at least this share of its cluster (`_assert_density`)
+DENSITY = Fraction(2, 3)  # implementation choice
+# a cluster of at most this share of S is recursed into; a larger one is
+# the dominant cluster, whose rims the peel loop takes off
+CLUSTER_SPLIT = Fraction(99, 100)  # implementation choice
+# the peel loop runs while what is left of the dominant cluster, and its
+# dense vertices, are more than this share of S
+PEEL_STOP = Fraction(99, 100)  # implementation choice
+# a vertex of the dominant cluster is dense when its closed degree is
+# above this share of |S|
+DENSE_CUT = Fraction(66, 100)  # implementation choice
+# and falls on the rim when its closed degree is below this share of |S|
+RIM_CUT = Fraction(65, 100)  # implementation choice
+# sketch mode: an estimated pair agrees under gamma only when its degree
+# ratio term is at most RATIO_BAND gamma and its estimated symmetric
+# difference at most ESTIMATE_BAND gamma of the larger degree
+RATIO_BAND = Fraction(4, 5)  # implementation choice
+ESTIMATE_BAND = Fraction(9, 10)  # implementation choice
+# sketch mode: an estimated vertex is heavy when its estimated share of
+# non-agreeing neighbours is at most HEAVY_BAND epsilon
+HEAVY_BAND = Fraction(11, 10)  # implementation choice
+# the participation bound is this factor times ceil(log2 n)
+PARTICIPATION_FACTOR = 8  # implementation choice
+# the tree consensus over ceil(ln n) pivot fits joins two fits whose
+# disagreement count is at most this factor times the threshold x
+CONSENSUS_FACTOR = 24  # implementation choice
+
+
 @dataclass(frozen=True)
 class AgreementParams:
-    epsilon: Fraction = Fraction(1, 100)
+    epsilon: Fraction = EPSILON
 
     def __post_init__(self):
         eps = Fraction(self.epsilon)
         object.__setattr__(self, "epsilon", eps)
-        if not (0 < eps <= Fraction(1, 95)):
-            raise ValueError("epsilon must be in (0, 1/95]")
+        if not (0 < eps <= EPSILON_MAX):
+            raise ValueError(f"epsilon must be in (0, {EPSILON_MAX}]")
 
     # the thresholds are worked out once per instance, not once per call
     @cached_property
@@ -242,8 +283,9 @@ class SketchView:
         reported = rung >= 0
         d_f = d.astype(np.float64)
         # each statistic is computed once, in Python's float operation
-        # order, and compared against both gammas
+        # order, and compared against both gammas or their bands
         gammas = (float(params.beta), float(params.three_beta))
+        bands = [(float(RATIO_BAND) * g, float(ESTIMATE_BAND) * g) for g in gammas]
         agree = np.zeros((2, k, k), dtype=bool)
 
         # pairs of exact vertices: d_u + d_v - 2|N(u) cap N(v) cap S| from
@@ -316,8 +358,8 @@ class SketchView:
                 estimate /= prob
                 np.subtract(d_f[rows, None] + d_f, estimate, out=estimate)
                 estimate /= big
-                for a, g in zip(agree, gammas):
-                    a[rows] |= pairs & (ratio <= 0.8 * g) & (estimate <= 0.9 * g)
+                for a, (by_ratio, by_estimate) in zip(agree, bands):
+                    a[rows] |= pairs & (ratio <= by_ratio) & (estimate <= by_estimate)
         for a in agree:
             np.fill_diagonal(a, True)
 
@@ -329,7 +371,9 @@ class SketchView:
         y = (heavy_sample & agree_b).sum(axis=1)[reported]
         prob = np.array([config.sample_probability(s) for s in pools.sizes])
         prob = prob[heavy_space[reported]]
-        heavy[reported] = 1 - (1 + y / prob) / d[reported] <= 1.1 * float(eps)
+        heavy[reported] = (
+            1 - (1 + y / prob) / d[reported] <= float(HEAVY_BAND) * float(eps)
+        )
         return Claims(heavy, agree_3b.__getitem__, None)
 
     def _samples(self, s_arr, pos, w, ex, near, rung, s_prime):
@@ -445,7 +489,7 @@ def _cutoffs(d, gamma):
 
 def _assert_density(sub, label):
     """Raise `ClusterInvariantError` unless every member of every cluster of
-    two or more vertices is adjacent to at least two thirds of its cluster.
+    two or more vertices is adjacent to at least `DENSITY` of its cluster.
 
     `sub` is the closed S-by-S adjacency at the clustering threshold (a
     vertex is adjacent to itself) and `label[i]` names the cluster of S's
@@ -455,7 +499,7 @@ def _assert_density(sub, label):
     same &= sub
     inside = same.sum(axis=1)
     size = np.bincount(label)[label]
-    bad = (3 * inside < 2 * size) & (size >= 2)
+    bad = (DENSITY.denominator * inside < DENSITY.numerator * size) & (size >= 2)
     if bad.any():
         first = np.flatnonzero(bad)[np.argmin(label[bad])]
         raise ClusterInvariantError(

@@ -51,7 +51,3 @@ def to_decimal(units: int) -> str:
 
 def from_int(value: int) -> int:
     return int(value) * SCALE
-
-
-def to_float(units: int) -> float:
-    return units / SCALE

@@ -1,17 +1,19 @@
 """Divisive l0 ultrametric fitting.
 
 One top-down recursion over (vertex set, working threshold) pairs: cluster S
-against the predecessor threshold, recurse into every cluster that lost at
-least one percent of S, and peel low-degree rims off a dominant cluster
+against the predecessor threshold, recurse into every cluster of at most a
+`CLUSTER_SPLIT` share of S, and peel low-degree rims off a dominant cluster
 while stepping the threshold down through the stored weight set. Each rim
 meets what remains of the cluster at the threshold it was peeled below, so
 every peel step that takes a rim adds one tree node there. A call's
 clustering and its peel loop's degree probes go through one view: exact
 mode answers from the dense matrix, sketch mode from the single-pass sketch
-pools, spending one fresh sketch instance per recursion level. The dense
-and rim tests compare degrees with integer cut-offs fixed by |S|, so a
-peel loop asks its view once for a probe (`peel_probe`) and each probe
-takes the positions of the dominant cluster still left and a threshold.
+pools, spending one fresh sketch instance per recursion level. Every share
+of S that a call compares with is a rule of the table in `agreement.py`,
+turned into an integer cut-off once per call. The dense and rim tests
+compare degrees with cut-offs fixed by |S|, so a peel loop asks its view
+once for a probe (`peel_probe`) and each probe takes the positions of the
+dominant cluster still left and a threshold.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import agreement
 from .agreement import (
     AgreementParams,
     ExactView,
@@ -30,10 +33,6 @@ from .agreement import (
 from .sketches import CompressedSet, SketchConfig, SketchPools
 from .streams import StreamSource
 from .trees import UltrametricTree
-
-
-# the participation bound is this factor times ceil(log2 n)
-PARTICIPATION_FACTOR = 8
 
 
 class SketchBudgetError(RuntimeError):
@@ -126,12 +125,13 @@ def fit_l0(
         instances = max(instances, depth + 1)
         clustering = s_structural_clustering(s_arr, w_check, params, view)
         size_s = len(s_arr)
+        split = math.floor(agreement.CLUSTER_SPLIT * size_s)
         leaves = []
         big = None
         for cluster in clustering.clusters:
             if len(cluster) == 1:
                 leaves.append(int(cluster[0]))
-            elif 100 * len(cluster) <= 99 * size_s:
+            elif len(cluster) <= split:
                 stack.append((cluster, w_check, depth + 1, node))
             else:
                 big = cluster
@@ -143,18 +143,19 @@ def fit_l0(
             for v in leaves:
                 parent[v] = node
         if big is not None:
-            # a degree d is dense when 100 d > 66 |S| and on the rim when
-            # 100 d < 65 |S|: integer cut-offs fixed for the whole loop
-            k_dense = 66 * size_s // 100 + 1
-            k_rim = (65 * size_s + 99) // 100
+            # a degree d is dense when d > DENSE_CUT |S| and on the rim when
+            # d < RIM_CUT |S|: integer cut-offs fixed for the whole loop
+            k_dense = math.floor(agreement.DENSE_CUT * size_s) + 1
+            k_rim = math.ceil(agreement.RIM_CUT * size_s)
+            stop = math.floor(agreement.PEEL_STOP * size_s)
             probe = view.peel_probe(big, k_dense, k_rim)
             pos = np.arange(len(big))
             hang = node
             w_lo = w_check
             w_probe = weights.pred(w_lo)
-            while 100 * len(pos) > 99 * size_s:
+            while len(pos) > stop:
                 dense, rim = probe(pos, w_probe)
-                if not 100 * int(np.count_nonzero(dense)) > 99 * size_s:
+                if np.count_nonzero(dense) <= stop:
                     break
                 if rim.any():
                     # a rim peeled at w_probe meets what remains at w_lo, so
@@ -169,7 +170,7 @@ def fit_l0(
             stack.append((big[pos], w_lo, depth + 1, hang))
     tree = UltrametricTree(n, parent, level)
 
-    bound = PARTICIPATION_FACTOR * max(1, math.ceil(math.log2(max(n, 2))))
+    bound = agreement.PARTICIPATION_FACTOR * max(1, math.ceil(math.log2(max(n, 2))))
     report = L0FitReport(
         recursion_calls=calls,
         max_participation=int(participation.max()),

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import agreement
 from .agreement import AgreementParams
 from .l0fit import fit_l0
 from .linf import fit_linf_min_decrement
@@ -48,30 +49,42 @@ def centroid_transformed_source(n, u, v, d, row, prior=0) -> StreamSource:
     the pivot row `row`. `d` is shifted in place from D, or from D plus the
     centroid of the pivot row `prior`, so the pivots share one buffer.
 
-    Raises `DomainError` when a shifted entry could pass the int64 range.
+    Every entry on the way is at most max D + 2 max(row) (`_check_shift`).
+    When `d` holds D, that bound is checked here, and `DomainError` is
+    raised before `d` changes; a caller that passes `prior` checks it from
+    max D read before its first shift, as `_fit_pivots` does.
     """
+    if np.ndim(prior) == 0:
+        _check_shift(d, row)
+    # an entry goes from D + 2 max(prior) - prior[u] - prior[v] through
+    # D + 2 max(row) - prior[u] - prior[v] and D + 2 max(row) - row[u] -
+    # prior[v] to D + C; rows are nonnegative, so none passes the bound
     step = row - prior
-    shift = 2 * (int(row.max()) - int(np.max(prior)))
-    top = int(d.max()) if len(d) else 0
-    # an entry passes through d + shift and d + shift - step[u] on its way
-    # to d + shift - step[u] - step[v]; all three are at most this bound
-    if top + shift - 2 * min(int(step.min()), 0) > INT64_MAX:
-        raise DomainError(
-            "pivot centroid shift passes the int64 range: "
-            "distances too large for a tree fit"
-        )
-    d += shift
+    d += 2 * (int(row.max()) - int(np.max(prior)))
     d -= step[u]
     d -= step[v]
     return StreamSource(n, u, v, d)
 
 
+def _check_shift(d, rows):
+    """Raise `DomainError` unless max D + 2 max(row) fits int64 for each of
+    `rows`, where `d` holds D."""
+    top = int(d.max()) if len(d) else 0
+    if top + 2 * int(np.max(rows)) > INT64_MAX:
+        raise DomainError(
+            "pivot centroid shift passes the int64 range: "
+            "distances too large for a tree fit"
+        )
+
+
 def _fit_pivots(source: StreamSource, pivots, fit_base) -> list:
     """One tree metric per pivot: pass 0 gathers every pivot row, then
-    pass 1 is read once, and its distance buffer is shifted in place from
-    one pivot's centroid transform to the next, each fed to `fit_base`."""
+    pass 1 is read once, checked against every pivot's int64 bound, and
+    its distance buffer is shifted in place from one pivot's centroid
+    transform to the next, each fed to `fit_base`."""
     rows = collect_pivot_rows(source, pivots)
     u, v, d = source.arrays()
+    _check_shift(d, rows)
     reps, prior = [], 0
     for pivot, row in zip(pivots, rows):
         shifted = centroid_transformed_source(source.n, u, v, d, row, prior)
@@ -119,9 +132,10 @@ def select_tree_by_clique(pairwise: np.ndarray) -> int:
 
     `pairwise` is a symmetric candidate-vs-candidate dissimilarity matrix.
     Over the sorted distinct values x, the graph with edges
-    {pairwise <= 24x} gains edges as x grows; the first x whose graph holds
-    a clique of at least half the candidates decides, and the winner is the
-    lowest-index member of a maximum clique there.
+    {pairwise <= CONSENSUS_FACTOR x} (`agreement.py`) gains edges as x
+    grows; the first x whose graph holds a clique of at least half the
+    candidates decides, and the winner is the lowest-index member of a
+    maximum clique there.
     """
     t = pairwise.shape[0]
     if pairwise.shape != (t, t) or not np.array_equal(pairwise, pairwise.T):
@@ -133,7 +147,7 @@ def select_tree_by_clique(pairwise: np.ndarray) -> int:
     need = math.ceil(t / 2)
     iu, iv = np.triu_indices(t, k=1)
     for x in np.unique(np.concatenate([[0], pairwise[iu, iv]])).tolist():
-        close = pairwise <= 24 * x
+        close = pairwise <= agreement.CONSENSUS_FACTOR * x
         np.fill_diagonal(close, False)
         adj_bits = [int(sum(1 << j for j in np.flatnonzero(close[i]))) for i in range(t)]
         clique = _max_clique(adj_bits, t)

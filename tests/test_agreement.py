@@ -626,7 +626,8 @@ class PairwiseSketchReference:
         zeta = pools.config.zeta
         deg_u, deg_v = self.degree[u], self.degree[v]
         d_small, d_big = min(deg_u, deg_v), max(deg_u, deg_v)
-        if 1 - ((1 + 5 * zeta) * d_small) / ((1 - zeta) * d_big) > 0.8 * gamma:
+        ratio = 1 - ((1 + 5 * zeta) * d_small) / ((1 - zeta) * d_big)
+        if ratio > float(agreement.RATIO_BAND) * gamma:
             return False
         rung = {}
         for x, nb in ((u, nu), (v, nv)):
@@ -649,7 +650,8 @@ class PairwiseSketchReference:
             return False
         x_count = len(su & sv & self.s_set) + (v in su) + (u in sv)
         prob = pools.config.sample_probability(s_prime)
-        return (deg_u + deg_v - 2 * x_count / prob) / d_big <= 0.9 * gamma
+        estimate = (deg_u + deg_v - 2 * x_count / prob) / d_big
+        return estimate <= float(agreement.ESTIMATE_BAND) * gamma
 
     def heavy(self, u):
         pools, params = self.pools, self.params
@@ -671,7 +673,8 @@ class PairwiseSketchReference:
             1 for x in self.members(run) if x in self.s_set and self.agrees(u, x, beta)
         )
         prob = pools.config.sample_probability(s_prime)
-        return 1 - (1 + y / prob) / self.degree[u] <= 1.1 * float(params.epsilon)
+        share = 1 - (1 + y / prob) / self.degree[u]
+        return share <= float(agreement.HEAVY_BAND) * float(params.epsilon)
 
 
 @pytest.mark.parametrize("seed", range(4))

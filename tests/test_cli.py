@@ -389,6 +389,17 @@ class TestIncompleteStream:
         assert not report.exists()
         assert not tree_out.exists()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tree_shift_within_int64_for_every_pivot_order(self, tmp_path, seed):
+        # max D + 2 max(row) is 9 * 10**18 units for every pivot, which
+        # fits; the seeds draw each of the pivot pairs, in ascending order
+        stream = tmp_path / "near.txt"
+        stream.write_text("3\n0 1 0.5\n0 2 1500000000\n1 2 1500000000\n")
+        assert run(
+            "fit", "--input", str(stream), "--structure", "tree",
+            "--objective", "l0", "--passes", "2", "--seed", str(seed),
+        ) == 0
+
     def test_huge_header_is_rejected_before_allocating(self, tmp_path):
         bad = tmp_path / "huge.txt"
         bad.write_text("10000000000\n0 1 1\n")

@@ -42,7 +42,6 @@ def test_rejects_bad_input(bad):
 
 def test_from_int_and_float():
     assert fp.from_int(3) == 3 * fp.SCALE
-    assert fp.to_float(fp.from_int(3)) == pytest.approx(3.0)
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**9 - 1))

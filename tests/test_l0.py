@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from streamfit import fixedpoint as fp, l0fit
+from streamfit import agreement, fixedpoint as fp, l0fit
 from streamfit.agreement import ExactView
 from streamfit.evaluate import cost
 from streamfit.l0fit import SketchBudgetError, fit_l0
@@ -92,6 +94,27 @@ class TestExactMode:
         src = StreamSource.from_square(D)
         assert cost(fit_l0(src).tree, src).l0 == 0
 
+    def test_split_and_stop_rules_are_read_from_the_table(self, monkeypatch):
+        # with only the table's two 99/100 entries lowered, each call on the
+        # chain drops a quarter of S rather than about one percent. The
+        # peel stop alone lowers participation, and the cluster split
+        # lowers it further only beside it, so a copy of either rule left
+        # in the fitter keeps one of the two drops from showing
+        def chain_fit():
+            i = np.arange(250)
+            D = (np.maximum(i[:, None], i) + 1) * U
+            np.fill_diagonal(D, 0)
+            src = StreamSource.from_square(D)
+            res = fit_l0(src)
+            assert cost(res.tree, src).l0 == 0
+            return res.report.max_participation
+
+        before = chain_fit()
+        monkeypatch.setattr(agreement, "PEEL_STOP", Fraction(3, 4))
+        stop_only = chain_fit()
+        monkeypatch.setattr(agreement, "CLUSTER_SPLIT", Fraction(3, 4))
+        assert chain_fit() < stop_only < before
+
     @pytest.mark.parametrize("n", [250, 400])
     def test_recovers_noiseless_shuffled_caterpillar(self, n):
         # point rank[v] joins the spine at levels[rank[v]]; the gaps vary
@@ -120,16 +143,19 @@ class RowLog(np.ndarray):
 
 def low_rows_per_probe(D, weights, size_s, big, w_check):
     """The rows each probe of a peel loop on `big` finds below the dense
-    cut-off, from a direct count over every row at every probe."""
-    k_dense = 66 * size_s // 100 + 1
-    k_rim = (65 * size_s + 99) // 100
+    cut-off, from a direct count over every row at every probe, with the
+    rules' fractions compared exactly."""
+    dense_share = agreement.DENSE_CUT * size_s
+    rim_share = agreement.RIM_CUT * size_s
+    stop = agreement.PEEL_STOP * size_s
     cur, w_probe, low = big, weights.pred(w_check), []
-    while 100 * len(cur) > 99 * size_s:
+    while len(cur) > stop:
         degs = (D[cur] <= w_probe).sum(axis=1)
-        low.append(int(np.count_nonzero(degs < k_dense)))
-        if not 100 * int(np.count_nonzero(degs >= k_dense)) > 99 * size_s:
+        dense = [d > dense_share for d in degs.tolist()]
+        low.append(dense.count(False))
+        if dense.count(True) <= stop:
             break
-        cur = cur[degs >= k_rim]
+        cur = cur[[d >= rim_share for d in degs.tolist()]]
         w_probe = weights.pred(w_probe)
     return low
 
@@ -174,7 +200,7 @@ def test_peel_loop_reads_the_rows_twice_plus_the_low_rows(monkeypatch):
     ends = [start for start, *_ in loops[1:]] + [len(log)]
     for (start, size_s, w, clusters), end in zip(loops, ends):
         reads = log[start:end]
-        big = [c for c in clusters if 100 * len(c) > 99 * size_s]
+        big = [c for c in clusters if len(c) > agreement.CLUSTER_SPLIT * size_s]
         if not big:
             assert reads == []
             continue

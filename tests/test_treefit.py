@@ -5,9 +5,11 @@ import pytest
 
 from streamfit import fixedpoint as fp
 from streamfit.evaluate import cost
+from streamfit.l0fit import fit_l0
 from streamfit.linf import fit_linf_exact
 from streamfit.streams import GeneratorSpec, StreamSource, generate
 from streamfit.treefit import (
+    _fit_pivots,
     centroid_transformed_source,
     collect_pivot_rows,
     fit_l0_tree,
@@ -122,6 +124,25 @@ class TestCentroidTransform:
         assert np.array_equal(
             moved, centroid_transformed_source(3, *fresh.arrays(), D[1]).dense()
         )
+
+    def test_every_pivot_is_bounded_by_max_d_and_its_own_row(self):
+        # each pivot's D + C peaks at 2X, and max D + 2 max(row) = 3X fits
+        # int64 for each; a bound read from the buffer after the shift to
+        # pivot 1 counts pivot 1's centroid again and refuses pivot 2
+        x = 3 * 10**18
+        D = np.array([[0, 1, x], [1, 0, x], [x, x, 0]], dtype=np.int64)
+        seen = []
+
+        def fit_base(shifted):
+            seen.append(shifted.dense())
+            return fit_l0(shifted).tree
+
+        _fit_pivots(StreamSource.from_square(D, order_seed=0), [0, 1, 2], fit_base)
+        for pivot, moved in enumerate(seen):
+            fresh = StreamSource.from_square(D, order_seed=0)
+            want = centroid_transformed_source(3, *fresh.arrays(), D[pivot])
+            assert np.array_equal(moved, want.dense())
+        assert len(seen) == 3 and max(m.max() for m in seen) == 2 * x
 
     @pytest.mark.parametrize("fit", [fit_linf_tree, fit_l0_tree])
     def test_tree_fits_raise_domain_error_past_int64(self, fit):
