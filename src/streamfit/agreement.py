@@ -7,20 +7,28 @@ S when |N(u) symdiff N(v)| + 2|N(u) cap N(v) cap complement(S)| is below a
 gamma fraction of the larger degree; a vertex is heavy when few of its
 neighbors fall outside its agreement set.
 
-One seed-and-claim loop serves both predicate modes. A view answers, for S
-and w at once, which vertices of S are heavy and, for each seed, the row of
-S that agrees with it under 3 beta (a `Claims`); heavy seeds in ascending
-order claim what is still unclustered and the rest become singletons.
+One seed-and-claim loop serves both predicate modes. A view answers for S
+and w (a `Claims`): given a block of positions of S, whether each is heavy
+and its row of S that agrees with it under 3 beta. The loop walks the
+positions still unclustered in ascending order, in blocks that start at
+`_FIRST_ROWS` and double up to `_MAX_ROWS`; each heavy one that no seed
+before it has claimed claims what is still unclustered of its row, and the
+rest become singletons.
 
-`ExactView` answers from the dense matrix: it reads the |S|-by-n rows of S
-once, takes the degrees from their row sums and every common-neighbour
-count from one float32 BLAS product of their S columns, and builds each
-pair statistic in place in that product. A statistic is an integer in
-[0, 2n], held exactly in float32 (see `_common_counts`). The rational bound
-gamma * max(d_u, d_v) becomes an integer cut-off per vertex (`_cutoffs`),
-so the beta mask takes two comparisons against a length-|S| vector and a
-seed's 3-beta row one, with no S-by-S integer array. The density invariant
-is checked on the S-by-S adjacency it holds.
+`ExactView` answers from the dense matrix, lazily by rows. It reads the
+|S|-by-n rows of S once and keeps the degrees, the closed S-by-S adjacency
+as float32 and an integer cut-off per vertex for each gamma. A block's
+heavy flags and rows come from one float32 BLAS product of its adjacency
+rows against the whole adjacency, B by |S|, in which each pair statistic
+is built in place: an integer in [0, 2n], held exactly in float32 (see
+`ExactView.claims`). The rational bound gamma * max(d_u, d_v) is applied
+through the cut-offs (`_cutoffs`), so each mask takes one comparison with
+the larger cut-off of each pair, with no S-by-S integer or statistic
+array. A position an earlier seed claimed is never
+read, so a clustering that returns all of S as one cluster builds the first
+block only. The density invariant is checked once per claimed cluster of
+two or more vertices, by one matrix-vector product of the adjacency with
+the cluster's indicator (`_assert_density`).
 
 Both views also answer the l0 peel loop's degree probes (`peel_probe`):
 for a dominant cluster and two degree cut-offs fixed for the whole loop,
@@ -42,9 +50,10 @@ of this. Three reads go to the pools' arrays directly: the queue
 neighbours of exact vertices (`close_others`), the sample masks (`masks`),
 and a companion pool's `kept` lengths, which say whether a vertex holds
 that sketch without copying its run. Each statistic is computed once, a
-block of rows at a time, and compared against beta and 3 beta. Loops run
-over ladder rungs and sample sizes, never over vertices, and no state is
-kept between calls in either mode.
+block of rows at a time, and compared against beta and 3 beta; `rows`
+slices the heavy flags and 3-beta mask built up front. Loops run over
+ladder rungs and sample sizes, never over vertices, and no state is kept
+between calls in either mode.
 """
 
 from __future__ import annotations
@@ -137,21 +146,22 @@ class Clustering:
 
 
 class Claims(NamedTuple):
-    """What one clustering call needs of S at w: the heavy mask over S,
-    the 3-beta agreement row of S for the seed at a position, and the
-    closed S-by-S adjacency when the view can vouch for it (exact mode,
-    for the density check)."""
+    """What one clustering call needs of S at w: `rows(pos)` gives, for an
+    ascending array of positions of S, their heavy flags and their 3-beta
+    agreement rows of S; `adjacency` is the closed S-by-S adjacency as
+    float32 when the view can vouch for it (exact mode, for the density
+    check)."""
 
-    heavy: np.ndarray
-    row: Callable[[int], np.ndarray]
+    rows: Callable[[np.ndarray], tuple]
     adjacency: Optional[np.ndarray]
 
 
 class ExactView:
     """The dense matrix that exact mode answers every predicate from.
 
-    The matrix has a zero diagonal and every threshold is nonnegative, so a
-    row's entries at most w are its vertex's closed neighbourhood at w.
+    The matrix is symmetric with a zero diagonal and every threshold is
+    nonnegative, so a row's entries at most w are its vertex's closed
+    neighbourhood at w, and the adjacency of S is its own transpose.
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -198,43 +208,55 @@ class ExactView:
         return probe
 
     def claims(self, s_arr, w, params: AgreementParams) -> Claims:
-        """Heaviness from one S-by-S beta mask; the 3-beta row of a seed is
-        compared when it is asked for.
+        """The degrees of S, its closed S-by-S adjacency as float32 and the
+        integer cut-offs of both gammas, from one read of the rows of S;
+        `rows(pos)` takes the heavy flags and 3-beta rows of a block of
+        positions from one float32 product of the block against the whole
+        adjacency, B by |S|, so rows the seed loop never visits are never
+        built.
 
         Each pair statistic is an integer in [0, 2n], held exactly in the
-        float32 array of the common-neighbour product. The rational bound
-        gamma * max(d_u, d_v) is applied through integer cut-offs per
+        float32 array of that product: every common-neighbour count sums at
+        most |S| <= n products of 0 and 1, and n < 2**24 whenever a dense
+        n-by-n matrix fits in memory. The product runs in float32 so that it
+        goes through BLAS (numpy's integer matmul does not). The rational
+        bound gamma * max(d_u, d_v) is applied through integer cut-offs per
         vertex (`_cutoffs`), so every decision is exact.
         """
-        rows = self.matrix[s_arr] <= w
-        d = rows.sum(axis=1)
-        sub = rows[:, s_arr]
-        del rows
-        # stat = d_u + d_v - 2|N(u) cap N(v) cap S|, built in place; adding
-        # float32 degrees keeps numpy from casting the array to float64
-        stat = _common_counts(sub)
-        stat *= -2
-        d_f = d.astype(np.float32)
-        stat += d_f[:, None]
-        stat += d_f[None, :]
-
-        # stat < beta max(d_u, d_v) iff stat <= lim(d_u) or stat <= lim(d_v)
+        # the gathered int64 rows are freed before the adjacency is built;
+        # float32 degree counts are exact too
+        near = (self.matrix[s_arr] <= w).astype(np.float32)
+        d_f = near @ np.ones(near.shape[1], dtype=np.float32)
+        adj = near[:, s_arr]
+        del near
+        d = d_f.astype(np.int64)
         lim_b = _cutoffs(d, params.beta)
-        agree_b = stat <= lim_b[:, None]
-        agree_b |= stat <= lim_b[None, :]
-        np.fill_diagonal(agree_b, True)
-        agree_b &= sub
-        inside = agree_b.sum(axis=1)
-        del agree_b
-        eps = params.epsilon
-        heavy = (d - inside) * eps.denominator < eps.numerator * d
-
         lim_3b = _cutoffs(d, params.three_beta)
+        eps = params.epsilon
 
-        def row(i):
-            return stat[i] <= np.maximum(lim_3b[i], lim_3b)
+        def block_rows(pos):
+            block = adj[pos]
+            # stat = d_u + d_v - 2|N(u) cap N(v) cap S|, built in place;
+            # adding float32 degrees keeps numpy from casting to float64.
+            # The adjacency is symmetric, and BLAS reads it faster as is
+            stat = block @ adj
+            near = block > 0
+            del block
+            stat *= -2
+            stat += d_f[pos, None]
+            stat += d_f
+            # stat < gamma max(d_u, d_v) iff stat <= max(lim(d_u), lim(d_v))
+            agree = stat <= np.maximum(lim_b[pos, None], lim_b)
+            agree[np.arange(len(pos)), pos] = True
+            agree &= near
+            inside = agree.sum(axis=1)
+            del agree, near
+            d_pos = d[pos]
+            heavy = (d_pos - inside) * eps.denominator < eps.numerator * d_pos
+            claim = stat <= np.maximum(lim_3b[pos, None], lim_3b)
+            return heavy, claim
 
-        return Claims(heavy, row, sub)
+        return Claims(block_rows, adj)
 
 
 class SketchView:
@@ -374,7 +396,7 @@ class SketchView:
         heavy[reported] = (
             1 - (1 + y / prob) / d[reported] <= float(HEAVY_BAND) * float(eps)
         )
-        return Claims(heavy, agree_3b.__getitem__, None)
+        return Claims(lambda pos: (heavy[pos], agree_3b[pos]), None)
 
     def _samples(self, s_arr, pos, w, ex, near, rung, s_prime):
         """The S-by-S matrix of which vertex of S each vertex's sample over
@@ -398,6 +420,13 @@ class SketchView:
             sample[row[col >= 0], col[col >= 0]] = True
         return sample, present
 
+
+# the seed loop reads rows in blocks that start at this many positions and
+# double up to the last; a block's temporaries take about 10 bytes per
+# entry, so 64 rows keep a block and the adjacency under the peak of
+# gathering the rows of S, 9 |S| n bytes, once |S| reaches 128
+_FIRST_ROWS = 4
+_MAX_ROWS = 64
 
 # entries in one block of per-pair float statistics: building them a block
 # of rows at a time bounds their memory, numpy's broadcast buffers included
@@ -425,9 +454,11 @@ def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clu
 
     Vertices are visited in ascending PointId order; each unclustered heavy
     vertex claims the unclustered part of its 3-beta agreement set, and the
-    rest become singletons. In sketch mode this consumes the view's sketch
-    instance for every member of S; in exact mode it raises
-    `ClusterInvariantError` when a cluster is not everywhere dense.
+    rest become singletons. Only unclustered vertices are visited, so their
+    heavy flags and rows are asked of the view a block at a time. In sketch
+    mode this consumes the view's sketch instance for every member of S; in
+    exact mode it raises `ClusterInvariantError` at the first claimed
+    cluster that is not everywhere dense, the failing one of smallest seed.
     """
     if not isinstance(s_vertices, np.ndarray):
         s_vertices = list(s_vertices)
@@ -439,39 +470,32 @@ def s_structural_clustering(s_vertices, w, params: AgreementParams, view) -> Clu
         raise ValueError("S must be nonempty")
     claims = view.claims(s_arr, w, params)
     unclustered = np.ones(len(s_arr), dtype=bool)
-    # a cluster is labelled by its seed's position; a singleton keeps its own
-    label = np.arange(len(s_arr))
     clusters = []
-    for i in np.flatnonzero(claims.heavy).tolist():
-        if not unclustered[i]:
-            continue
-        claim = claims.row(i) & unclustered
-        claim[i] = True
-        members = np.flatnonzero(claim)
-        unclustered[members] = False
-        label[members] = i
-        clusters.append(s_arr[members])
+    # the positions still unclustered, in ascending order, a block of rows
+    # at a time; a seed may claim later positions of its own block, so each
+    # is checked again before it seeds
+    start, size = 0, _FIRST_ROWS
+    while True:
+        block = start + np.flatnonzero(unclustered[start:])[:size]
+        if len(block) == 0:
+            break
+        heavy, rows = claims.rows(block)
+        for i, seeds, row in zip(block.tolist(), heavy.tolist(), rows):
+            if not (seeds and unclustered[i]):
+                continue
+            claim = row & unclustered
+            claim[i] = True
+            members = np.flatnonzero(claim)
+            unclustered[members] = False
+            if claims.adjacency is not None and len(members) > 1:
+                _assert_density(claims.adjacency, members)
+            clusters.append(s_arr[members])
+        start = int(block[-1]) + 1
+        size = min(2 * size, _MAX_ROWS)
     clusters.extend(s_arr[unclustered][:, None])
-    if claims.adjacency is not None:
-        _assert_density(claims.adjacency, label)
     result = Clustering(ground_set=s_arr, clusters=clusters)
     result.assert_partition()
     return result
-
-
-def _common_counts(sub):
-    """|N(u) cap N(v) cap S| for every pair of S, from the S-by-S adjacency,
-    as a float32 array the caller builds its statistics in.
-
-    The product runs in float32 so that it goes through BLAS (numpy's
-    integer matmul does not). It is exact: each entry sums at most
-    |S| <= n products of 0 and 1, and n < 2**24 whenever a dense n-by-n
-    matrix fits in memory, so every partial sum, and every statistic
-    within 2n of zero built from it, is an integer float32 represents
-    exactly. The float32 copy of `sub` is freed on return.
-    """
-    ones = sub.astype(np.float32)
-    return ones @ ones.T
 
 
 def _cutoffs(d, gamma):
@@ -487,21 +511,21 @@ def _cutoffs(d, gamma):
     return lim.astype(np.float32)
 
 
-def _assert_density(sub, label):
-    """Raise `ClusterInvariantError` unless every member of every cluster of
-    two or more vertices is adjacent to at least `DENSITY` of its cluster.
+def _assert_density(adj, members):
+    """Raise `ClusterInvariantError` unless every member of a cluster is
+    adjacent to at least `DENSITY` of it.
 
-    `sub` is the closed S-by-S adjacency at the clustering threshold (a
-    vertex is adjacent to itself) and `label[i]` names the cluster of S's
-    i-th vertex. The message names the failing cluster of smallest label.
+    `adj` is the closed S-by-S adjacency at the clustering threshold as
+    float32 (a vertex is adjacent to itself) and `members` the cluster's
+    ascending positions in S. Each member's count comes from one float32
+    matrix-vector product of the adjacency with the cluster's indicator,
+    over the rows and columns from its first member to its last; a count
+    sums at most |S| < 2**24 ones, so it is exact.
     """
-    same = label[:, None] == label[None, :]
-    same &= sub
-    inside = same.sum(axis=1)
-    size = np.bincount(label)[label]
-    bad = (DENSITY.denominator * inside < DENSITY.numerator * size) & (size >= 2)
-    if bad.any():
-        first = np.flatnonzero(bad)[np.argmin(label[bad])]
-        raise ClusterInvariantError(
-            f"cluster of size {size[first]} is not everywhere dense"
-        )
+    lo, hi = members[0], members[-1] + 1
+    indicator = np.zeros(hi - lo, dtype=np.float32)
+    indicator[members - lo] = 1
+    inside = (adj[lo:hi, lo:hi] @ indicator)[members - lo].astype(np.int64)
+    size = len(members)
+    if (DENSITY.denominator * inside < DENSITY.numerator * size).any():
+        raise ClusterInvariantError(f"cluster of size {size} is not everywhere dense")

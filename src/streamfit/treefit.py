@@ -24,6 +24,8 @@ from .streams import StreamSource
 from .trees import DomainError, TreeMetricRep
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+# pairs in one slice of the tree consensus's disagreement counts
+_CONSENSUS_PAIRS = 1 << 14
 
 
 def collect_pivot_rows(source: StreamSource, pivots) -> np.ndarray:
@@ -184,12 +186,20 @@ def fit_l0_tree(
     reps = _fit_pivots(source, pivots, lambda s: fit_l0(s, params, config).tree)
 
     pairwise = np.zeros((t, t), dtype=np.int64)
-    # every pair once, in the stream's stored order: the counts need no
-    # particular order
-    upper = [rep.distances(source.u, source.v) for rep in reps]
-    for i in range(t):
-        for j in range(i + 1, t):
-            pairwise[i, j] = pairwise[j, i] = np.count_nonzero(upper[i] != upper[j])
+    # every pair once, in the stream's stored order, one slice of pairs at
+    # a time, so that the fits' distances never sit whole side by side; the
+    # counts need no particular order
+    queries = [rep.distance_query() for rep in reps]
+    u, v = source.u, source.v
+    for a in range(0, len(u), _CONSENSUS_PAIRS):
+        part = [query(u[a : a + _CONSENSUS_PAIRS], v[a : a + _CONSENSUS_PAIRS])
+                for query in queries]
+        for i in range(t):
+            for j in range(i + 1, t):
+                pairwise[i, j] += np.count_nonzero(part[i] != part[j])
+        # freed before the next slice is built beside it
+        del part
+    pairwise += pairwise.T
     winner = select_tree_by_clique(pairwise)
     return L0TreeResult(
         rep=reps[winner],

@@ -532,6 +532,12 @@ class TreeMetricRep:
     def distances(self, u, v) -> np.ndarray:
         """T(u[k], v[k]) for every pair: the base tree's LCA level less the
         centroid value 2m - row[u] - row[v], and 0 where u[k] == v[k]."""
+        return self.distance_query()(u, v)
+
+    def distance_query(self):
+        """`distances` as a function of (u, v) that builds the base tree's
+        sparse table once, for a caller that reads pairs a slice at a
+        time."""
         levels, row = self.base._lca_levels(), self.pivot_row
 
         def query(a, b, out):
@@ -540,7 +546,7 @@ class TreeMetricRep:
             out += row[a]
             out += row[b]
 
-        return _pair_query(self.n, u, v, query)
+        return lambda u, v: _pair_query(self.n, u, v, query)
 
     induced_matrix = UltrametricTree.induced_matrix
 

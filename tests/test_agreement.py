@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -279,37 +280,47 @@ class TestExactClustering:
             bad.assert_partition()
 
     def test_exact_clustering_checks_density_of_its_clusters(self, monkeypatch):
+        """Two 8-cliques and a vertex far from both, which seeds a cluster
+        of its own: each cluster of two or more vertices is checked once,
+        against the float32 adjacency of S, and the singleton is not."""
         checked = []
         monkeypatch.setattr(
             agreement, "_assert_density",
-            lambda sub, label: checked.append((sub.copy(), label.copy())),
+            lambda adj, members: checked.append((adj, members.tolist())),
         )
-        D = two_clique_matrix(8, 8)
+        D = np.full((17, 17), 3 * U, dtype=np.int64)
+        D[:16, :16] = two_clique_matrix(8, 8)
+        np.fill_diagonal(D, 0)
         result = s_structural_clustering(
-            range(16), 1 * U, AgreementParams(), ExactView(D)
+            range(17), 1 * U, AgreementParams(), ExactView(D)
         )
-        assert len(result.clusters) == 2
-        ((sub, label),) = checked
-        assert np.array_equal(sub, D <= 1 * U)
+        assert result.to_lists() == [list(range(8)), list(range(8, 16)), [16]]
         # S is every vertex, so a vertex's position in S is its id
-        groups = {}
-        for vertex, cluster in enumerate(label.tolist()):
-            groups.setdefault(cluster, []).append(vertex)
-        assert sorted(groups.values()) == sorted(result.to_lists())
+        assert [members for _, members in checked] == result.to_lists()[:2]
+        for adj, _ in checked:
+            assert adj.dtype == np.float32
+            assert np.array_equal(adj, D <= 1 * U)
 
     def test_density_invariant_raised_on_sparse_cluster(self):
         """The path 0-1-2-3 as one cluster: each end is adjacent to itself
         and one neighbour, 2 of 4 members, below two thirds."""
-        sub = np.eye(5, dtype=bool)
+        adj = np.eye(5, dtype=np.float32)
         for i in range(3):
-            sub[i, i + 1] = sub[i + 1, i] = True
+            adj[i, i + 1] = adj[i + 1, i] = 1
         with pytest.raises(ClusterInvariantError, match="cluster of size 4 is not"):
-            _assert_density(sub, np.array([0, 0, 0, 0, 4]))
-        # the same vertices as two adjacent pairs and a singleton are dense
-        _assert_density(sub, np.array([0, 0, 2, 2, 4]))
-        # both clusters fail; the message names the one of smallest label
+            _assert_density(adj, np.array([0, 1, 2, 3]))
+        # the same vertices as two adjacent pairs are dense
+        _assert_density(adj, np.array([0, 1]))
+        _assert_density(adj, np.array([2, 3]))
+        # seed 0 claims {0, 3} and seed 1 claims {1, 2, 4}; both fail, and
+        # the clustering names the one of smallest label, claimed first
+        claimed = np.zeros((5, 5), dtype=bool)
+        claimed[0, [0, 3]] = claimed[1, [1, 2, 4]] = True
+        heavy = np.array([True, True, False, False, False])
+        view = SimpleNamespace(claims=lambda s_arr, w, params: agreement.Claims(
+            lambda pos: (heavy[pos], claimed[pos]), adj))
         with pytest.raises(ClusterInvariantError, match="cluster of size 2 is not"):
-            _assert_density(sub, np.array([3, 1, 3, 1, 3]))
+            s_structural_clustering(range(5), 1 * U, AgreementParams(), view)
 
 
 @st.composite
@@ -408,21 +419,49 @@ def test_exact_clustering_matches_set_reference(case):
 EPSILONS = [Fraction(1, 95), Fraction(1, 100), Fraction(1, 300)]
 
 
+def read_rows(claims, positions, sizes=None):
+    """The heavy flags and 3-beta rows of `claims` at `positions`, from one
+    `rows` call, or from consecutive blocks whose sizes cycle through
+    `sizes`."""
+    positions = np.asarray(positions, dtype=np.int64)
+    if sizes is None:
+        return claims.rows(positions)
+    flags, rows, at = [], [], 0
+    for size in itertools.cycle(sizes):
+        if at >= len(positions):
+            break
+        heavy, row = claims.rows(positions[at : at + size])
+        flags.append(heavy)
+        rows.append(row)
+        at += size
+    return np.concatenate(flags), np.concatenate(rows)
+
+
+# uneven blocks, so that rows are read across block seams of every width
+UNEVEN = (1, 3, 2, 7, 5)
+
+
 def assert_claims_match_set_predicates(D, s_list, w, params, positions=None):
     """`ExactView.claims` against the set predicates `agrees` and `heavy`:
-    the heavy mask, and every 3-beta row off its diagonal (the clustering
-    claims a seed itself whatever its row says), at the given positions of
-    S or at all of them."""
+    the heavy flags, and every 3-beta row off its diagonal (the clustering
+    claims a seed itself whatever its row says), at the given ascending
+    positions of S or at all of them. The rows are read once in one call
+    and once in uneven blocks."""
     D = np.asarray(D, dtype=np.int64)
     nbhd = neighbourhoods(D.tolist(), w)
     s_set = set(s_list)
     claims = ExactView(D).claims(np.array(s_list), w, params)
     if positions is None:
         positions = range(len(s_list))
-    for i in positions:
+    positions = list(positions)
+    flags, rows = read_rows(claims, positions)
+    in_blocks = read_rows(claims, positions, UNEVEN)
+    assert np.array_equal(flags, in_blocks[0])
+    assert np.array_equal(rows, in_blocks[1])
+    for i, flag, row in zip(positions, flags.tolist(), rows):
         u = s_list[i]
-        assert claims.heavy[i] == heavy(nbhd, s_set, u, params.epsilon, params.beta)
-        got = claims.row(i).tolist()
+        assert flag == heavy(nbhd, s_set, u, params.epsilon, params.beta)
+        got = row.tolist()
         want = [agrees(nbhd, s_set, u, v, params.three_beta) for v in s_list]
         got[i] = want[i]
         assert got == want, u
@@ -499,27 +538,47 @@ def test_exact_claims_match_on_a_dense_600_vertex_matrix(params, w):
     s_list = sorted(rng.choice(n, size=n - 3, replace=False).tolist())
     s_arr = np.array(s_list)
     claims = ExactView(D).claims(s_arr, w, params)
+    k = len(s_list)
     adj = (D <= w)[s_arr]
     d = adj.sum(axis=1)
     sub = adj[:, s_arr].astype(np.int64)
     stat = d[:, None] + d[None, :] - 2 * (sub @ sub.T)
     gamma = params.three_beta
     want = stat * gamma.denominator < gamma.numerator * np.maximum.outer(d, d)
-    rows = np.array([claims.row(i) for i in range(len(s_list))])
-    np.fill_diagonal(rows, True)
     np.fill_diagonal(want, True)
+    flags, rows = read_rows(claims, np.arange(k))
+    # blocks of every seam width, and blocks as wide as the seed loop's last
+    for sizes in (UNEVEN, (agreement._MAX_ROWS,)):
+        in_blocks = read_rows(claims, np.arange(k), sizes)
+        assert np.array_equal(flags, in_blocks[0])
+        assert np.array_equal(rows, in_blocks[1])
+    np.fill_diagonal(rows, True)
     assert np.array_equal(rows, want)
     # at w = 99 every pair agrees under gamma = 1; elsewhere rows are mixed
     assert want.any() and (w == 99 or not want.all())
     assert_claims_match_set_predicates(
-        D, s_list, w, params, positions=rng.choice(len(s_list), 24, replace=False)
+        D, s_list, w, params, positions=sorted(rng.choice(k, 24, replace=False))
     )
 
 
-def test_exact_claims_allocate_at_most_12_bytes_per_pair():
-    """With S = V on a planted n = 512 instance the float32 product and
-    statistic, the adjacency and the beta mask set the peak, about 9 bytes
-    per pair of S; int64 S-by-S statistics and bounds made it 26."""
+def loop_blocks(k):
+    """The seed loop's blocks over k positions when none is clustered: they
+    start at `_FIRST_ROWS` positions and double up to `_MAX_ROWS`."""
+    blocks, start, size = [], 0, agreement._FIRST_ROWS
+    while start < k:
+        blocks.append(np.arange(start, min(k, start + size)))
+        start += size
+        size = min(2 * size, agreement._MAX_ROWS)
+    return blocks
+
+
+def test_exact_claims_allocate_at_most_10_bytes_per_pair():
+    """With S = V on a planted n = 512 instance, `claims` and `rows` over
+    every position in the seed loop's blocks peak at about 9 bytes per pair
+    of S, set by the gathered int64 rows of S and their mask; each block
+    of rows adds at most 10 bytes per entry of a 64-by-|S| block to the
+    float32 adjacency. The S-by-S float32 statistic and beta mask peaked
+    at 9 too; int64 S-by-S statistics and bounds made it 26."""
     n = 512
     spec = GeneratorSpec(kind="planted_ultrametric", n=n, seed=1, noise_k=n // 2,
                          value_alphabet=[fp.from_int(k) for k in range(1, 9)])
@@ -528,16 +587,91 @@ def test_exact_claims_allocate_at_most_12_bytes_per_pair():
     s_arr = np.arange(n)
     w = int(np.median(D[D > 0]))
     params = AgreementParams()
-    view.claims(s_arr, w, params)  # warm-up
+
+    def claims_and_rows():
+        claims = view.claims(s_arr, w, params)
+        return [claims.rows(block)[0].any() for block in loop_blocks(n)]
+
+    claims_and_rows()  # warm-up
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        claims = view.claims(s_arr, w, params)
+        heavy = claims_and_rows()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert claims.heavy.any()
-    assert peak - before <= 12 * n * n
+    assert any(heavy)
+    assert peak - before <= 10 * n * n
+
+
+def eager_clustering(claims, k):
+    """The seed loop over rows read all at once, before any is claimed, as
+    a list of (seed, members) in position order, and the singletons."""
+    heavy, rows = claims.rows(np.arange(k))
+    unclustered = np.ones(k, dtype=bool)
+    seeded = []
+    for i in np.flatnonzero(heavy).tolist():
+        if not unclustered[i]:
+            continue
+        claim = rows[i] & unclustered
+        claim[i] = True
+        members = np.flatnonzero(claim)
+        unclustered[members] = False
+        seeded.append((i, members.tolist()))
+    return seeded, np.flatnonzero(unclustered).tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lazy_seed_loop_matches_eager_rows(seed):
+    """The clustering reads rows in blocks as it goes; it must equal the
+    same loop over every row read at once. Groups of 30 to 60 vertices
+    under shuffled ids, with a few edges across, put both seams of the lazy
+    loop to work: a heavy seed that claims later positions of its own
+    block, and a vertex with an edge across, not heavy and passed over,
+    that a later seed of its group claims."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(30, 61, size=int(rng.integers(2, 5)))
+    n = int(sizes.sum())
+    group = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    D = np.where(group[:, None] == group, 1 * U, 3 * U)
+    for u, v in rng.integers(0, n, size=(n // 8, 2)):
+        D[u, v] = D[v, u] = 4 * U - D[u, v]
+    # vertex 0, first in every S, has an edge across
+    across = np.flatnonzero(group != group[0])[0]
+    D[0, across] = D[across, 0] = 1 * U
+    np.fill_diagonal(D, 0)
+    view = ExactView(D)
+    blocks = []
+
+    class BlockLog(ExactView):
+        def claims(self, s_arr, w, params):
+            claims = super().claims(s_arr, w, params)
+
+            def rows(pos):
+                blocks.append(pos.tolist())
+                return claims.rows(pos)
+
+            return claims._replace(rows=rows)
+
+    in_block = passed_over = 0
+    for eps in (Fraction(1, 95), Fraction(1, 100), Fraction(1, 300)):
+        params = AgreementParams(epsilon=eps)
+        for size in (n, n - 1, n - 10):
+            s_arr = np.sort(rng.choice(np.arange(1, n), size=size - 1, replace=False))
+            s_arr = np.concatenate([[0], s_arr])
+            del blocks[:]
+            got = s_structural_clustering(s_arr, 1 * U, params, BlockLog(D))
+            seeded, singles = eager_clustering(view.claims(s_arr, 1 * U, params), size)
+            want = [s_arr[m].tolist() for _, m in seeded]
+            assert got.to_lists() == want + [[int(s_arr[i])] for i in singles]
+            # each block holds unclustered positions past the last block's
+            visited = [i for block in blocks for i in block]
+            assert visited == sorted(set(visited))
+            block_of = {i: b for b, block in enumerate(blocks) for i in block}
+            for i, members in seeded:
+                in_block += any(j > i and block_of.get(j) == block_of[i] for j in members)
+                passed_over += any(j < i for j in members)
+    assert in_block > 0 and passed_over > 0
 
 
 def make_sketch_view(D, seed=0, instance=0, **overrides):
@@ -695,10 +829,10 @@ def test_sketch_claims_match_pairwise_reference_when_sampling(seed, sample_facto
         claims = view.claims(np.array(s_list), w, params)
         ref = PairwiseSketchReference(view, s_list, w, params)
         three_beta = float(params.three_beta)
-        assert claims.heavy.tolist() == [ref.heavy(u) for u in s_list]
-        for i, u in enumerate(s_list):
-            got = claims.row(i).tolist()
-            assert got == [ref.agrees(u, v, three_beta) for v in s_list]
+        flags, rows = read_rows(claims, np.arange(len(s_list)))
+        assert flags.tolist() == [ref.heavy(u) for u in s_list]
+        for u, row in zip(s_list, rows):
+            assert row.tolist() == [ref.agrees(u, v, three_beta) for v in s_list]
 
 
 def test_exact_side_half_a_queue_deep_never_matches_an_estimated_side():
@@ -721,11 +855,12 @@ def test_exact_side_half_a_queue_deep_never_matches_an_estimated_side():
     claims = view.claims(np.array(s_list), 1 * U, wide)
     degrees = view.pools.degrees([big, big + 1], 1 * U, view.instance)
     assert degrees.tolist() == [cap // 2, cap // 2 + 1]
-    assert not claims.row(big)[:big].any()
-    assert claims.row(big + 1)[:big].all()
+    _, rows = read_rows(claims, s_list)
+    assert not rows[big, :big].any()
+    assert rows[big + 1, :big].all()
     ref = PairwiseSketchReference(view, s_list, 1 * U, wide)
     for u in s_list:
-        assert claims.row(u).tolist() == [ref.agrees(u, v, 4.0) for v in s_list]
+        assert rows[u].tolist() == [ref.agrees(u, v, 4.0) for v in s_list]
 
 
 class TestSketchQueries:
@@ -734,9 +869,10 @@ class TestSketchQueries:
         view = make_sketch_view(D, seed=1)
         params = AgreementParams()
         claims = view.claims(np.arange(20), 1 * U, params)
-        assert claims.row(0)[1]
-        assert not claims.row(0)[10]
-        assert claims.heavy[0]
+        flags, rows = read_rows(claims, [0])
+        assert rows[0, 1]
+        assert not rows[0, 10]
+        assert flags[0]
 
     def test_clustering_recovers_cliques(self):
         D = two_clique_matrix(12, 12)
@@ -760,14 +896,14 @@ class TestSketchQueries:
             nbhd = neighbourhoods(D, w)
             sketch = make_sketch_view(D, seed=trial)
             params = AgreementParams()
-            claims = sketch.claims(np.arange(n), w, params)
+            _, rows = read_rows(sketch.claims(np.arange(n), w, params), np.arange(n))
             S = set(range(n))
             for _ in range(40):
                 u, v = rng.integers(0, n, size=2)
                 if u == v:
                     continue
                 a = agrees(nbhd, S, int(u), int(v), params.three_beta)
-                b = claims.row(int(u))[int(v)]
+                b = rows[u, v]
                 agree_total += 1
                 agree_match += a == b
         assert agree_match / agree_total >= 0.9

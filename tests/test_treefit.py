@@ -271,9 +271,11 @@ class TestL0Tree:
 
     def test_peak_memory_is_pinned_at_n_512(self):
         """Pass 1 is read once and its distances are shifted in place from
-        pivot to pivot, so the fit's peak stays under 4.1 n x n int64
-        matrices (it reads about 3.95, set by the consensus); holding pass
-        1's distances beside a shifted copy lifts it to about 4.35."""
+        pivot to pivot, so the fit's peak stays under 3.9 n x n int64
+        matrices (it reads about 3.85, set by the pivot fits); holding pass
+        1's distances beside a shifted copy lifts it to about 4.35. The
+        consensus counts disagreements a slice of pairs at a time; holding
+        every fit's distances at once made it set the peak, at 3.95."""
         n = 512
         src, _ = generate(
             GeneratorSpec(kind="planted_tree_metric", n=n, seed=1, noise_k=n // 2)
@@ -285,4 +287,4 @@ class TestL0Tree:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.1 * n * n * 8
+        assert peak < 3.9 * n * n * 8
