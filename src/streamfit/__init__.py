@@ -13,7 +13,6 @@ from .fixedpoint import SCALE, from_decimal, from_int, to_decimal
 from .l0fit import L0FitResult, SketchBudgetError, fit_l0
 from .linf import LinfExactResult, MstState, fit_linf_exact, fit_linf_min_decrement
 from .oracles import (
-    OracleBudget,
     OracleUnavailable,
     brute_correlation,
     brute_l0_ultra,
@@ -61,7 +60,6 @@ __all__ = [
     "L0FitResult",
     "LinfExactResult",
     "MstState",
-    "OracleBudget",
     "OracleUnavailable",
     "ParseError",
     "SCALE",

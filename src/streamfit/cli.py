@@ -14,7 +14,7 @@ from .evaluate import cost
 from .l0fit import SketchBudgetError, fit_l0
 from .linf import fit_linf_exact, fit_linf_min_decrement
 from .oracles import (
-    OracleBudget,
+    MAX_N_L0,
     OracleUnavailable,
     brute_correlation,
     brute_l0_ultra,
@@ -244,17 +244,16 @@ def cmd_check(args):
 def cmd_oracle(args):
     source = StreamSource.from_file(args.input)
     matrix = source.dense()
-    budget = OracleBudget(time_cap=args.time_cap)
     doc = {"schema": REPORT_SCHEMA, "command": "oracle", "which": args.which}
     try:
         if args.which == "l0":
-            value, _ = brute_l0_ultra(matrix, budget)
+            value, _ = brute_l0_ultra(matrix, args.time_cap)
             doc["value"] = value
         elif args.which == "l1":
-            value, _ = brute_l1_ultra(matrix, budget)
+            value, _ = brute_l1_ultra(matrix, args.time_cap)
             doc["value"] = fixedpoint.to_decimal(value)
         elif args.which == "correlation":
-            doc["value"] = brute_correlation(matrix, budget)
+            doc["value"] = brute_correlation(matrix)
         else:
             _, bound = minimax_cert(matrix)
             doc["value"] = fixedpoint.to_decimal(bound)
@@ -297,7 +296,7 @@ def cmd_bench(args):
         report = cost(fitted, source)
         oracle_l0 = ""
         ratio = ""
-        if args.objective == "l0" and source.n <= OracleBudget().max_n_l0:
+        if args.objective == "l0" and source.n <= MAX_N_L0:
             try:
                 opt, _ = brute_l0_ultra(source.dense())
                 oracle_l0 = opt

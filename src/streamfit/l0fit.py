@@ -54,11 +54,7 @@ class L0FitResult:
     report: L0FitReport
 
 
-def fit_l0(
-    source: StreamSource,
-    params: AgreementParams = None,
-    config: SketchConfig = None,
-) -> L0FitResult:
+def fit_l0(source: StreamSource, config: SketchConfig = None) -> L0FitResult:
     """Fit an ultrametric tree minimizing disagreement count (approximately).
 
     `config` selects the predicate backend. Without one, exact mode
@@ -66,8 +62,7 @@ def fit_l0(
     `SketchConfig`, sketch mode consumes the stream once up front into
     pools of that configuration.
     """
-    if params is None:
-        params = AgreementParams()
+    params = AgreementParams()
     n = source.n
     if n < 1:
         raise ValueError("n must be >= 1")

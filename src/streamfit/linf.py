@@ -165,8 +165,7 @@ class MstState:
 @dataclass(frozen=True)
 class LinfExactResult:
     tree: UltrametricTree
-    optimal_cost: int
-    slack: int                 # worst undershoot of the one-pass tree
+    optimal_cost: int          # half the worst undershoot of the one-pass tree
     certificate_pair: tuple    # pair attaining the undershoot
 
 
@@ -194,6 +193,4 @@ def fit_linf_exact(source: StreamSource) -> LinfExactResult:
     if slack % 2 != 0:
         raise DomainError("half-unit shift not representable; use even inputs")
     tree = under.shift_levels(slack // 2) if slack else under
-    return LinfExactResult(
-        tree=tree, optimal_cost=slack // 2, slack=slack, certificate_pair=cert
-    )
+    return LinfExactResult(tree=tree, optimal_cost=slack // 2, certificate_pair=cert)

@@ -8,7 +8,6 @@ is a relaxation sweep with no spanning-tree machinery.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,19 +16,16 @@ from .trees import DomainError, UltrametricTree
 
 _INF = 1 << 62
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_n_l0: int = 7
-    max_n_cc: int = 9
-    time_cap: float = 60.0
+# the largest n the tree enumeration and the partition search accept
+MAX_N_L0 = 7
+MAX_N_CC = 9
 
 
 class OracleUnavailable(RuntimeError):
     """Instance exceeds the enumeration budget; callers must skip, not pass."""
 
 
-def _enumerate_best_tree(matrix, pair_cost, budget):
+def _enumerate_best_tree(matrix, pair_cost, time_cap):
     """Exact optimum over ultrametric trees with levels drawn from D's values.
 
     pair_cost(level_index) must return an n x n integer cost matrix for
@@ -37,8 +33,8 @@ def _enumerate_best_tree(matrix, pair_cost, budget):
     over (subset bitmask, highest usable value index), memoized.
     """
     n = matrix.shape[0]
-    if n > budget.max_n_l0:
-        raise OracleUnavailable(f"n={n} exceeds l0 enumeration cap {budget.max_n_l0}")
+    if n > MAX_N_L0:
+        raise OracleUnavailable(f"n={n} exceeds l0 enumeration cap {MAX_N_L0}")
     start = time.monotonic()
     iu, iv = np.triu_indices(n, k=1)
     values = np.unique(matrix[iu, iv])
@@ -90,7 +86,7 @@ def _enumerate_best_tree(matrix, pair_cost, budget):
         hit = cover_memo.get(key)
         if hit is not None:
             return hit
-        if time.monotonic() - start > budget.time_cap:
+        if time.monotonic() - start > time_cap:
             raise OracleUnavailable("enumeration time cap exceeded")
         low_bit = mask & -mask
         rest_all = mask ^ low_bit
@@ -125,8 +121,12 @@ def _enumerate_best_tree(matrix, pair_cost, budget):
     return int(cost_value), UltrametricTree.from_nested(n, root)
 
 
-def brute_l0_ultra(matrix, budget: OracleBudget = OracleBudget()):
-    """Exact minimum of ||U - D||_0 plus a witness tree."""
+def brute_l0_ultra(matrix, time_cap: float = 60.0):
+    """Exact minimum of ||U - D||_0 plus a witness tree.
+
+    Raises `OracleUnavailable` past `MAX_N_L0` points or once the
+    enumeration has run `time_cap` seconds.
+    """
     matrix = trees._checked_square(matrix)
     n = matrix.shape[0]
     iu, iv = np.triu_indices(n, k=1)
@@ -137,11 +137,12 @@ def brute_l0_ultra(matrix, budget: OracleBudget = OracleBudget()):
         np.fill_diagonal(pc, 0)
         return pc
 
-    return _enumerate_best_tree(matrix, pair_cost, budget)
+    return _enumerate_best_tree(matrix, pair_cost, time_cap)
 
 
-def brute_l1_ultra(matrix, budget: OracleBudget = OracleBudget()):
-    """Exact minimum of ||U - D||_1 plus a witness tree (same tree space)."""
+def brute_l1_ultra(matrix, time_cap: float = 60.0):
+    """Exact minimum of ||U - D||_1 plus a witness tree (same tree space
+    and the same caps as `brute_l0_ultra`)."""
     matrix = trees._checked_square(matrix)
     n = matrix.shape[0]
     iu, iv = np.triu_indices(n, k=1)
@@ -152,10 +153,10 @@ def brute_l1_ultra(matrix, budget: OracleBudget = OracleBudget()):
         np.fill_diagonal(pc, 0)
         return pc
 
-    return _enumerate_best_tree(matrix, pair_cost, budget)
+    return _enumerate_best_tree(matrix, pair_cost, time_cap)
 
 
-def brute_correlation(matrix, budget: OracleBudget = OracleBudget()) -> int:
+def brute_correlation(matrix) -> int:
     """Exact minimum disagreements for a two-valued matrix.
 
     Small distance = similar. Enumerates every set partition; a same-cluster
@@ -166,8 +167,8 @@ def brute_correlation(matrix, budget: OracleBudget = OracleBudget()) -> int:
     n = matrix.shape[0]
     iu, iv = np.triu_indices(n, k=1)
     values = np.unique(matrix[iu, iv])
-    if n > budget.max_n_cc:
-        raise OracleUnavailable(f"n={n} exceeds partition cap {budget.max_n_cc}")
+    if n > MAX_N_CC:
+        raise OracleUnavailable(f"n={n} exceeds partition cap {MAX_N_CC}")
     if n <= 1:
         return 0
     if len(values) != 2:

@@ -67,13 +67,10 @@ class SketchConfig:
     instance_count: int = 8
     seed: int = 0
     zeta: float = 0.001
-    ladder_base: float = 2.0
 
     def __post_init__(self):
         if not (0 < self.zeta < 1):
             raise ValueError("zeta must be in (0,1)")
-        if not (1 < self.ladder_base <= 2):
-            raise ValueError("ladder_base must be in (1, 2]")
         if self.close_capacity < 1 or self.instance_count < 1:
             raise ValueError("close_capacity and instance_count must be >= 1")
         if self.sample_factor < 1 or self.min_size < 1:
@@ -115,13 +112,13 @@ class SketchConfig:
         return cls(**values)
 
     def ladder(self, n) -> list:
-        """Distinct sketch sizes n, n/base, ..., down to min_size."""
+        """Distinct sketch sizes n, n/2, ..., down to min_size."""
         sizes = []
         s = max(n, 1)
         floor = min(self.min_size, s)
         while s > floor:
             sizes.append(s)
-            s = max(floor, math.ceil(s / self.ladder_base))
+            s = max(floor, math.ceil(s / 2))
         sizes.append(floor)
         return sizes
 

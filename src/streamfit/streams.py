@@ -326,20 +326,6 @@ class GeneratorSpec:
         }
         return json.dumps(doc, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorSpec":
-        doc = json.loads(text)
-        alphabet = doc.get("value_alphabet")
-        if alphabet is not None:
-            alphabet = [fixedpoint.from_decimal(v) for v in alphabet]
-        return cls(
-            kind=doc["kind"],
-            n=int(doc["n"]),
-            seed=int(doc["seed"]),
-            noise_k=int(doc.get("noise_k", 0)),
-            value_alphabet=alphabet,
-        )
-
 
 def _rng(seed, *tags):
     entropy = np.random.SeedSequence((seed,) + tags)

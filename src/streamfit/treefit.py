@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import agreement
-from .agreement import AgreementParams
 from .l0fit import fit_l0
 from .linf import fit_linf_min_decrement
 from .sketches import SketchConfig
@@ -168,10 +167,7 @@ class L0TreeResult:
 
 
 def fit_l0_tree(
-    source: StreamSource,
-    params: AgreementParams = None,
-    config: SketchConfig = None,
-    seed: int = 0,
+    source: StreamSource, config: SketchConfig = None, seed: int = 0
 ) -> L0TreeResult:
     """Two-pass disagreement-count tree metric fit.
 
@@ -183,7 +179,7 @@ def fit_l0_tree(
     t = min(n, max(1, math.ceil(math.log(max(n, 2)))))
     rng = np.random.Generator(np.random.Philox(key=(seed, 202)))
     pivots = sorted(int(p) for p in rng.choice(n, size=t, replace=False))
-    reps = _fit_pivots(source, pivots, lambda s: fit_l0(s, params, config).tree)
+    reps = _fit_pivots(source, pivots, lambda s: fit_l0(s, config).tree)
 
     pairwise = np.zeros((t, t), dtype=np.int64)
     # every pair once, in the stream's stored order, one slice of pairs at

@@ -44,13 +44,19 @@ class TestGen:
 
     def test_alphabet_option(self, tmp_path):
         out = tmp_path / "d.txt"
+        report = tmp_path / "gen.json"
         assert run(
             "gen", "--kind", "two_valued", "--n", "10", "--seed", "1",
-            "--alphabet", "1,2.5", "--out", str(out),
+            "--alphabet", "1,2.5", "--out", str(out), "--report", str(report),
         ) == 0
         D = StreamSource.from_file(out).dense()
         vals = set(np.unique(D[np.triu_indices(10, 1)]).tolist())
         assert vals <= {10**9 * 2, 10**9 * 5}
+        # the report echoes the spec with the alphabet in decimal
+        assert json.loads(report.read_text())["spec"] == {
+            "kind": "two_valued", "n": 10, "seed": 1, "noise_k": 0,
+            "value_alphabet": ["1", "2.5"],
+        }
 
     @pytest.mark.parametrize(
         "flags, code",
@@ -238,6 +244,24 @@ class TestCostCheckOracle:
         ) == 0
         doc = json.loads(report.read_text())
         assert "unavailable" in doc
+
+    # the time cap bounds the l0 and l1 enumerations; the partition search
+    # of correlation has only its size cap
+    @pytest.mark.parametrize("which, key", [
+        ("l0", "unavailable"), ("l1", "unavailable"), ("correlation", "value"),
+    ])
+    def test_oracle_time_cap(self, tmp_path, which, key):
+        stream = tmp_path / "s.txt"
+        run(
+            "gen", "--kind", "two_valued", "--n", "7", "--seed", "1",
+            "--out", str(stream),
+        )
+        report = tmp_path / "o.json"
+        assert run(
+            "oracle", "--input", str(stream), "--which", which,
+            "--time-cap", "-1", "--report", str(report),
+        ) == 0
+        assert key in json.loads(report.read_text())
 
     def test_malformed_stream_is_integrity_error(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -7,7 +7,7 @@ import pytest
 import streamfit as sf
 from streamfit import fixedpoint as fp
 from streamfit.oracles import (
-    OracleBudget,
+    MAX_N_L0,
     OracleUnavailable,
     brute_correlation,
     brute_l0_ultra,
@@ -59,7 +59,16 @@ class TestBruteL0:
     def test_budget_enforced(self):
         D = two_cliques(4, 4)
         with pytest.raises(OracleUnavailable):
-            brute_l0_ultra(D, OracleBudget(max_n_l0=7))
+            brute_l0_ultra(D)
+
+
+@pytest.mark.parametrize("oracle", [brute_l0_ultra, brute_l1_ultra])
+def test_time_cap_stops_the_enumeration(oracle):
+    # any clock has run past a negative cap at the first check
+    D = two_cliques(4, 3)
+    assert D.shape[0] == MAX_N_L0
+    with pytest.raises(OracleUnavailable, match="^enumeration time cap exceeded$"):
+        oracle(D, time_cap=-1.0)
 
 
 class TestBruteL1:
@@ -99,7 +108,7 @@ class TestBruteCorrelation:
 
     def test_budget_enforced(self):
         with pytest.raises(OracleUnavailable):
-            brute_correlation(two_cliques(5, 5), OracleBudget(max_n_cc=9))
+            brute_correlation(two_cliques(5, 5))
 
 
 class TestMinimaxCert:

@@ -204,8 +204,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SketchConfig(zeta=0)
         with pytest.raises(ValueError):
-            SketchConfig(ladder_base=2.5)
-        with pytest.raises(ValueError):
             SketchConfig(close_capacity=0)
 
 
@@ -434,7 +432,7 @@ class TestPoolsEquivalence:
         alphabet = [fp.from_int(k) for k in range(1, levels + 1)]
         spec = GeneratorSpec(kind="uniform_random", n=n, seed=5, value_alphabet=alphabet)
         D = generate(spec)[0].dense()
-        cfg = SketchConfig.polylog_shape(n, seed=3, instance_count=2, ladder_base=1.5)
+        cfg = SketchConfig.polylog_shape(n, seed=3, instance_count=2)
         ref = _fill_pools(cfg, D, bulk=False, order_seed=1)
         csr = _fill_pools(cfg, D, bulk=True, order_seed=2)
         # some (instance, s') group holds pools that keep different prefixes

@@ -339,13 +339,6 @@ class TestGenerators:
         b, _ = generate(GeneratorSpec(kind="uniform_random", n=10, seed=3))
         assert np.array_equal(a.dense(), b.dense())
 
-    def test_spec_json_roundtrip(self):
-        spec = GeneratorSpec(
-            kind="two_valued", n=8, seed=4, noise_k=1, value_alphabet=[U, 2 * U]
-        )
-        again = GeneratorSpec.from_json(spec.to_json())
-        assert again == spec
-
 
 DISTANCES = st.one_of(
     st.integers(1, 10**12).map(lambda k: fp.to_decimal(2 * k)),
