@@ -232,7 +232,6 @@ class ExactView:
         d = d_f.astype(np.int64)
         lim_b = _cutoffs(d, params.beta)
         lim_3b = _cutoffs(d, params.three_beta)
-        eps = params.epsilon
 
         def block_rows(pos):
             block = adj[pos]
@@ -251,8 +250,7 @@ class ExactView:
             agree &= near
             inside = agree.sum(axis=1)
             del agree, near
-            d_pos = d[pos]
-            heavy = (d_pos - inside) * eps.denominator < eps.numerator * d_pos
+            heavy = _heavy(d[pos], inside, params.epsilon)
             claim = stat <= np.maximum(lim_3b[pos, None], lim_3b)
             return heavy, claim
 
@@ -389,7 +387,7 @@ class SketchView:
         eps = params.epsilon
         heavy = np.zeros(k, dtype=bool)
         inside = (near & agree_b[ex]).sum(axis=1)
-        heavy[ex] = (d[ex] - inside) * eps.denominator < eps.numerator * d[ex]
+        heavy[ex] = _heavy(d[ex], inside, eps)
         y = (heavy_sample & agree_b).sum(axis=1)[reported]
         prob = np.array([config.sample_probability(s) for s in pools.sizes])
         prob = prob[heavy_space[reported]]
@@ -509,6 +507,12 @@ def _cutoffs(d, gamma):
     lim -= 1
     lim //= gamma.denominator
     return lim.astype(np.float32)
+
+
+def _heavy(d, inside, eps):
+    """Whether each vertex of closed degree d, `inside` of whose neighbours
+    agree with it, is heavy: d - inside < epsilon d, in integers."""
+    return (d - inside) * eps.denominator < eps.numerator * d
 
 
 def _assert_density(adj, members):

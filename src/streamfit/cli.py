@@ -54,11 +54,16 @@ class PassBudgetError(RuntimeError):
     """A fitter read more passes over its stream than its budget."""
 
 
+def _write(path, text):
+    """Write every output file the same way: ASCII with newline line ends."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
+
+
 def _emit(doc, path):
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if path:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        _write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -107,8 +112,7 @@ def cmd_gen(args):
     source, truth = generate(spec)
     source.write_file(args.out)
     if args.truth_out and truth is not None:
-        with open(args.truth_out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(truth.to_json() + "\n")
+        _write(args.truth_out, truth.to_json() + "\n")
     _emit(
         {
             "schema": REPORT_SCHEMA,
@@ -177,7 +181,7 @@ def _run_fit(args, source, seed):
         result = fit_l0_tree(source, config=config, seed=seed)
         fitted = result.rep
         fields["pivots"] = list(result.pivots)
-        fields["chosen_pivot"] = result.chosen_pivot
+        fields["chosen_pivot"] = result.rep.pivot
     # `_validate_fit` pinned --passes to the budget: linf 1 or 2, l0 1, tree 2
     fields["passes"] = source.passes_read
     if fields["passes"] > args.passes:
@@ -193,12 +197,10 @@ def cmd_fit(args):
     source = StreamSource.from_file(args.input, order_seed=args.seed)
     fitted, fields = _run_fit(args, source, args.seed)
     if args.out_tree:
-        with open(args.out_tree, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(fitted.to_json() + "\n")
+        _write(args.out_tree, fitted.to_json() + "\n")
     if args.out_newick:
         base = fitted.base if isinstance(fitted, TreeMetricRep) else fitted
-        with open(args.out_newick, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(base.to_newick() + "\n")
+        _write(args.out_newick, base.to_newick() + "\n")
     doc = {
         "schema": REPORT_SCHEMA,
         "command": "fit",

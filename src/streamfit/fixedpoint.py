@@ -33,20 +33,29 @@ def from_decimal(text: str) -> int:
     if not whole.isdigit() or (frac and not frac.isdigit()):
         raise FixedPointError(f"bad distance literal {text!r}")
     frac = frac.ljust(FRACTION_DIGITS, "0")
-    return (int(whole) * 10**FRACTION_DIGITS + int(frac)) * 2
+    # the digits without the point count steps of SCALE // 10^9 units
+    return int(whole + frac) * (SCALE // 10**FRACTION_DIGITS)
 
 
 def to_decimal(units: int) -> str:
     """Render scaled units as a decimal string with no trailing zeros."""
-    units = int(units)
-    sign = "-" if units < 0 else ""
     # units/SCALE == units*5 / 10^10, so ten fractional digits always suffice
-    tenths = abs(units) * 5
-    whole, frac = divmod(tenths, 10 ** (FRACTION_DIGITS + 1))
+    return _render(int(units) * 5, FRACTION_DIGITS + 1)
+
+
+def half_to_decimal(units: int) -> str:
+    """Render half of `units` scaled units as `to_decimal` renders units."""
+    # units/(2 SCALE) == units*25 / 10^11: eleven fractional digits
+    return _render(int(units) * 25, FRACTION_DIGITS + 2)
+
+
+def _render(value: int, digits: int) -> str:
+    """value / 10^digits as a decimal string with no trailing zeros."""
+    sign = "-" if value < 0 else ""
+    whole, frac = divmod(abs(value), 10**digits)
     if frac == 0:
         return f"{sign}{whole}"
-    digits = str(frac).rjust(FRACTION_DIGITS + 1, "0").rstrip("0")
-    return f"{sign}{whole}.{digits}"
+    return f"{sign}{whole}." + str(frac).rjust(digits, "0").rstrip("0")
 
 
 def from_int(value: int) -> int:

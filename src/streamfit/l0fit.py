@@ -64,14 +64,12 @@ def fit_l0(source: StreamSource, config: SketchConfig = None) -> L0FitResult:
     """
     params = AgreementParams()
     n = source.n
-    if n < 1:
-        raise ValueError("n must be >= 1")
 
     if config is None:
         matrix = source.dense()
         # the distances of the pass that `dense` has just read
-        weights = CompressedSet(source.d)
-        w_max = int(weights.weights[-1]) if len(weights) else 0
+        d = source.d
+        weights = CompressedSet(d)
         exact_view = ExactView(matrix)
         peak_words = n * n
 
@@ -80,10 +78,11 @@ def fit_l0(source: StreamSource, config: SketchConfig = None) -> L0FitResult:
 
     else:
         pools = SketchPools(config, n)
-        pools.bulk_ingest(*source.arrays())
+        u, v, d = source.arrays()
+        pools.bulk_ingest(u, v, d)
+        del u, v
         peak_words = pools.peak_words
         weights = pools.build_compressed_set()
-        w_max = pools.w_max_seen
 
         def make_view(depth):
             if depth >= config.instance_count:
@@ -101,17 +100,33 @@ def fit_l0(source: StreamSource, config: SketchConfig = None) -> L0FitResult:
     # than one vertex and one per peeled rim
     parent = [-1] * n
     level = [0] * n
-    # work-list of calls (S, w, depth, parent node id). A call's degree
-    # probes run before its children's calls, and the calls may run in any
-    # order: each reads only the matrix or the finished sketch pools.
-    stack = [(np.arange(n, dtype=np.int64), w_max, 0, -1)] if n > 1 else []
+    # work-list of calls (S, w, depth, parent node id) on two or more
+    # vertices. A call's degree probes run before its children's calls, and
+    # the calls may run in any order: each reads only the matrix or the
+    # finished sketch pools.
+    stack = []
+
+    def call(s_arr, w, depth, up):
+        """Count a recursion call on S: a singleton S is its own leaf under
+        `up` at once, and a larger S waits on the stack."""
+        nonlocal calls
+        calls += 1
+        if len(s_arr) == 1:
+            # a scalar index: most calls are singletons
+            leaf = int(s_arr[0])
+            participation[leaf] += 1
+            parent[leaf] = up
+        else:
+            participation[s_arr] += 1
+            stack.append((s_arr, w, depth, up))
+
+    if n > 1:
+        # the top threshold is the largest distance of the pass read, whose
+        # arrays the recursion does not keep
+        call(np.arange(n, dtype=np.int64), int(d.max()), 0, -1)
+    del d
     while stack:
         s_arr, w, depth, up = stack.pop()
-        calls += 1
-        participation[s_arr] += 1
-        if len(s_arr) == 1:
-            parent[int(s_arr[0])] = up
-            continue
         node = len(parent)
         parent.append(up)
         level.append(int(w))
@@ -121,22 +136,12 @@ def fit_l0(source: StreamSource, config: SketchConfig = None) -> L0FitResult:
         clustering = s_structural_clustering(s_arr, w_check, params, view)
         size_s = len(s_arr)
         split = math.floor(agreement.CLUSTER_SPLIT * size_s)
-        leaves = []
         big = None
         for cluster in clustering.clusters:
-            if len(cluster) == 1:
-                leaves.append(int(cluster[0]))
-            elif len(cluster) <= split:
-                stack.append((cluster, w_check, depth + 1, node))
+            if len(cluster) <= split:
+                call(cluster, w_check, depth + 1, node)
             else:
                 big = cluster
-        if leaves:
-            # each singleton is the leaf its own call would make, counted as
-            # that call would count it
-            calls += len(leaves)
-            participation[leaves] += 1
-            for v in leaves:
-                parent[v] = node
         if big is not None:
             # a degree d is dense when d > DENSE_CUT |S| and on the rim when
             # d < RIM_CUT |S|: integer cut-offs fixed for the whole loop
@@ -158,11 +163,11 @@ def fit_l0(source: StreamSource, config: SketchConfig = None) -> L0FitResult:
                     parent.append(hang)
                     level.append(int(w_lo))
                     hang = len(parent) - 1
-                    stack.append((big[pos[rim]], w_lo, depth + 1, hang))
+                    call(big[pos[rim]], w_lo, depth + 1, hang)
                     pos = pos[~rim]
                 w_lo = w_probe
                 w_probe = weights.pred(w_probe)
-            stack.append((big[pos], w_lo, depth + 1, hang))
+            call(big[pos], w_lo, depth + 1, hang)
     tree = UltrametricTree(n, parent, level)
 
     bound = agreement.PARTICIPATION_FACTOR * max(1, math.ceil(math.log2(max(n, 2))))

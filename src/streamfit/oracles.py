@@ -2,7 +2,8 @@
 
 These deliberately share no code with the streaming algorithms: the l0/l1
 optimum enumerates level-labeled partitions directly, and the minimax oracle
-is a relaxation sweep with no spanning-tree machinery.
+is `trees.minimax_closure`, a relaxation sweep with no spanning-tree
+machinery that `trees.is_ultrametric` shares and no fitter calls.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def brute_l1_ultra(matrix, time_cap: float = 60.0):
 
 
 def brute_correlation(matrix) -> int:
-    """Exact minimum disagreements for a two-valued matrix.
+    """Exact minimum disagreements for a matrix of at most two values.
 
     Small distance = similar. Enumerates every set partition; a same-cluster
     pair at the large value or a cross-cluster pair at the small value is
@@ -169,7 +170,8 @@ def brute_correlation(matrix) -> int:
     values = np.unique(matrix[iu, iv])
     if n > MAX_N_CC:
         raise OracleUnavailable(f"n={n} exceeds partition cap {MAX_N_CC}")
-    if n <= 1:
+    # with at most one value, one cluster or all singletons agree everywhere
+    if len(values) < 2:
         return 0
     if len(values) != 2:
         raise DomainError("matrix must contain exactly two distinct values")
@@ -205,11 +207,7 @@ def minimax_cert(matrix, max_n: int = 256):
     n = matrix.shape[0]
     if n > max_n:
         raise OracleUnavailable(f"n={n} exceeds minimax cap {max_n}")
-    relaxed = matrix.copy()
-    for k in range(n):
-        np.minimum(
-            relaxed, np.maximum.outer(relaxed[:, k], relaxed[k, :]), out=relaxed
-        )
+    relaxed = trees.minimax_closure(matrix)
     slack = int((matrix - relaxed).max()) if n > 1 else 0
     if slack % 2 != 0:
         raise DomainError("half-unit bound not representable; use even inputs")

@@ -211,7 +211,6 @@ class SketchPools:
         self.close_lengths = np.zeros(n, dtype=np.int64)
         self.close_overflow = np.zeros(n, dtype=bool)
         self.sketches: dict = {}
-        self.w_max_seen = 0
         self.finalized = False
         self._used_instances: dict[int, np.ndarray] = {}
 
@@ -243,8 +242,6 @@ class SketchPools:
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         d = np.asarray(d, dtype=np.int64)
-        if len(d):
-            self.w_max_seen = max(self.w_max_seen, int(d.max()))
 
         owner = np.concatenate([u, v])
         other = np.concatenate([v, u])

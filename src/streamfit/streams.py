@@ -284,7 +284,7 @@ def _parse_chunk(b):
     fractions = _fold(b, dots + 1, frac_len)
     d = values[:, 2] * 10**fixedpoint.FRACTION_DIGITS
     d[owner // 3] += fractions * 10 ** (fixedpoint.FRACTION_DIGITS - frac_len)
-    d *= 2
+    d *= fixedpoint.SCALE // 10**fixedpoint.FRACTION_DIGITS
     if np.any(d <= 0):
         return None
     return (
@@ -302,29 +302,6 @@ def _fold(b, starts, length):
         digit = b[np.minimum(starts + k, last)] - ord("0")
         value = np.where(length > k, value * 10 + digit, value)
     return value
-
-
-@dataclass
-class GeneratorSpec:
-    kind: str
-    n: int
-    seed: int
-    noise_k: int = 0
-    value_alphabet: Optional[list] = None
-
-    KINDS = ("planted_ultrametric", "planted_tree_metric", "two_valued", "uniform_random")
-
-    def to_json(self) -> str:
-        doc = {
-            "kind": self.kind,
-            "n": self.n,
-            "seed": self.seed,
-            "noise_k": self.noise_k,
-            "value_alphabet": None
-            if self.value_alphabet is None
-            else [fixedpoint.to_decimal(v) for v in self.value_alphabet],
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def _rng(seed, *tags):
@@ -441,6 +418,30 @@ _BUILDERS = {
     "two_valued": ((1, 2), _two_valued_tree),
     "uniform_random": ((1, 2, 3), None),
 }
+
+
+@dataclass
+class GeneratorSpec:
+    kind: str
+    n: int
+    seed: int
+    noise_k: int = 0
+    value_alphabet: Optional[list] = None
+
+    # a kind is added in `_BUILDERS` alone
+    KINDS = tuple(_BUILDERS)
+
+    def to_json(self) -> str:
+        doc = {
+            "kind": self.kind,
+            "n": self.n,
+            "seed": self.seed,
+            "noise_k": self.noise_k,
+            "value_alphabet": None
+            if self.value_alphabet is None
+            else [fixedpoint.to_decimal(v) for v in self.value_alphabet],
+        }
+        return json.dumps(doc, sort_keys=True)
 
 
 def generate(spec: GeneratorSpec):

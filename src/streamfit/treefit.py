@@ -162,7 +162,6 @@ def select_tree_by_clique(pairwise: np.ndarray) -> int:
 class L0TreeResult:
     rep: TreeMetricRep
     pivots: tuple
-    chosen_pivot: int
     pairwise_l0: np.ndarray
 
 
@@ -200,6 +199,5 @@ def fit_l0_tree(
     return L0TreeResult(
         rep=reps[winner],
         pivots=tuple(pivots),
-        chosen_pivot=pivots[winner],
         pairwise_l0=pairwise,
     )

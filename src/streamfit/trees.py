@@ -243,14 +243,9 @@ class UltrametricTree:
     def to_newick(self) -> str:
         """Newick text of the tree; children appear in node-id order."""
 
-        # branch length = (parent level - child level) / 2; rendered exactly
-        # with eleven fractional digits of headroom for the halving
+        # branch length = (parent level - child level) / 2, rendered exactly
         def length(child):
-            diff = level[parent[child]] - level[child]
-            whole, frac = divmod(diff * 25, 10**11)
-            if frac == 0:
-                return str(whole)
-            return f"{whole}." + str(frac).rjust(11, "0").rstrip("0")
+            return fixedpoint.half_to_decimal(level[parent[child]] - level[child])
 
         if self.root < self.n:
             return f"{self.root};"
@@ -453,19 +448,22 @@ def _checked_square(matrix, allow_zero_offdiag=False) -> np.ndarray:
     return matrix
 
 
+def minimax_closure(matrix: np.ndarray) -> np.ndarray:
+    """All-pairs minimax path values of a checked square matrix, by one
+    relaxation sweep through every middle point. The closure is never above
+    D, and it equals D exactly when D is ultrametric."""
+    relaxed = matrix.copy()
+    for k in range(matrix.shape[0]):
+        np.minimum(
+            relaxed, np.maximum.outer(relaxed[:, k], relaxed[k, :]), out=relaxed
+        )
+    return relaxed
+
+
 def is_ultrametric(matrix: np.ndarray) -> bool:
     """True iff D(uv) <= max(D(uw), D(vw)) for every triple, exactly."""
     matrix = _checked_square(matrix)
-    n = matrix.shape[0]
-    if n <= 2:
-        return True
-    # D is ultrametric iff it equals its one-step minimax relaxation
-    relaxed = np.full_like(matrix, np.iinfo(np.int64).max)
-    for k in range(n):
-        np.minimum(
-            relaxed, np.maximum.outer(matrix[:, k], matrix[k, :]), out=relaxed
-        )
-    return bool(np.array_equal(relaxed, matrix))
+    return bool(np.array_equal(minimax_closure(matrix), matrix))
 
 
 def four_point_check(matrix: np.ndarray) -> bool:

@@ -263,6 +263,23 @@ class TestCostCheckOracle:
         ) == 0
         assert key in json.loads(report.read_text())
 
+    # these two_valued streams draw one label for every point, so every
+    # pair holds the lower value and the optimum is 0
+    @pytest.mark.parametrize("n, seed", [(2, 1), (3, 1), (3, 4)])
+    def test_correlation_on_one_valued_stream_is_zero(self, tmp_path, n, seed):
+        stream = tmp_path / "s.txt"
+        run(
+            "gen", "--kind", "two_valued", "--n", str(n), "--seed", str(seed),
+            "--out", str(stream),
+        )
+        assert len(set(StreamSource.from_file(stream).d.tolist())) == 1
+        report = tmp_path / "o.json"
+        assert run(
+            "oracle", "--input", str(stream), "--which", "correlation",
+            "--report", str(report),
+        ) == 0
+        assert json.loads(report.read_text())["value"] == 0
+
     def test_malformed_stream_is_integrity_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("3\n0 1 1\n0 2 zap\n")

@@ -34,6 +34,16 @@ def test_half_units_survive_halving():
     assert fp.to_decimal(v // 2) == "0.0000000005"
 
 
+def test_half_units_render_with_eleven_digits():
+    assert fp.half_to_decimal(1) == "0.00000000025"
+    assert fp.half_to_decimal(fp.SCALE) == "0.5"
+
+
+@given(st.integers(min_value=-(10**20), max_value=10**20))
+def test_half_of_twice_renders_as_the_value(units):
+    assert fp.half_to_decimal(2 * units) == fp.to_decimal(units)
+
+
 @pytest.mark.parametrize("bad", ["-1", "1.0000000001", "abc", "1e3", ""])
 def test_rejects_bad_input(bad):
     with pytest.raises(fp.FixedPointError):

@@ -272,6 +272,13 @@ class TestSketchMode:
         ("exact", "planted_ultrametric", 60, 1, 0, (70, 4, 0, 3600)),
         # mostly singleton leaves, some one level below the root's children
         ("sketch", "planted_ultrametric", 48, 21, 24, (50, 3, 2, 488508)),
+        # one point makes no call; two points make the top call and the two
+        # singleton leaves it splits into, and only the top call reads an
+        # instance
+        ("exact", "planted_ultrametric", 1, 1, 0, (0, 0, 0, 1)),
+        ("exact", "planted_ultrametric", 2, 1, 0, (3, 2, 0, 4)),
+        ("sketch", "planted_ultrametric", 1, 1, 0, (0, 0, 0, 8)),
+        ("sketch", "planted_ultrametric", 2, 1, 0, (3, 2, 1, 44)),
     ],
 )
 def test_report_counts_are_pinned(mode, kind, n, seed, noise_k, expected):

@@ -106,6 +106,13 @@ class TestBruteCorrelation:
         with pytest.raises(DomainError):
             brute_correlation(D)
 
+    def test_one_value_costs_nothing(self):
+        # one cluster, or all singletons, agrees with every pair
+        for n in (2, 3, 5):
+            D = np.full((n, n), 3 * U, dtype=np.int64)
+            np.fill_diagonal(D, 0)
+            assert brute_correlation(D) == 0
+
     def test_budget_enforced(self):
         with pytest.raises(OracleUnavailable):
             brute_correlation(two_cliques(5, 5))

@@ -246,7 +246,7 @@ class TestL0Tree:
             )
             res = fit_l0_tree(src, seed=seed)
             hits += cost(res.rep, src).l0 == 0
-            assert res.chosen_pivot in res.pivots
+            assert res.rep.pivot in res.pivots
         assert hits == 10
 
     def test_pivot_count_is_log(self):

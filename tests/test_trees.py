@@ -129,6 +129,32 @@ class TestPredicates:
         # max side (0,1)=2 exceeds the other two: not an ultrametric
         assert not is_ultrametric(D)
 
+    def test_is_ultrametric_matches_one_step_relaxation(self):
+        """`is_ultrametric` compares D with its full minimax closure; the
+        reference compares it with one relaxation step, min over k of
+        max(D(u, k), D(k, v)), which equals D exactly when every triple
+        holds. Random matrices over three values, at sizes where both
+        answers occur."""
+
+        def one_step(D):
+            relaxed = np.full_like(D, np.iinfo(np.int64).max)
+            for k in range(len(D)):
+                np.minimum(relaxed, np.maximum.outer(D[:, k], D[k, :]), out=relaxed)
+            return bool(np.array_equal(relaxed, D))
+
+        rng = np.random.default_rng(29)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            iu, iv = np.triu_indices(n, 1)
+            D = np.zeros((n, n), dtype=np.int64)
+            D[iu, iv] = rng.integers(1, 4, size=len(iu)) * U
+            D += D.T
+            expected = one_step(D)
+            assert is_ultrametric(D) == expected
+            seen.add((n > 2, expected))
+        assert seen == {(False, True), (True, True), (True, False)}
+
     def test_four_point_holds_on_tree_metric(self):
         # path metric on a star
         D = np.array(
