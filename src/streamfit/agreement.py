@@ -65,6 +65,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .sketches import sorted_distinct
+
 
 class ClusterInvariantError(AssertionError):
     pass
@@ -342,7 +344,7 @@ class SketchView:
             if pool is not None:
                 heavy_space[at[pool.kept[s_arr[at]] > 0]] = below
         heavy_sample = np.zeros((k, k), dtype=bool)
-        rungs = np.unique(rung[usable])
+        rungs = sorted_distinct(rung[usable])
         spaces = _sample_space(rungs[:, None], rungs, last)[
             (rungs[:, None] >= 0) | (rungs >= 0)
         ]

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sketches import sorted_distinct
 from .streams import StreamSource
 from .trees import DomainError
 
@@ -27,16 +28,11 @@ def cost(tree, source: StreamSource) -> CostReport:
     """
     if tree.n != source.n:
         raise DomainError("tree and stream disagree on point count")
+    # before `diff`, so that the sorted copy of d is gone when it is made
+    gap_delta, gap_big = _gaps(source.d)
     diff = tree.distances(source.u, source.v)
     diff -= source.d
     np.abs(diff, out=diff)
-    values = np.unique(source.d)
-    if len(values) >= 2:
-        gap_delta = int(np.diff(values).min())
-        gap_big = int(values[-1] - values[0])
-    else:
-        gap_delta = 0
-        gap_big = 0
     return CostReport(
         l0=int(np.count_nonzero(diff)),
         l1=int(diff.sum(dtype=np.int64)),
@@ -44,3 +40,12 @@ def cost(tree, source: StreamSource) -> CostReport:
         gap_delta=gap_delta,
         gap_Delta=gap_big,
     )
+
+
+def _gaps(d):
+    """The smallest gap between distinct distances and their spread, both
+    0 with fewer than two distinct distances."""
+    values = sorted_distinct(d)
+    if len(values) < 2:
+        return 0, 0
+    return int(np.diff(values).min()), int(values[-1] - values[0])

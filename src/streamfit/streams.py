@@ -160,11 +160,6 @@ _INT64 = np.iinfo(np.int64)
 # bytes, so its per-byte temporaries stay small whatever the file size.
 CHUNK_BYTES = 1 << 16
 
-# bytes a stream file may hold on the fast path: digits, '.', ' ' and '\n'
-_FAST_BYTES = np.zeros(256, dtype=bool)
-_FAST_BYTES[list(b"0123456789. \n")] = True
-
-
 def _parse_lines(path):
     """Parse a stream file line by line into (n, u, v, d).
 
@@ -244,63 +239,80 @@ def _parse_fast(path):
         if end < 0:  # a single line longer than a chunk
             end = data.find(b"\n", pos + 1)
         chunk = np.frombuffer(data, dtype=np.uint8, count=end + 1 - pos, offset=pos)
-        columns = _parse_chunk(chunk)
-        if columns is None:
+        lines = _parse_chunk(chunk, u[row:], v[row:], d[row:])
+        if lines is None:
             return None
-        stop = row + len(columns[0])
-        u[row:stop], v[row:stop], d[row:stop] = columns
-        row, pos = stop, end
+        row, pos = row + lines, end
     return int(data[:head]), u, v, d
 
 
-def _parse_chunk(b):
-    """(u, v, d) arrays of the lines in `b`, or None on any doubt.
+def _parse_chunk(b, u, v, d):
+    """Parse the lines in `b` into the first rows of u, v and d, and return
+    how many; None on any doubt.
 
     `b` starts with the newline before its first line and ends with the
     newline of its last line.
     """
-    if not _FAST_BYTES[b].all():
-        return None
-    token = b > ord(" ")  # digits and '.'; the rest are separators
-    edges = np.flatnonzero(token[1:] != token[:-1]) + 1
-    starts, ends = edges[0::2], edges[1::2]
-    lines = np.count_nonzero(b == ord("\n")) - 1
-    # three tokens per line, the third ending its line, and no other newline
-    if len(starts) != 3 * lines or np.any(b[ends[2::3]] != ord("\n")):
-        return None
+    newlines = np.count_nonzero(b == ord("\n"))
     dots = np.flatnonzero(b == ord("."))
+    digits = b - ord("0")  # uint8: every byte but a digit wraps to 10 or more
+    is_digit = digits < 10
+    # only digits, '.', ' ' and '\n': four disjoint classes that cover b
+    spaces = np.count_nonzero(b == ord(" "))
+    if np.count_nonzero(is_digit) + len(dots) + spaces + newlines != len(b):
+        return None
+    digits *= is_digit  # 0 at every separator, where a fold reads no digit
+    # the byte masks go before the token arrays come, which set the peak
+    del is_digit
+    # runs of digits and '.' are tokens; the rest are separators
+    token = b > ord(" ")
+    before = np.flatnonzero(token[1:] > token[:-1])  # the byte before a token
+    ends = np.flatnonzero(token[1:] < token[:-1])
+    ends += 1
+    del token
+    lines = newlines - 1
+    # three tokens per line, the third ending its line, and no other newline
+    if len(ends) != 3 * lines or np.any(b[ends[2::3]] != ord("\n")):
+        return None
     owner = np.searchsorted(ends, dots, side="right")
     if np.any(owner % 3 != 2) or np.any(owner[1:] == owner[:-1]):
         return None  # a '.' in u or v, or two in one d
-    frac_len = ends[owner] - dots - 1
+    frac_ends = ends[owner]
+    frac_len = frac_ends - dots - 1
     if np.any(frac_len < 1) or np.any(frac_len > fixedpoint.FRACTION_DIGITS):
         return None
-    length = ends - starts
-    length[owner] = dots - starts[owner]  # d's whole part
+    ends[owner] = dots  # d's whole part
+    widest = int((ends - before).max()) - 1
     # 18 digits fit int64; 9 whole digits keep d below 2 * 10^18 units
-    if np.any(length.reshape(lines, 3).max(axis=0) > (18, 18, 9)):
+    if widest > 18 or (ends[2::3] - before[2::3]).max() - 1 > 9:
         return None
-    values = _fold(b, starts, length).reshape(lines, 3)
-    fractions = _fold(b, dots + 1, frac_len)
-    d = values[:, 2] * 10**fixedpoint.FRACTION_DIGITS
+    values = _fold(digits, before, ends, widest).reshape(lines, 3)
+    fractions = _fold(digits, dots, frac_ends, int(frac_len.max(initial=0)))
+    np.minimum(values[:, 0], values[:, 1], out=u[:lines])
+    np.maximum(values[:, 0], values[:, 1], out=v[:lines])
+    d = d[:lines]
+    np.multiply(values[:, 2], 10**fixedpoint.FRACTION_DIGITS, out=d)
     d[owner // 3] += fractions * 10 ** (fixedpoint.FRACTION_DIGITS - frac_len)
     d *= fixedpoint.SCALE // 10**fixedpoint.FRACTION_DIGITS
     if np.any(d <= 0):
         return None
-    return (
-        np.minimum(values[:, 0], values[:, 1]),
-        np.maximum(values[:, 0], values[:, 1]),
-        d,
-    )
+    return lines
 
 
-def _fold(b, starts, length):
-    """Values of the digit runs b[starts[i]:starts[i] + length[i]]."""
-    value = np.zeros(len(starts), dtype=np.int64)
-    last = len(b) - 1
-    for k in range(int(length.max(initial=0))):
-        digit = b[np.minimum(starts + k, last)] - ord("0")
-        value = np.where(length > k, value * 10 + digit, value)
+def _fold(digits, before, ends, width):
+    """Values of the digit runs digits[before[i] + 1:ends[i]], none longer
+    than `width`, where `digits` is 0 at every before[i]. Each run is read
+    right-aligned in `width` places, a place before its start reading
+    digits[before[i]]. Overwrites `before` and `ends`."""
+    value = np.zeros(len(ends), dtype=np.int64)
+    ends -= width
+    for _ in range(width):
+        # the place's byte, or the run's separator: as the places grow, the
+        # maximum with the last place is the maximum with before[i]
+        np.maximum(before, ends, out=before)
+        value *= 10
+        value += digits[before]
+        ends += 1
     return value
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import agreement
 from .l0fit import fit_l0
 from .linf import fit_linf_min_decrement
-from .sketches import SketchConfig
+from .sketches import SketchConfig, sorted_distinct
 from .streams import StreamSource
 from .trees import DomainError, TreeMetricRep
 
@@ -147,7 +147,7 @@ def select_tree_by_clique(pairwise: np.ndarray) -> int:
         raise ValueError("candidate count beyond the 32-vertex clique search")
     need = math.ceil(t / 2)
     iu, iv = np.triu_indices(t, k=1)
-    for x in np.unique(np.concatenate([[0], pairwise[iu, iv]])).tolist():
+    for x in sorted_distinct(np.concatenate([[0], pairwise[iu, iv]])).tolist():
         close = pairwise <= agreement.CONSENSUS_FACTOR * x
         np.fill_diagonal(close, False)
         adj_bits = [int(sum(1 << j for j in np.flatnonzero(close[i]))) for i in range(t)]

@@ -1,9 +1,13 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import streamfit
 from streamfit import cli, fixedpoint as fp
 from streamfit.cli import main
 from streamfit.streams import StreamSource
@@ -725,3 +729,58 @@ class TestDeterminism:
                 "--passes", "1", "--seed", "7", "--report", str(r),
             ) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+
+FIT_PATHS = [
+    ("ultrametric", "linf", "exact", "1"),
+    ("ultrametric", "linf", "exact", "2"),
+    ("ultrametric", "l0", "exact", "1"),
+    ("ultrametric", "l0", "sketch", "1"),
+    ("tree", "linf", "exact", "2"),
+    ("tree", "l0", "exact", "2"),
+    ("tree", "l0", "sketch", "2"),
+]
+
+# run by a fresh interpreter: exits 0 when every command returned 0 and
+# nothing imported numpy.ma, else prints what did
+NO_NUMPY_MA = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from streamfit import cli
+stream, workdir, paths = sys.argv[2], sys.argv[3], json.loads(sys.argv[4])
+for i, (structure, objective, mode, passes) in enumerate(paths):
+    tree = f"{workdir}/tree-{i}.json"
+    for argv in (
+        ["fit", "--input", stream, "--structure", structure, "--objective",
+         objective, "--mode", mode, "--passes", passes, "--seed", "1",
+         "--out-tree", tree, "--report", f"{workdir}/fit-{i}.json"],
+        ["cost", "--input", stream, "--tree", tree, "--report", f"{workdir}/cost-{i}.json"],
+    ):
+        code = cli.main(argv)
+        if code or "numpy.ma" in sys.modules:
+            print(code, "numpy.ma" in sys.modules, argv, file=sys.stderr)
+            sys.exit(1)
+"""
+
+
+def test_fit_and_cost_never_import_numpy_ma(tmp_path):
+    """numpy's values-only `np.unique` imports `numpy.ma` on its first call,
+    about 14 ms of a CLI process. No fit path and no `cost` calls it: in a
+    fresh interpreter, as the console script starts one, all seven fit
+    paths and a `cost` of each written tree leave `numpy.ma` unimported."""
+    stream = tmp_path / "d.txt"
+    assert run(
+        "gen", "--kind", "planted_ultrametric", "--n", "40", "--seed", "1",
+        "--noise-k", "10", "--out", str(stream),
+    ) == 0
+    src = Path(streamfit.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_MA, str(src), str(stream), str(tmp_path),
+         json.dumps(FIT_PATHS)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    for i in range(len(FIT_PATHS)):
+        fit = json.loads((tmp_path / f"fit-{i}.json").read_text())
+        cost = json.loads((tmp_path / f"cost-{i}.json").read_text())
+        assert fit["cost"]["l0"] == cost["cost"]["l0"]

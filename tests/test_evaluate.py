@@ -4,7 +4,7 @@ import pytest
 from streamfit import fixedpoint as fp
 from streamfit.evaluate import cost
 from streamfit.streams import StreamIntegrityError, StreamSource
-from streamfit.trees import from_ultrametric_matrix
+from streamfit.trees import UltrametricTree, from_ultrametric_matrix
 
 U = fp.SCALE
 
@@ -45,3 +45,32 @@ def test_incomplete_stream_rejected():
     tree, _ = make_pair()
     with pytest.raises(StreamIntegrityError):
         cost(tree, StreamSource(4, [0], [1], [U]))
+
+
+@pytest.mark.parametrize(
+    "D",
+    [
+        np.zeros((1, 1), dtype=np.int64),
+        np.array([[0, 3], [3, 0]], dtype=np.int64) * U,
+        (1 - np.eye(5, dtype=np.int64)) * 2 * U,
+    ],
+    ids=["n1", "n2", "one-valued"],
+)
+def test_gaps_need_two_distinct_values(D):
+    """With fewer than two distinct distances both gaps read 0."""
+    n = D.shape[0]
+    tree = UltrametricTree.single_leaf() if n == 1 else from_ultrametric_matrix(D)
+    report = cost(tree, StreamSource.from_square(D))
+    assert (report.gap_delta, report.gap_Delta) == (0, 0)
+    assert (report.l0, report.l1, report.linf) == (0, 0, 0)
+
+
+def test_gaps_of_three_values():
+    """gap_delta is the smallest gap between neighbouring distinct values
+    and gap_Delta the spread: 1 and 3 over the values 1, 3 and 4."""
+    D = np.array([[0, 1, 4], [1, 0, 4], [4, 4, 0]], dtype=np.int64) * U
+    tree = from_ultrametric_matrix(D)
+    D[1, 2] = D[2, 1] = 3 * U
+    report = cost(tree, StreamSource.from_square(D))
+    assert (report.gap_delta, report.gap_Delta) == (1 * U, 3 * U)
+    assert (report.l0, report.l1, report.linf) == (1, 1 * U, 1 * U)

@@ -2,6 +2,7 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from streamfit import fixedpoint as fp
 from streamfit.sketches import (
@@ -10,6 +11,7 @@ from streamfit.sketches import (
     PhaseError,
     SketchConfig,
     SketchPools,
+    sorted_distinct,
 )
 from streamfit.streams import GeneratorSpec, StreamSource, generate
 
@@ -326,6 +328,27 @@ class TestCompressedSet:
     def test_deduplicates(self):
         cs = CompressedSet([5, 5, 2, 2, 9])
         assert len(cs) == 3
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(INT64.min, INT64.max), max_size=40),
+        # heavy duplication, the extremes among them
+        st.lists(st.sampled_from([INT64.min, -1, 0, 1, 7, INT64.max]), max_size=200),
+    )
+)
+@example([])
+@example([INT64.max])
+@example([INT64.max, INT64.min] * 50)
+def test_sorted_distinct_is_np_unique(values):
+    values = np.asarray(values, dtype=np.int64)
+    got = sorted_distinct(values)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(values))
 
 
 def _fill_pools(cfg, D, bulk, order_seed=0):
