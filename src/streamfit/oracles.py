@@ -3,7 +3,8 @@
 These deliberately share no code with the streaming algorithms: the l0/l1
 optimum enumerates level-labeled partitions directly, and the minimax oracle
 is `trees.minimax_closure`, a relaxation sweep with no spanning-tree
-machinery that `trees.is_ultrametric` shares and no fitter calls.
+machinery that `trees.is_ultrametric` and `trees.four_point_check` (at a
+basepoint) share and no fitter calls.
 """
 
 from __future__ import annotations

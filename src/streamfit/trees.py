@@ -460,37 +460,32 @@ def minimax_closure(matrix: np.ndarray) -> np.ndarray:
     return relaxed
 
 
-def is_ultrametric(matrix: np.ndarray) -> bool:
-    """True iff D(uv) <= max(D(uw), D(vw)) for every triple, exactly."""
-    matrix = _checked_square(matrix)
+def _is_closed(matrix: np.ndarray) -> bool:
+    """True iff the matrix equals its minimax closure."""
     return bool(np.array_equal(minimax_closure(matrix), matrix))
 
 
-def four_point_check(matrix: np.ndarray) -> bool:
-    """True iff every quadruple satisfies the four-point condition.
+def is_ultrametric(matrix: np.ndarray) -> bool:
+    """True iff D(uv) <= max(D(uw), D(vw)) for every triple, exactly."""
+    return _is_closed(_checked_square(matrix))
 
-    For each quadruple the three pair sums are compared; the largest must be
-    attained at least twice.
-    """
+
+def four_point_check(matrix: np.ndarray) -> bool:
+    """True iff each quadruple of distinct points has its largest pair sum
+    attained at least twice; zero distances are allowed. That holds exactly
+    when, at the last point w, -g(x, y) = D(xy) - D(xw) - D(yw) is
+    ultrametric on the other points (Buneman 1974; Bandelt 1990). The
+    diagonal of -g is set to its minimum, which no relaxation lowers. The
+    sums D(xw) + D(yw) need max D <= INT64_MAX // 2."""
     matrix = _checked_square(matrix, allow_zero_offdiag=True)
-    n = matrix.shape[0]
-    if n <= 3:
+    if matrix.shape[0] <= 3:
         return True
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = matrix[i, j] + matrix
-            b = np.add.outer(matrix[i], matrix[j])
-            c = b.T
-            top = np.maximum(np.maximum(a, b), c)
-            twice = (
-                (a == top).astype(np.int8) + (b == top) + (c == top)
-            ) >= 2
-            twice[i, :] = twice[j, :] = True
-            twice[:, i] = twice[:, j] = True
-            np.fill_diagonal(twice, True)
-            if not twice.all():
-                return False
-    return True
+    if matrix.max() > np.iinfo(np.int64).max // 2:
+        raise DomainError("four-point check needs max D <= INT64_MAX // 2")
+    far = matrix[:-1, -1]
+    neg = matrix[:-1, :-1] - far[:, None] - far
+    np.fill_diagonal(neg, neg.min())
+    return _is_closed(neg)
 
 
 class TreeMetricRep:

@@ -210,12 +210,18 @@ class TestGenerators:
         values = np.unique(src.dense()[np.triu_indices(16, 1)])
         assert set(values.tolist()) <= set(alphabet)
 
-    def test_planted_tree_metric_passes_four_point(self):
-        src, truth = generate(GeneratorSpec(kind="planted_tree_metric", n=20, seed=7))
+    @pytest.mark.parametrize("n", [20, 512])
+    def test_planted_tree_metric_passes_four_point(self, n):
+        """The noiseless stream passes, and fails once one pair is raised by
+        2 units."""
+        src, truth = generate(GeneratorSpec(kind="planted_tree_metric", n=n, seed=7))
         D = src.dense()
         assert four_point_check(D)
         assert isinstance(truth, TreeMetricRep)
         assert np.array_equal(truth.induced_matrix(), D)
+        D[0, 1] += 2
+        D[1, 0] += 2
+        assert not four_point_check(D)
 
     def test_planted_tree_metric_peak_memory_is_pinned_at_n_1024(self):
         """The truth is built from the tree's own parent and level arrays

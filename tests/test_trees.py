@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import streamfit as sf
 from streamfit import fixedpoint as fp
@@ -28,6 +28,37 @@ def two_pair_gadget():
     D[0, 1] = D[1, 0] = lo
     D[2, 3] = D[3, 2] = lo
     return D
+
+
+def four_point_loop(matrix):
+    """Test-only reference for `four_point_check`, on a checked matrix.
+
+    For each quadruple the three pair sums are compared; the largest must be
+    attained at least twice.
+    """
+    n = matrix.shape[0]
+    if n <= 3:
+        return True
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = matrix[i, j] + matrix
+            b = np.add.outer(matrix[i], matrix[j])
+            c = b.T
+            top = np.maximum(np.maximum(a, b), c)
+            twice = (
+                (a == top).astype(np.int8) + (b == top) + (c == top)
+            ) >= 2
+            twice[i, :] = twice[j, :] = True
+            twice[:, i] = twice[:, j] = True
+            np.fill_diagonal(twice, True)
+            if not twice.all():
+                return False
+    return True
+
+
+COUNTEREXAMPLE = np.array(
+    [[0, 5, 2, 2], [5, 0, 2, 2], [2, 2, 0, 5], [2, 2, 5, 0]], dtype=np.int64
+)
 
 
 class TestUltrametricTree:
@@ -170,20 +201,26 @@ class TestPredicates:
 
     def test_four_point_counterexample(self):
         # pairing sums 10, 4, 4: the largest is attained once
-        D = np.array(
-            [
-                [0, 5, 2, 2],
-                [5, 0, 2, 2],
-                [2, 2, 0, 5],
-                [2, 2, 5, 0],
-            ],
-            dtype=np.int64,
-        ) * U
+        D = COUNTEREXAMPLE * U
         s12_34 = D[0, 1] + D[2, 3]
         s13_24 = D[0, 2] + D[1, 3]
         s14_23 = D[0, 3] + D[1, 2]
         assert (s12_34, s13_24, s14_23) == (10 * U, 4 * U, 4 * U)
         assert not four_point_check(D)
+
+    def test_four_point_refuses_sums_past_int64(self):
+        """Pair sums and the basepoint transform need max D <= INT64_MAX // 2;
+        past it the sums would wrap and the counterexample would pass."""
+        bound = np.iinfo(np.int64).max // 2
+        assert not four_point_check(COUNTEREXAMPLE * (bound // 5))
+        with pytest.raises(DomainError, match="INT64_MAX"):
+            four_point_check(COUNTEREXAMPLE * 10**18)
+        D = np.full((4, 4), bound, dtype=np.int64)
+        np.fill_diagonal(D, 0)
+        assert four_point_check(D)
+        D[0, 1] = D[1, 0] = bound + 1
+        with pytest.raises(DomainError, match="INT64_MAX"):
+            four_point_check(D)
 
     def test_every_ultrametric_passes_four_point(self):
         assert four_point_check(two_pair_gadget())
@@ -232,6 +269,32 @@ def test_minimax_relaxation_fixpoint(D):
     """An ultrametric equals its own one-step minimax relaxation."""
     assert is_ultrametric(D)
     assert four_point_check(D)
+
+
+@st.composite
+def relabelled_matrix(draw):
+    """A symmetric nonnegative matrix over 1 to 5 values, zero allowed, and
+    a random order of its points."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    values = draw(st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True))
+    iu, iv = np.triu_indices(n, 1)
+    D = np.zeros((n, n), dtype=np.int64)
+    D[iu, iv] = draw(st.lists(st.sampled_from(values), min_size=len(iu), max_size=len(iu)))
+    D += D.T
+    return D, draw(st.permutations(range(n)))
+
+
+@given(relabelled_matrix())
+@example((COUNTEREXAMPLE, [3, 0, 2, 1]))
+@example((two_pair_gadget(), [0, 2, 1, 3]))
+@settings(max_examples=300, deadline=None)
+def test_four_point_check_matches_the_quadruple_loop(case):
+    """The basepoint check agrees with the loop over every quadruple, and
+    relabelling the points, which moves the basepoint, keeps its answer."""
+    D, order = case
+    expected = four_point_loop(D)
+    assert four_point_check(D) == expected
+    assert four_point_check(D[np.ix_(order, order)]) == expected
 
 
 @st.composite
