@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -337,6 +338,8 @@ def cmd_bench(args):
     return 0
 
 
+# parsing leaves the parser as it was, so one process builds it once
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="streamfit", description="Fit ultrametrics and tree metrics to streams"

@@ -10,24 +10,24 @@ exploits (see `bulk_ingest`).
 
 The state is flat arrays, not per-vertex objects. The samples R_{s'} of
 every (instance, s') are drawn when the pools are built, as boolean masks
-(`masks`). Each (instance, s') group stores one CSR `SketchBlock` (owner
+(`masks`). Each distinct mask content stores one CSR `SketchBlock` (owner
 offsets, int32 neighbours, int64 weights, sorted by (owner, weight,
-neighbour)); each (instance, s, s') `SketchPool` stores only how many
-entries of each owner's run it keeps. Instances whose samples R_{s'}
-coincide share one block and its pools. The close queues are one
-(n, close_capacity) pair of weight and neighbour arrays. One `bulk_ingest`
-builds and finalizes the state; before it every query raises
-`PhaseError`, and after it the queries answer for a whole vertex array at
-once and keep no state: `close_within`, `rungs` (which sketch each vertex
-reports), `degrees`, and `entries`, which flattens the vertices' kept runs
-in one pool. They loop over ladder rungs, never over vertices. Besides
-them, `SketchView` reads three arrays directly: `masks`, `close_others`
-at the queue slots `close_within` marks, and a pool's `kept` lengths,
-which say whether a vertex holds a sketch without copying its run through
-`entries`. `report_sketch` and `estimate_degree` remain only as one-vertex
-wrappers for the benchmark's patch table, until the program times its own
-layers. The pools count the machine words they model (`words`) and the
-running maximum of that count (`peak_words`).
+neighbour)), shared by every (instance, s') that drew it; each (instance,
+s, s') `SketchPool` stores only how many entries of each owner's run it
+keeps. Instances whose samples R_{s'} coincide share the pools too. The
+close queues are one (n, close_capacity) pair of weight and neighbour
+arrays. One `bulk_ingest` builds and finalizes the state; before it every
+query raises `PhaseError`, and after it the queries answer for a whole
+vertex array at once and keep no state: `close_within`, `rungs` (which
+sketch each vertex reports), `degrees`, and `entries`, which flattens the
+vertices' kept runs in one pool. They loop over ladder rungs, never over
+vertices. Besides them, `SketchView` reads three arrays directly: `masks`,
+`close_others` at the queue slots `close_within` marks, and a pool's
+`kept` lengths, which say whether a vertex holds a sketch without copying
+its run through `entries`. `report_sketch` and `estimate_degree` remain
+only as one-vertex wrappers for the benchmark's patch table, until the
+program times its own layers. The pools count the machine words they model
+(`words`) and the running maximum of that count (`peak_words`).
 """
 
 from __future__ import annotations
@@ -131,9 +131,9 @@ class SketchConfig:
 
 @dataclass
 class SketchBlock:
-    """Kept entries of the widest-budget pool of one (instance, s') group,
-    sorted by (owner, weight, other); owner v's run is
-    offsets[v]:offsets[v+1]."""
+    """Kept entries of the widest-budget pool among those whose R_{s'}
+    masks have one content, sorted by (owner, weight, other); owner v's run
+    is offsets[v]:offsets[v+1]."""
 
     offsets: np.ndarray  # int64, n + 1
     others: np.ndarray  # int32
@@ -183,9 +183,10 @@ class SketchPools:
     `masks` maps (instance, s') to the boolean mask of the sample R_{s'}
     over the vertices. Every mask is drawn when the pools are built, from
     (seed, instance, s') alone, so the samples are fixed before any entry
-    arrives. `sketches` maps (instance, s, s') to a `SketchPool`. Instances
-    whose R_{s'} masks have the same content hold the same group, so they
-    point at one `SketchBlock` and one set of pools.
+    arrives. `sketches` maps (instance, s, s') to a `SketchPool`. Every
+    pool whose R_{s'} mask has a given content, of any instance and any s',
+    points at one `SketchBlock`; instances whose R_{s'} masks coincide also
+    share the pools of that s'.
 
     The close queues are flat: row v of `close_weights` and `close_others`
     holds v's `close_lengths[v]` nearest neighbours in (weight, neighbour)
@@ -234,14 +235,17 @@ class SketchPools:
         weight of the (budget+1)-th smallest sampled entry (all of them when
         there are at most budget), so the cutoff is computed per owner on
         weight-sorted runs. A pool's kept entries are thus a prefix of each
-        owner's weight-sorted run, and the budget grows with s, so the pool
-        with the largest s in an (instance, s') group keeps a prefix that
-        contains every other pool's prefix. That pool's entries are stored
-        once per group as a CSR `SketchBlock`; each pool stores only its
-        per-owner kept lengths. A group depends only on s' and the content
-        of the R_{s'} mask, so it is built once per distinct pair and every
-        instance with that mask points at it; `words` still counts every
-        instance's pools.
+        owner's weight-sorted run, and a wider budget keeps a longer
+        prefix. So every pool whose R_{s'} mask has the same content, of
+        any instance and any s', reads one CSR `SketchBlock`: the prefix of
+        the widest budget among them. Each pool stores only its per-owner
+        kept lengths, and `words` still counts every pool.
+
+        The sort is freed as it goes: once the entries are in (owner,
+        weight, neighbour) order only the sorted neighbours (int32) and
+        weights are held, with each owner's run bounds. A block whose
+        widest pool keeps every sampled entry, as every block does under
+        `scaled`, holds those sorted (or mask-filtered) arrays themselves.
 
         The entries come from a `StreamSource`, which guarantees each pair
         exactly once, so the pools keep no record of the pairs seen. One
@@ -256,34 +260,36 @@ class SketchPools:
         d = np.asarray(d, dtype=np.int64)
 
         owner = np.concatenate([u, v])
-        other = np.concatenate([v, u])
+        other = np.concatenate([v, u], dtype=np.int32)
         weight = np.concatenate([d, d])
-        base_order = np.lexsort((other, weight, owner))
-        owner_s = owner[base_order]
-        other_s = other[base_order]
-        weight_s = weight[base_order]
-        starts = np.searchsorted(owner_s, np.arange(self.n))
-        ends = np.searchsorted(owner_s, np.arange(self.n), side="right")
+        order = np.lexsort((other, weight, owner))
+        bounds = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner, minlength=self.n), out=bounds[1:])
+        del owner
+        other = other[order]
+        weight = weight[order]
+        del order
 
         # close queues: the first close_capacity entries of each owner's run
         cap = self.config.close_capacity
-        lengths = np.minimum(ends - starts, cap)
+        runs = np.diff(bounds)
+        lengths = np.minimum(runs, cap)
         held = np.arange(cap) < lengths[:, None]
-        taken = (starts[:, None] + np.arange(cap))[held]
-        self.close_weights[held] = weight_s[taken]
-        self.close_others[held] = other_s[taken]
+        taken = (bounds[:-1, None] + np.arange(cap))[held]
+        self.close_weights[held] = weight[taken]
+        self.close_others[held] = other[taken]
         self.close_lengths = lengths
-        self.close_overflow = ends - starts > cap
+        self.close_overflow = runs > cap
 
-        groups = {}  # (s', mask content) -> (pools, charges)
+        sharing = {}  # mask content -> (mask, the s' whose masks have it)
+        for (_, sp), mask in self.masks.items():
+            sharing.setdefault(mask.tobytes(), (mask, set()))[1].add(sp)
+        groups = {
+            content: self._build_group(mask, sps, bounds, other, weight)
+            for content, (mask, sps) in sharing.items()
+        }
         for (instance, sp), mask in self.masks.items():
-            key = (sp, mask.tobytes())
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = self._build_group(
-                    sp, mask[other_s], owner_s, other_s, weight_s
-                )
-            pools, charges = group
+            pools, charges = groups[mask.tobytes()][sp]
             for peak_items, kept in charges:
                 self._charge(2 * peak_items)
                 self._charge(2 * (kept - peak_items))
@@ -297,41 +303,51 @@ class SketchPools:
         self.words += int(words)
         self.peak_words = max(self.peak_words, self.words)
 
-    def _build_group(self, sp, sel, owner_s, other_s, weight_s):
-        """The pools of one (s', mask) group, which share one block, and
-        the (peak, kept) entry counts of each pool for `words`; no pools
-        when the mask samples no entry."""
-        if sel.all():
-            ow, ot, wt = owner_s, other_s, weight_s
-        else:
-            ow, ot, wt = owner_s[sel], other_s[sel], weight_s[sel]
-        if not len(ow):
-            return [], []
-        seg_starts = np.searchsorted(ow, np.arange(self.n))
-        lengths = np.searchsorted(ow, np.arange(self.n), side="right") - seg_starts
-        # where each run of equal (owner, weight) starts: a pool keeps an
-        # owner's entries below the weight of its (budget+1)-th smallest,
-        # that is, up to the start of that entry's run
-        fresh = np.ones(len(ow), dtype=bool)
-        fresh[1:] = (ow[1:] != ow[:-1]) | (wt[1:] != wt[:-1])
-        run_start = np.maximum.accumulate(np.where(fresh, np.arange(len(ow)), 0))
-        kept_by_s = {}
-        charges = []
-        for s in [s for s, sp2 in self.pairs if sp2 == sp]:
+    def _build_group(self, mask, sps, bounds, other, weight):
+        """The pools of every s' in `sps` whose R_{s'} mask is `mask`, which
+        share one block, with the (peak, kept) entry counts of each pool for
+        `words`, by s'; no pools when the mask samples no entry. `bounds`
+        delimits each owner's run of the sorted `other` and `weight`."""
+        if not mask.all():
+            (picked,) = mask[other].nonzero()
+            bounds = np.searchsorted(picked, bounds)
+            other, weight = other[picked], weight[picked]
+        if not len(weight):
+            return {sp: ([], []) for sp in sps}
+        seg_starts = bounds[:-1]
+        lengths = np.diff(bounds)
+        # where each run of equal weight starts: a pool keeps an owner's
+        # entries below the weight of its (budget+1)-th smallest, that is,
+        # up to the start of that entry's run or of the owner's run
+        fresh = np.ones(len(weight), dtype=bool)
+        np.not_equal(weight[1:], weight[:-1], out=fresh[1:])
+        run_starts = np.flatnonzero(fresh)
+        kept_by_pool = {}
+        charges = {sp: [] for sp in sps}
+        for s, sp in self.pairs:
+            if sp not in charges:
+                continue
             b = self.config.budget(s, sp)
             over = lengths > b
             kept = lengths.copy()
-            kept[over] = run_start[seg_starts[over] + b] - seg_starts[over]
-            charges.append((int(np.minimum(lengths, b + 1).sum()), int(kept.sum())))
-            kept_by_s[s] = kept
-        # the largest budget keeps the longest prefix, which the block stores
-        widest = kept_by_s[max(kept_by_s)]
+            cut = seg_starts[over] + b
+            run = run_starts[np.searchsorted(run_starts, cut, side="right") - 1]
+            kept[over] = np.maximum(run, seg_starts[over]) - seg_starts[over]
+            charges[sp].append((int(np.minimum(lengths, b + 1).sum()), int(kept.sum())))
+            kept_by_pool[(s, sp)] = kept
+        # the widest budget keeps the longest prefix, which the block stores;
+        # when it keeps every entry the block holds the sampled arrays
+        widest = kept_by_pool[max(kept_by_pool, key=lambda p: self.config.budget(*p))]
         offsets = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(widest, out=offsets[1:])
-        taken = np.arange(offsets[-1]) + np.repeat(seg_starts - offsets[:-1], widest)
-        block = SketchBlock(offsets, ot[taken].astype(np.int32), wt[taken])
-        pools = [SketchPool(s, block, kept) for s, kept in kept_by_s.items()]
-        return pools, charges
+        if offsets[-1] < len(weight):
+            taken = np.arange(offsets[-1]) + np.repeat(seg_starts - offsets[:-1], widest)
+            other, weight = other[taken], weight[taken]
+        block = SketchBlock(offsets, other, weight)
+        pools = {sp: [] for sp in sps}
+        for (s, sp), kept in kept_by_pool.items():
+            pools[sp].append(SketchPool(s, block, kept))
+        return {sp: (pools[sp], charges[sp]) for sp in sps}
 
     # -- finalize and queries --------------------------------------------------
 

@@ -1,4 +1,5 @@
 import heapq
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -666,22 +667,23 @@ def _answers(pools, triples):
 class TestSharedStorage:
     def test_blocks_are_shared_by_mask_content_not_by_sample_size(self):
         # sample_factor 4: R_{s'} is a strict sample for s' > 4, so the
-        # instances' masks differ there and agree (all true) below
+        # instances' masks differ there and agree (all true) below, where
+        # the pools of different s' share a mask too
         n = 64
         D = generate(GeneratorSpec(kind="uniform_random", n=n, seed=7))[0].dense()
         cfg = SketchConfig.scaled(n, seed=2, sample_factor=4, instance_count=4)
         csr = _fill_pools(cfg, D, bulk=True, order_seed=1)
         ref = _fill_pools(cfg, D, bulk=False, order_seed=2)
+        pools = list(csr.sketches.items())
         outcomes = set()
-        for (i, s, sp), pool in csr.sketches.items():
-            for j in range(i + 1, cfg.instance_count):
-                other = csr.sketches.get((j, s, sp))
-                if other is None:
+        for a, ((i, s, sp), pool) in enumerate(pools):
+            for (j, t, tp), other in pools[a + 1 :]:
+                if (i, sp) == (j, tp):
                     continue
-                same_mask = np.array_equal(csr.masks[(i, sp)], csr.masks[(j, sp)])
+                same_mask = np.array_equal(csr.masks[(i, sp)], csr.masks[(j, tp)])
                 assert (pool.block is other.block) == same_mask
-                outcomes.add(same_mask)
-        assert outcomes == {True, False}
+                outcomes.add((same_mask, sp == tp))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
         assert _canonical(csr) == _canonical(ref)
         probes = [0] + np.unique(D).tolist()[::7]
         triples = [
@@ -692,21 +694,46 @@ class TestSharedStorage:
         ]
         assert _answers(csr, triples) == _answers(ref, triples)
 
-    def test_scaled_config_stores_one_block_per_sample_size(self):
-        # scaled(n) samples with probability 1, so every instance holds the
-        # same state; each instance still has every pool, and `words`
-        # still counts every instance's kept entries
+    def test_scaled_config_stores_one_block(self):
+        # scaled(n) samples with probability 1, so every mask is all true
+        # and every pool reads one block, which holds every entry; each
+        # instance still has every pool, and `words` still counts every
+        # instance's kept entries
         n = 48
         D = generate(GeneratorSpec(kind="planted_ultrametric", n=n, seed=3))[0].dense()
         cfg = SketchConfig.scaled(n, seed=1)
         pools = _fill_pools(cfg, D, bulk=True)
-        blocks = {id(pool.block) for pool in pools.sketches.values()}
-        assert len(blocks) == len(pools.sizes)
+        blocks = {id(pool.block): pool.block for pool in pools.sketches.values()}
+        assert len(blocks) == 1
+        (block,) = blocks.values()
+        assert len(block.weights) == len(block.others) == n * (n - 1)
         assert len(pools.sketches) == cfg.instance_count * len(pools.pairs)
         kept = sum(int(pool.kept.sum()) for pool in pools.sketches.values())
         masks = cfg.instance_count * len(pools.sizes) * ((n + 63) // 64)
         close = int(pools.close_lengths.sum())
         assert pools.words == 2 * kept + 2 * close + masks
+        assert _canonical(pools) == _canonical(_fill_pools(cfg, D, bulk=False))
+
+    def test_bulk_ingest_peak_memory_is_pinned(self):
+        """Under scaled(256) the ingest holds one block of 2m entries (12
+        bytes each). Its peak above the input arrays is the sort: three
+        keys and the order, 28 bytes an entry, about 2.5 blocks. Storing a
+        block per s' and holding the unsorted keys while the blocks are
+        built peaked at about 13 blocks."""
+        n = 256
+        src, _ = generate(GeneratorSpec(kind="planted_ultrametric", n=n, seed=1))
+        u, v, d = src.arrays()
+        cfg = SketchConfig.scaled(n, seed=1)
+        SketchPools(cfg, n).bulk_ingest(u, v, d)  # warm-up
+        pools = SketchPools(cfg, n)
+        tracemalloc.start()
+        try:
+            pools.bulk_ingest(u, v, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 2 * len(u) * 12
+        assert peak < 3 * block
 
 
 class TestWordCount:
