@@ -39,8 +39,10 @@ statistic at the dense cut-off is compared with w and only the rows that
 fail are read again. `SketchView` reads the pools' degrees at every
 probe.
 
-`SketchView` answers from the finished sketch pools with the relaxation
-bands built into float thresholds. Every pair statistic comes from the
+`SketchView` answers from the finished sketch pools. A pair of exact
+vertices is decided as `ExactView` decides it, through the integer
+cut-offs; a pair with an estimated side is compared with the relaxation
+bands as float thresholds. Every pair statistic comes from the
 pools over S: per vertex whether its close queue is exact, its degree and
 its reported rung; among exact vertices the product of their closed
 neighbourhoods; and, one sample size s' at a time, the S-by-S matrix of
@@ -290,8 +292,9 @@ class SketchView:
 
     def claims(self, s_arr, w, params: AgreementParams) -> Claims:
         """Both agreement masks of S from one pass over its statistics,
-        compared in floats against beta and 3 beta, and heaviness from the
-        beta mask; consumes the instance for S."""
+        compared against beta and 3 beta (exact pairs through `_cutoffs`,
+        the others against float bands), and heaviness from the beta mask;
+        consumes the instance for S."""
         pools = self.pools
         config = pools.config
         pools.consume_instance(self.instance, s_arr)
@@ -304,14 +307,15 @@ class SketchView:
         d, exact, within, rung = pools.estimates(s_arr, w, self.instance)
         reported = rung >= 0
         d_f = d.astype(np.float64)
-        # each statistic is computed once, in Python's float operation
-        # order, and compared against both gammas or their bands
-        gammas = (float(params.beta), float(params.three_beta))
-        bands = [(float(RATIO_BAND) * g, float(ESTIMATE_BAND) * g) for g in gammas]
+        # each statistic is computed once; exact pairs meet both gammas
+        # through `_cutoffs`, the others their bands in Python float order
+        gammas = (params.beta, params.three_beta)
+        bands = [(float(RATIO_BAND) * g, float(ESTIMATE_BAND) * g)
+                 for g in map(float, gammas)]
         agree = np.zeros((2, k, k), dtype=bool)
 
         # pairs of exact vertices: d_u + d_v - 2|N(u) cap N(v) cap S| from
-        # their closed neighbourhoods inside S
+        # their closed neighbourhoods inside S, exact in float32
         ex = np.flatnonzero(exact)
         near = np.zeros((len(ex), k), dtype=bool)
         at, slot = np.nonzero(within[ex])
@@ -319,12 +323,12 @@ class SketchView:
         near[at[col >= 0], col[col >= 0]] = True
         near[np.arange(len(ex)), ex] = True
         near_f = near.astype(np.float32)
-        d_ex = d_f[ex]
+        d_ex = d[ex].astype(np.float32)
+        lims = [_cutoffs(d[ex], g) for g in gammas]
         for rows in _row_blocks(len(ex)):
             stat = d_ex[rows, None] + d_ex - 2 * (near_f[rows] @ near_f.T)
-            big = np.maximum(d_ex[rows, None], d_ex)
-            for a, g in zip(agree, gammas):
-                a[np.ix_(ex[rows], ex)] = stat < g * big
+            for a, lim in zip(agree, lims):
+                a[np.ix_(ex[rows], ex)] = stat <= np.maximum(lim[rows, None], lim)
         del near_f
 
         # pairs with an estimated side: an exact side at most half a queue

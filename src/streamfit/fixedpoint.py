@@ -16,7 +16,9 @@ class FixedPointError(ValueError):
 
 
 def from_decimal(text: str) -> int:
-    """Parse a nonnegative decimal literal into scaled units."""
+    """Parse a nonnegative decimal literal into scaled units. It must be a
+    whole number of units: at most ten fraction digits, the tenth 0 or 5
+    (`to_decimal` writes a 5 there for an odd count of units)."""
     text = text.strip()
     if not text or text[0] in "+-":
         raise FixedPointError(f"bad distance literal {text!r}")
@@ -24,7 +26,8 @@ def from_decimal(text: str) -> int:
         whole, _, frac = text.partition(".")
         if not whole:
             whole = "0"
-        if not frac or len(frac) > FRACTION_DIGITS:
+        tenth = frac[FRACTION_DIGITS:]  # "" passes, as "" in "05"
+        if not frac or len(frac) > FRACTION_DIGITS + 1 or tenth not in "05":
             raise FixedPointError(
                 f"distance {text!r} needs more than {FRACTION_DIGITS} fractional digits"
             )
@@ -32,9 +35,9 @@ def from_decimal(text: str) -> int:
         whole, frac = text, ""
     if not whole.isdigit() or (frac and not frac.isdigit()):
         raise FixedPointError(f"bad distance literal {text!r}")
-    frac = frac.ljust(FRACTION_DIGITS, "0")
-    # the digits without the point count steps of SCALE // 10^9 units
-    return int(whole + frac) * (SCALE // 10**FRACTION_DIGITS)
+    frac = frac.ljust(FRACTION_DIGITS + 1, "0")
+    # the digits without the point count steps of 10^-10, five to a unit
+    return int(whole + frac) // (10 ** (FRACTION_DIGITS + 1) // SCALE)
 
 
 def to_decimal(units: int) -> str:

@@ -50,13 +50,9 @@ def centroid_transformed_source(n, u, v, d, row, prior=0) -> StreamSource:
     the pivot row `row`. `d` is shifted in place from D, or from D plus the
     centroid of the pivot row `prior`, so the pivots share one buffer.
 
-    Every entry on the way is at most max D + 2 max(row) (`_check_shift`).
-    When `d` holds D, that bound is checked here, and `DomainError` is
-    raised before `d` changes; a caller that passes `prior` checks it from
-    max D read before its first shift, as `_fit_pivots` does.
+    Every entry on the way is at most max D + 2 max(row); the caller checks
+    that this fits int64, as `_fit_pivots` does.
     """
-    if np.ndim(prior) == 0:
-        _check_shift(d, row)
     # an entry goes from D + 2 max(prior) - prior[u] - prior[v] through
     # D + 2 max(row) - prior[u] - prior[v] and D + 2 max(row) - row[u] -
     # prior[v] to D + C; rows are nonnegative, so none passes the bound
@@ -67,25 +63,19 @@ def centroid_transformed_source(n, u, v, d, row, prior=0) -> StreamSource:
     return StreamSource(n, u, v, d)
 
 
-def _check_shift(d, rows):
-    """Raise `DomainError` unless max D + 2 max(row) fits int64 for each of
-    `rows`, where `d` holds D."""
-    top = int(d.max()) if len(d) else 0
-    if top + 2 * int(np.max(rows)) > INT64_MAX:
+def _fit_pivots(source: StreamSource, pivots, fit_base) -> list:
+    """One tree metric per pivot: pass 0 gathers every pivot row, then
+    pass 1 is read once and its distance buffer is shifted in place from
+    one pivot's centroid transform to the next, each fed to `fit_base`.
+    `DomainError` is raised before the first shift unless max D + 2 max(row)
+    fits int64 for every pivot."""
+    rows = collect_pivot_rows(source, pivots)
+    u, v, d = source.arrays()
+    if (int(d.max()) if len(d) else 0) + 2 * int(rows.max()) > INT64_MAX:
         raise DomainError(
             "pivot centroid shift passes the int64 range: "
             "distances too large for a tree fit"
         )
-
-
-def _fit_pivots(source: StreamSource, pivots, fit_base) -> list:
-    """One tree metric per pivot: pass 0 gathers every pivot row, then
-    pass 1 is read once, checked against every pivot's int64 bound, and
-    its distance buffer is shifted in place from one pivot's centroid
-    transform to the next, each fed to `fit_base`."""
-    rows = collect_pivot_rows(source, pivots)
-    u, v, d = source.arrays()
-    _check_shift(d, rows)
     reps, prior = [], 0
     for pivot, row in zip(pivots, rows):
         shifted = centroid_transformed_source(source.n, u, v, d, row, prior)
@@ -184,11 +174,10 @@ def fit_l0_tree(
     # every pair once, in the stream's stored order, one slice of pairs at
     # a time, so that the fits' distances never sit whole side by side; the
     # counts need no particular order
-    queries = [rep.distance_query() for rep in reps]
     u, v = source.u, source.v
     for a in range(0, len(u), _CONSENSUS_PAIRS):
-        part = [query(u[a : a + _CONSENSUS_PAIRS], v[a : a + _CONSENSUS_PAIRS])
-                for query in queries]
+        pairs = u[a : a + _CONSENSUS_PAIRS], v[a : a + _CONSENSUS_PAIRS]
+        part = [rep.distances(*pairs) for rep in reps]
         for i in range(t):
             for j in range(i + 1, t):
                 pairwise[i, j] += np.count_nonzero(part[i] != part[j])

@@ -11,6 +11,7 @@ All distances are scaled integers from `fixedpoint`.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
@@ -156,10 +157,12 @@ class UltrametricTree:
         the LCA level of two leaves is the largest LCA level of adjacent
         leaves between them, a range maximum that a sparse table of n log2 n
         words answers (Bender & Farach-Colton, LATIN 2000)."""
-        return _pair_query(self.n, u, v, self._lca_levels())
+        return _pair_query(self.n, u, v, self._lca_levels)
 
+    @cached_property
     def _lca_levels(self):
-        """`query(a, b, out)`, writing the LCA levels of distinct pairs."""
+        """`query(a, b, out)`, writing the LCA levels of distinct pairs;
+        built on first use and kept, as the tree never changes."""
         n = self.n
         # the leaves in depth-first order, each with the LCA level it shares
         # with the leaf before it: a first child inherits its parent's, the
@@ -525,13 +528,7 @@ class TreeMetricRep:
     def distances(self, u, v) -> np.ndarray:
         """T(u[k], v[k]) for every pair: the base tree's LCA level less the
         centroid value 2m - row[u] - row[v], and 0 where u[k] == v[k]."""
-        return self.distance_query()(u, v)
-
-    def distance_query(self):
-        """`distances` as a function of (u, v) that builds the base tree's
-        sparse table once, for a caller that reads pairs a slice at a
-        time."""
-        levels, row = self.base._lca_levels(), self.pivot_row
+        levels, row = self.base._lca_levels, self.pivot_row
 
         def query(a, b, out):
             levels(a, b, out)
@@ -539,7 +536,7 @@ class TreeMetricRep:
             out += row[a]
             out += row[b]
 
-        return lambda u, v: _pair_query(self.n, u, v, query)
+        return _pair_query(self.n, u, v, query)
 
     induced_matrix = UltrametricTree.induced_matrix
 

@@ -513,6 +513,34 @@ def test_exact_claims_keep_the_bound_strict_on_ties(eps, beta):
     assert ties.min() > 0
 
 
+def test_sketch_exact_claims_keep_the_bound_strict_on_ties():
+    """Two exact vertices a and b of closed degrees 21 and 20 share 7
+    neighbours, so stat = 21 + 20 - 14 = 27 = (9/7) 21 lies on the 3-beta
+    bound and the pair must not agree; in floats (9/7) 21 reads
+    27.000000000000004."""
+    a, b, n = 0, 1, 34
+    D = np.full((n, n), 3 * U, dtype=np.int64)
+    shared, only_a, only_b = range(2, 9), range(9, 22), range(22, 34)
+    for x in (*shared, *only_a):
+        D[a, x] = D[x, a] = U
+    for x in (*shared, *only_b):
+        D[b, x] = D[x, b] = U
+    np.fill_diagonal(D, 0)
+    view = make_sketch_view(D, close_capacity=n)
+    params = SimpleNamespace(
+        epsilon=Fraction(1, 100), beta=Fraction(3, 7), three_beta=Fraction(9, 7)
+    )
+    s_list = list(range(n))
+    claims = view.claims(np.array(s_list), U, params)
+    assert view.pools.degrees([a, b], U, view.instance).tolist() == [21, 20]
+    _, rows = read_rows(claims, s_list)
+    assert not rows[a, b] and not rows[b, a]
+    ref = PairwiseSketchReference(view, s_list, U, params)
+    for u in (a, b):
+        want = [ref.agrees(u, v, params.three_beta) for v in s_list]
+        assert rows[u].tolist() == want
+
+
 @pytest.mark.parametrize(
     "params, w",
     [
@@ -697,7 +725,8 @@ def test_sketch_clustering_matches_set_reference_when_queues_hold_all(case):
 
 class PairwiseSketchReference:
     """Sketch agreement and heaviness decided one pair at a time from the
-    pools' queries, in Python floats: the definition the array kernel of
+    pools' queries, exactly for pairs of exact vertices and in Python
+    floats otherwise: the definition the array kernel of
     `SketchView.claims` is checked against. The queries are read once for
     all of S, and each pool's runs once when first needed; every decision
     is made per pair."""
@@ -761,7 +790,7 @@ class PairwiseSketchReference:
         deg_u, deg_v = self.degree[u], self.degree[v]
         d_small, d_big = min(deg_u, deg_v), max(deg_u, deg_v)
         ratio = 1 - ((1 + 5 * zeta) * d_small) / ((1 - zeta) * d_big)
-        if ratio > float(agreement.RATIO_BAND) * gamma:
+        if ratio > float(agreement.RATIO_BAND) * float(gamma):
             return False
         rung = {}
         for x, nb in ((u, nu), (v, nv)):
@@ -785,11 +814,11 @@ class PairwiseSketchReference:
         x_count = len(su & sv & self.s_set) + (v in su) + (u in sv)
         prob = pools.config.sample_probability(s_prime)
         estimate = (deg_u + deg_v - 2 * x_count / prob) / d_big
-        return estimate <= float(agreement.ESTIMATE_BAND) * gamma
+        return estimate <= float(agreement.ESTIMATE_BAND) * float(gamma)
 
     def heavy(self, u):
         pools, params = self.pools, self.params
-        beta = float(params.beta)
+        beta = params.beta
         nu = self.nbhds[u]
         if nu is not None:
             inside = sum(1 for x in nu if x in self.s_set and self.agrees(u, x, beta))
@@ -828,7 +857,7 @@ def test_sketch_claims_match_pairwise_reference_when_sampling(seed, sample_facto
         s_list = sorted(rng.choice(n, size=n - 4 * instance, replace=False).tolist())
         claims = view.claims(np.array(s_list), w, params)
         ref = PairwiseSketchReference(view, s_list, w, params)
-        three_beta = float(params.three_beta)
+        three_beta = params.three_beta
         flags, rows = read_rows(claims, np.arange(len(s_list)))
         assert flags.tolist() == [ref.heavy(u) for u in s_list]
         for u, row in zip(s_list, rows):
@@ -860,7 +889,8 @@ def test_exact_side_half_a_queue_deep_never_matches_an_estimated_side():
     assert rows[big + 1, :big].all()
     ref = PairwiseSketchReference(view, s_list, 1 * U, wide)
     for u in s_list:
-        assert rows[u].tolist() == [ref.agrees(u, v, 4.0) for v in s_list]
+        want = [ref.agrees(u, v, wide.three_beta) for v in s_list]
+        assert rows[u].tolist() == want
 
 
 class TestSketchQueries:

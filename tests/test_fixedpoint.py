@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from streamfit import fixedpoint as fp
 
@@ -58,3 +58,10 @@ def test_from_int_and_float():
 def test_roundtrip(units, frac):
     text = f"{units}.{frac:09d}".rstrip("0").rstrip(".") or "0"
     assert fp.to_decimal(fp.from_decimal(text)) == text
+
+
+@given(st.integers(min_value=0, max_value=2**63 - 1))
+@example(3_500_000_001)
+def test_every_rendered_value_parses_back(units):
+    # an odd count renders a tenth fraction digit of 5
+    assert fp.from_decimal(fp.to_decimal(units)) == units

@@ -16,9 +16,18 @@ from streamfit.treefit import (
     fit_linf_tree,
     select_tree_by_clique,
 )
-from streamfit.trees import DomainError, four_point_check, is_ultrametric
+from streamfit.trees import (
+    DomainError,
+    four_point_check,
+    is_ultrametric,
+    single_linkage_tree,
+)
 
 U = fp.SCALE
+
+
+def never_fitted(shifted):
+    raise AssertionError("a pivot's tree was fitted past the int64 bound")
 
 
 def path3():
@@ -81,16 +90,12 @@ class TestCentroidTransform:
             prior = D[pivot]
 
     def test_shift_past_int64_raises_domain_error(self):
-        # 2 max(row) passes the int64 range on the first pivot, and the
-        # buffer is left as it was
+        # 2 max(row) passes the int64 range on the first pivot, so no
+        # pivot's tree is fitted
         top = 8 * 10**18
         src = StreamSource(3, [0, 0, 1], [1, 2, 2], [top, top, 1])
-        row = collect_pivot_rows(src, [0])[0]
-        u, v, d = src.arrays()
-        before = d.copy()
         with pytest.raises(DomainError, match="int64"):
-            centroid_transformed_source(3, u, v, d, row)
-        assert np.array_equal(d, before)
+            _fit_pivots(src, [0], never_fitted)
 
     def test_non_metric_shift_past_int64_raises_domain_error(self):
         # 2 max(row) fits, but D(1, 2) + C(1, 2) = D(1, 2) + 2m - 2 would
@@ -101,14 +106,18 @@ class TestCentroidTransform:
             src = StreamSource(
                 4, [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3], [1, 1, m, d12, m, m]
             )
-            row = collect_pivot_rows(src, [0])[0]
-            u, v, d = src.arrays()
             if fits:
-                shifted = centroid_transformed_source(4, u, v, d, row).dense()
-                assert shifted[1, 2] == big - 2
+                seen = []
+
+                def fit_base(shifted):
+                    seen.append(shifted.dense())
+                    return single_linkage_tree(4, [(1, 0, k) for k in (1, 2, 3)])
+
+                _fit_pivots(src, [0], fit_base)
+                assert seen[0][1, 2] == big - 2
             else:
                 with pytest.raises(DomainError):
-                    centroid_transformed_source(4, u, v, d, row)
+                    _fit_pivots(src, [0], never_fitted)
 
     def test_shift_check_takes_the_prior_centroid_back_out(self):
         # D + C(0) reaches 2X; moving on to pivot 1, next to pivot 0, keeps

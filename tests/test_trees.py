@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import streamfit as sf
-from streamfit import fixedpoint as fp
+from streamfit import fixedpoint as fp, trees
 from streamfit.trees import (
     DomainError,
     TreeMetricRep,
@@ -501,6 +501,45 @@ def test_pair_query_peak_memory_stays_under_an_eighth_of_the_matrix():
             tracemalloc.stop()
         assert peak - out.nbytes < n * n
         del out
+
+
+def count_tables(monkeypatch):
+    """The sizes of the pair-query tables built from here on."""
+    built, real = [], trees.gap_max_query
+
+    def counting(order, gaps):
+        built.append(len(order))
+        return real(order, gaps)
+
+    monkeypatch.setattr(trees, "gap_max_query", counting)
+    return built
+
+
+def test_a_tree_builds_its_pair_query_table_once(monkeypatch):
+    built = count_tables(monkeypatch)
+    tree = from_ultrametric_matrix(two_pair_gadget())
+    u, v = np.indices((4, 4)).reshape(2, -1)
+    first = tree.distances(u, v)
+    assert np.array_equal(tree.distances(v, u), first)
+    assert built == [4]
+
+
+def test_tree_fit_consensus_and_cost_build_one_table_per_fit(monkeypatch):
+    """At n = 192 the consensus reads its 18,336 pairs in two slices; each
+    pivot's fit builds its table once, and `cost` of the winner reuses its
+    table. The winner's distances read in slices equal one whole call."""
+    n = 192
+    src, _ = sf.generate(
+        sf.GeneratorSpec(kind="planted_tree_metric", n=n, seed=3, noise_k=n)
+    )
+    built = count_tables(monkeypatch)
+    res = sf.fit_l0_tree(src, seed=3)
+    sf.cost(res.rep, src)
+    assert built == [n] * len(res.pivots)
+    step = 1 << 12
+    sliced = [res.rep.distances(src.u[a : a + step], src.v[a : a + step])
+              for a in range(0, len(src.u), step)]
+    assert np.array_equal(np.concatenate(sliced), res.rep.distances(src.u, src.v))
 
 
 def test_spanning_tree_builder_peak_memory_stays_under_twice_the_matrix():
