@@ -5,10 +5,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
-
-import numpy as np
 
 from . import fixedpoint
 from .evaluate import cost
@@ -56,17 +55,20 @@ class PassBudgetError(RuntimeError):
 
 
 def _write(path, text):
-    """Write every output file the same way: ASCII with newline line ends."""
+    """Write every output the same way: to the file at `path` in ASCII, or
+    to stdout when no path is given, with line ends as `text` has them."""
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
 
 
-def _emit(doc, path):
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if path:
-        _write(path, text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, doc):
+    """Write a command's JSON report, under the report schema and the
+    command's name, to --report or stdout."""
+    doc = {"schema": REPORT_SCHEMA, "command": args.command, **doc}
+    _write(args.report, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _load_tree(path):
@@ -115,14 +117,12 @@ def cmd_gen(args):
     if args.truth_out and truth is not None:
         _write(args.truth_out, truth.to_json() + "\n")
     _emit(
+        args,
         {
-            "schema": REPORT_SCHEMA,
-            "command": "gen",
             "spec": json.loads(spec.to_json()),
             "entries": len(source),
             "out": args.out,
         },
-        args.report,
     )
     return 0
 
@@ -203,8 +203,6 @@ def cmd_fit(args):
         base = fitted.base if isinstance(fitted, TreeMetricRep) else fitted
         _write(args.out_newick, base.to_newick() + "\n")
     doc = {
-        "schema": REPORT_SCHEMA,
-        "command": "fit",
         "structure": args.structure,
         "objective": args.objective,
         "seed": args.seed,
@@ -213,7 +211,7 @@ def cmd_fit(args):
         **fields,
         "cost": _cost_doc(cost(fitted, source)),
     }
-    _emit(doc, args.report)
+    _emit(args, doc)
     return 0
 
 
@@ -221,12 +219,12 @@ def cmd_cost(args):
     source = StreamSource.from_file(args.input)
     tree = _load_tree(args.tree)
     report = cost(tree, source)
-    doc = {"schema": REPORT_SCHEMA, "command": "cost", "cost": _cost_doc(report)}
+    doc = {"cost": _cost_doc(report)}
     if args.p:
         picked = {"0": report.l0, "1": report.l1, "inf": report.linf}[args.p]
         doc["p"] = args.p
         doc["value"] = picked if args.p == "0" else fixedpoint.to_decimal(picked)
-    _emit(doc, args.report)
+    _emit(args, doc)
     return 0
 
 
@@ -234,20 +232,18 @@ def cmd_check(args):
     source = StreamSource.from_file(args.input)
     matrix = source.dense()
     doc = {
-        "schema": REPORT_SCHEMA,
-        "command": "check",
         "n": source.n,
         "ultrametric": bool(is_ultrametric(matrix)),
         "four_point": bool(four_point_check(matrix)),
     }
-    _emit(doc, args.report)
+    _emit(args, doc)
     return 0
 
 
 def cmd_oracle(args):
     source = StreamSource.from_file(args.input)
     matrix = source.dense()
-    doc = {"schema": REPORT_SCHEMA, "command": "oracle", "which": args.which}
+    doc = {"which": args.which}
     try:
         if args.which == "l0":
             value, _ = brute_l0_ultra(matrix, args.time_cap)
@@ -262,25 +258,8 @@ def cmd_oracle(args):
             doc["value"] = fixedpoint.to_decimal(bound)
     except OracleUnavailable as exc:
         doc["unavailable"] = str(exc)
-    _emit(doc, args.report)
+    _emit(args, doc)
     return 0
-
-
-BENCH_COLUMNS = [
-    "kind",
-    "n",
-    "seed",
-    "structure",
-    "objective",
-    "mode",
-    "passes",
-    "cost_l0",
-    "cost_l1",
-    "cost_linf",
-    "oracle_l0",
-    "ratio_l0",
-    "peak_words",
-]
 
 
 def cmd_bench(args):
@@ -327,14 +306,12 @@ def cmd_bench(args):
                 "peak_words": fields.get("peak_words", 0),
             }
         )
-    out = open(args.out, "w", encoding="ascii", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=BENCH_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    # csv ends its lines with \r\n, which the golden digests pin
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(args.out, text.getvalue())
     return 0
 
 

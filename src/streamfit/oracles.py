@@ -30,9 +30,9 @@ class OracleUnavailable(RuntimeError):
 def _enumerate_best_tree(matrix, pair_cost, time_cap):
     """Exact optimum over ultrametric trees with levels drawn from D's values.
 
-    pair_cost(level_index) must return an n x n integer cost matrix for
-    putting each pair at that level. Partitions are enumerated recursively
-    over (subset bitmask, highest usable value index), memoized.
+    pair_cost(level) must return an n x n integer cost matrix for putting
+    each pair at that level. Partitions are enumerated recursively over
+    (subset bitmask, highest usable value index), memoized.
     """
     n = matrix.shape[0]
     if n > MAX_N_L0:
@@ -41,13 +41,11 @@ def _enumerate_best_tree(matrix, pair_cost, time_cap):
     iu, iv = np.triu_indices(n, k=1)
     values = np.unique(matrix[iu, iv])
     nv = len(values)
-    if n == 1:
-        return 0, UltrametricTree.single_leaf()
 
     # row_cost[vi][u][mask] = sum of pair costs from u into the mask at values[vi]
     row_cost = []
-    for vi in range(nv):
-        pc = pair_cost(vi)
+    for level in values:
+        pc = pair_cost(level)
         table = np.zeros((n, 1 << n), dtype=np.int64)
         for mask in range(1, 1 << n):
             low = (mask & -mask).bit_length() - 1
@@ -130,12 +128,9 @@ def brute_l0_ultra(matrix, time_cap: float = 60.0):
     enumeration has run `time_cap` seconds.
     """
     matrix = trees._checked_square(matrix)
-    n = matrix.shape[0]
-    iu, iv = np.triu_indices(n, k=1)
-    values = np.unique(matrix[iu, iv])
 
-    def pair_cost(vi):
-        pc = (matrix != values[vi]).astype(np.int64)
+    def pair_cost(level):
+        pc = (matrix != level).astype(np.int64)
         np.fill_diagonal(pc, 0)
         return pc
 
@@ -146,12 +141,9 @@ def brute_l1_ultra(matrix, time_cap: float = 60.0):
     """Exact minimum of ||U - D||_1 plus a witness tree (same tree space
     and the same caps as `brute_l0_ultra`)."""
     matrix = trees._checked_square(matrix)
-    n = matrix.shape[0]
-    iu, iv = np.triu_indices(n, k=1)
-    values = np.unique(matrix[iu, iv])
 
-    def pair_cost(vi):
-        pc = np.abs(matrix - values[vi])
+    def pair_cost(level):
+        pc = np.abs(matrix - level)
         np.fill_diagonal(pc, 0)
         return pc
 

@@ -477,6 +477,12 @@ def generate(spec: GeneratorSpec):
         raise ConfigError("alphabet value overflows 64 bits")
     if any(v <= 0 for v in alphabet):
         raise ConfigError("alphabet values must be positive")
+    # SCALE's extra factor of two keeps every half difference of even
+    # values whole, which the two-pass linf fit needs
+    if any(v % 2 for v in alphabet):
+        raise ConfigError(
+            "alphabet values must be even counts of units (a tenth fraction digit of 0)"
+        )
     truth = None
     iu, iv = np.triu_indices(n, k=1)
 

@@ -10,6 +10,7 @@ agrees with.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,31 +94,6 @@ def fit_linf_tree(source: StreamSource, pivot: int = 0) -> TreeMetricRep:
     return _fit_pivots(source, [pivot], fit_linf_min_decrement)[0]
 
 
-def _max_clique(adj_bits, t):
-    """Exact maximum clique over bitset adjacency; lexicographically smallest
-    among the maximum cliques."""
-    best = []
-
-    def grow(clique, cand_bits):
-        nonlocal best
-        if not cand_bits:
-            if len(clique) > len(best):
-                best = clique[:]
-            return
-        if len(clique) + cand_bits.bit_count() < len(best) + 1:
-            return
-        bits = cand_bits
-        while bits:
-            low = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            clique.append(low)
-            grow(clique, cand_bits & adj_bits[low] & ~((1 << (low + 1)) - 1))
-            clique.pop()
-
-    grow([], (1 << t) - 1)
-    return best
-
-
 def select_tree_by_clique(pairwise: np.ndarray) -> int:
     """Pick a candidate by majority-clique consensus.
 
@@ -126,26 +102,24 @@ def select_tree_by_clique(pairwise: np.ndarray) -> int:
     {pairwise <= CONSENSUS_FACTOR x} (`agreement.py`) gains edges as x
     grows; the first x whose graph holds a clique of at least half the
     candidates decides, and the winner is the lowest-index member of a
-    maximum clique there.
+    maximum clique there. At each x the scan tries subsets of the t
+    candidates from size t down to ceil(t/2), each size in lexicographic
+    order, so the first clique it meets is the lexicographically smallest
+    maximum clique. At the largest x every pair is close, so the scan
+    returns. Its work grows as 2^t, which the 32-candidate cap bounds.
     """
     t = pairwise.shape[0]
     if pairwise.shape != (t, t) or not np.array_equal(pairwise, pairwise.T):
         raise ValueError("pairwise matrix must be square and symmetric")
-    if t == 1:
-        return 0
     if t > 32:
         raise ValueError("candidate count beyond the 32-vertex clique search")
-    need = math.ceil(t / 2)
     iu, iv = np.triu_indices(t, k=1)
     for x in sorted_distinct(np.concatenate([[0], pairwise[iu, iv]])).tolist():
-        close = pairwise <= agreement.CONSENSUS_FACTOR * x
-        np.fill_diagonal(close, False)
-        adj_bits = [int(sum(1 << j for j in np.flatnonzero(close[i]))) for i in range(t)]
-        clique = _max_clique(adj_bits, t)
-        if len(clique) >= need:
-            # `_max_clique` lists its members in ascending order
-            return clique[0]
-    raise ValueError("no qualifying clique at the largest threshold")
+        close = (pairwise <= agreement.CONSENSUS_FACTOR * x).tolist()
+        for size in range(t, math.ceil(t / 2) - 1, -1):
+            for clique in itertools.combinations(range(t), size):
+                if all(close[i][j] for i, j in itertools.combinations(clique, 2)):
+                    return clique[0]
 
 
 @dataclass(frozen=True)

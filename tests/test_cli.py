@@ -67,12 +67,14 @@ class TestGen:
         [
             (("--alphabet", "1,x"), 3),
             (("--alphabet", "1.0000000001"), 3),
+            # an odd count of units, which the two-pass linf fit cannot halve
+            (("--alphabet", "1,1.0000000005"), 3),
             (("--noise-k", "-1"), 3),
             (("--seed", "-1"), 2),
             (("--seed", str(2**63)), 2),
         ],
-        ids=["alphabet-word", "alphabet-digits", "noise-neg", "seed-neg",
-             "seed-2^63"],
+        ids=["alphabet-word", "alphabet-digits", "alphabet-odd", "noise-neg",
+             "seed-neg", "seed-2^63"],
     )
     def test_bad_values_exit_without_output(self, tmp_path, capsys, flags, code):
         outs = [tmp_path / name for name in ("d.txt", "truth.json", "gen.json")]

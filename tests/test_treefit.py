@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamfit import fixedpoint as fp
+from streamfit import agreement, fixedpoint as fp
 from streamfit.evaluate import cost
 from streamfit.l0fit import fit_l0
 from streamfit.linf import fit_linf_exact
@@ -28,6 +30,50 @@ U = fp.SCALE
 
 def never_fitted(shifted):
     raise AssertionError("a pivot's tree was fitted past the int64 bound")
+
+
+def reference_max_clique(adj_bits, t):
+    """Exact maximum clique over bitset adjacency by branch and bound;
+    lexicographically smallest among the maximum cliques."""
+    best = []
+
+    def grow(clique, cand_bits):
+        nonlocal best
+        if not cand_bits:
+            if len(clique) > len(best):
+                best = clique[:]
+            return
+        if len(clique) + cand_bits.bit_count() < len(best) + 1:
+            return
+        bits = cand_bits
+        while bits:
+            low = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            clique.append(low)
+            grow(clique, cand_bits & adj_bits[low] & ~((1 << (low + 1)) - 1))
+            clique.pop()
+
+    grow([], (1 << t) - 1)
+    return best
+
+
+def reference_select(pairwise):
+    """The consensus winner by a bitset branch and bound at each threshold:
+    the lowest member of the first maximum clique of at least half the
+    candidates."""
+    t = pairwise.shape[0]
+    if t == 1:
+        return 0
+    need = math.ceil(t / 2)
+    iu, iv = np.triu_indices(t, k=1)
+    for x in np.unique(np.concatenate([[0], pairwise[iu, iv]])).tolist():
+        close = pairwise <= agreement.CONSENSUS_FACTOR * x
+        np.fill_diagonal(close, False)
+        adj_bits = [int(sum(1 << j for j in np.flatnonzero(close[i]))) for i in range(t)]
+        clique = reference_max_clique(adj_bits, t)
+        if len(clique) >= need:
+            return clique[0]
+    raise AssertionError("no qualifying clique at the largest threshold")
 
 
 def path3():
@@ -244,6 +290,16 @@ class TestCliqueSelection:
     def test_rejects_too_many_candidates(self):
         with pytest.raises(ValueError):
             select_tree_by_clique(np.zeros((33, 33), dtype=np.int64))
+
+    # few values: ties and whole cliques appear at one threshold; many:
+    # nearly every pair has its own threshold
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), t=st.integers(1, 10), top=st.sampled_from([2, 60, 10**12]))
+    def test_scan_matches_branch_and_bound(self, data, t, top):
+        cells = data.draw(st.lists(st.integers(0, top), min_size=t * t, max_size=t * t))
+        P = np.array(cells, dtype=np.int64).reshape(t, t)
+        P = np.minimum(P, P.T)
+        assert select_tree_by_clique(P) == reference_select(P)
 
 
 class TestL0Tree:
