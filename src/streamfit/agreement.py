@@ -15,29 +15,31 @@ positions still unclustered in ascending order, in blocks that start at
 before it has claimed claims what is still unclustered of its row, and the
 rest become singletons.
 
-`ExactView` answers from the dense matrix, lazily by rows. It reads the
-|S|-by-n rows of S once and keeps the degrees, the closed S-by-S adjacency
-as float32 and an integer cut-off per vertex for each gamma. A block's
-heavy flags and rows come from one float32 BLAS product of its adjacency
-rows against the whole adjacency, B by |S|, in which each pair statistic
-is built in place: an integer in [0, 2n], held exactly in float32 (see
-`ExactView.claims`). The rational bound gamma * max(d_u, d_v) is applied
-through the cut-offs (`_cutoffs`), so each mask takes one comparison with
-the larger cut-off of each pair, with no S-by-S integer or statistic
-array. A position an earlier seed claimed is never
-read, so a clustering that returns all of S as one cluster builds the first
-block only. The density invariant is checked once per claimed cluster of
-two or more vertices, by one matrix-vector product of the adjacency with
-the cluster's indicator (`_assert_density`).
+`ExactView` answers from the n-by-n rank matrix of `StreamSource.ranks`,
+2 bytes a pair where the distances take 8, lazily by rows: each query
+turns w into a rank once and compares rows of ranks with it. It reads the
+|S|-by-n rows of S once, as a bool mask, and keeps the degrees, the closed
+S-by-S adjacency as float32 and an integer cut-off per vertex for each
+gamma. A block's heavy flags and rows come from one float32 BLAS product
+of its adjacency rows against the whole adjacency, B by |S|, in which each
+pair statistic is built in place: an integer in [0, 2n], held exactly in
+float32 (see `ExactView.claims`). The rational bound gamma * max(d_u, d_v)
+is applied through the cut-offs (`_cutoffs`), so each mask takes one
+comparison with the larger cut-off of each pair, with no S-by-S integer or
+statistic array. A position an earlier seed claimed is never read, so a
+clustering that returns all of S as one cluster builds the first block
+only. The density invariant is checked once per claimed cluster of two or
+more vertices, by one matrix-vector product of the adjacency with the
+cluster's indicator (`_assert_density`).
 
 Both views also answer the l0 peel loop's degree probes (`peel_probe`):
 for a dominant cluster and two degree cut-offs fixed for the whole loop,
 a probe says which of its vertices are dense at w and which fall on the
 rim. `ExactView` counts a loop's first probe from the rows; a second
 probe partitions them once, and from then on each vertex's order
-statistic at the dense cut-off is compared with w and only the rows that
-fail are read again. `SketchView` reads the pools' degrees at every
-probe.
+statistic at the dense cut-off is compared with w's rank and only the
+rows that fail are read again. `SketchView` reads the pools' degrees at
+every probe.
 
 `SketchView` answers from the finished sketch pools. A pair of exact
 vertices is decided as `ExactView` decides it, through the integer
@@ -161,19 +163,30 @@ class Claims(NamedTuple):
 
 
 class ExactView:
-    """The dense matrix that exact mode answers every predicate from.
+    """The rank matrix that exact mode answers every predicate from, as
+    `StreamSource.ranks` gives it: `values` holds 0 and the sorted distinct
+    distances, and `ranks` each pair's index in `values`.
 
     The matrix is symmetric with a zero diagonal and every threshold is
     nonnegative, so a row's entries at most w are its vertex's closed
-    neighbourhood at w, and the adjacency of S is its own transpose.
+    neighbourhood at w, and the adjacency of S is its own transpose. Each
+    query turns w into the rank of the largest value at most w once
+    (`_rank`), and compares rows of ranks with that rank.
     """
 
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=np.int64)
+    def __init__(self, ranks: np.ndarray, values: np.ndarray):
+        self.ranks = ranks
+        self.values = values
+
+    def _rank(self, w) -> int:
+        """The rank c with values[c] <= w < values[c + 1]: a distance is at
+        most w exactly when its rank is at most c. A Python int, so that
+        numpy compares rows in their own narrow dtype."""
+        return int(np.searchsorted(self.values, w, side="right")) - 1
 
     def degrees(self, vertices, w: int) -> np.ndarray:
         """Closed degree at w of each of `vertices`."""
-        return (self.matrix[vertices] <= w).sum(axis=1)
+        return (self.ranks[vertices] <= self._rank(w)).sum(axis=1)
 
     def peel_probe(self, big, k_dense: int, k_rim: int) -> Callable:
         """The peel loop's test over positions of `big`: `probe(pos, w)`
@@ -183,9 +196,9 @@ class ExactView:
 
         A loop often stops at its first probe, which counts the rows as
         `degrees` does. A degree at w is at least k exactly when the row's
-        k-th smallest entry is at most w, so a second probe reads the rows
+        k-th smallest rank is at most w's, so a second probe reads the rows
         of `big` once more, partitions them in place and keeps only their
-        `k_dense`-th entries. A rim vertex fails the dense test, so from
+        `k_dense`-th ranks. A rim vertex fails the dense test, so from
         then on only the rows that fail it are read again.
         """
         first = True
@@ -198,12 +211,12 @@ class ExactView:
                 d = self.degrees(big[pos], w)
                 return d >= k_dense, d < k_rim
             if kth is None:
-                rows = self.matrix[big]
+                rows = self.ranks[big]
                 # ndarray.partition works in place; np.partition would copy
                 rows.partition(k_dense - 1, axis=1)
                 kth = rows[:, k_dense - 1].copy()
                 del rows
-            dense = kth[pos] <= w
+            dense = kth[pos] <= self._rank(w)
             rim = np.zeros(len(pos), dtype=bool)
             (low,) = (~dense).nonzero()
             rim[low] = self.degrees(big[pos[low]], w) < k_rim
@@ -227,13 +240,13 @@ class ExactView:
         bound gamma * max(d_u, d_v) is applied through integer cut-offs per
         vertex (`_cutoffs`), so every decision is exact.
         """
-        # the gathered int64 rows are freed before the adjacency is built;
-        # float32 degree counts are exact too
-        near = (self.matrix[s_arr] <= w).astype(np.float32)
-        d_f = near @ np.ones(near.shape[1], dtype=np.float32)
-        adj = near[:, s_arr]
+        # the gathered rows of ranks are freed as soon as they are compared;
+        # the bool S-by-n mask gives the degrees and the adjacency's columns
+        near = self.ranks[s_arr] <= self._rank(w)
+        d = near.sum(axis=1)
+        adj = near[:, s_arr].astype(np.float32)
         del near
-        d = d_f.astype(np.int64)
+        d_f = d.astype(np.float32)
         lim_b = _cutoffs(d, params.beta)
         lim_3b = _cutoffs(d, params.three_beta)
 
@@ -427,8 +440,9 @@ class SketchView:
 
 # the seed loop reads rows in blocks that start at this many positions and
 # double up to the last; a block's temporaries take about 10 bytes per
-# entry, so 64 rows keep a block and the adjacency under the peak of
-# gathering the rows of S, 9 |S| n bytes, once |S| reaches 128
+# entry, so 64 rows keep a block and the 4 |S|^2-byte adjacency under the
+# peak of building the adjacency from the mask of S, |S| n + 5 |S|^2
+# bytes, once |S| + n reaches 640
 _FIRST_ROWS = 4
 _MAX_ROWS = 64
 

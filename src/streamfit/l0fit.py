@@ -7,13 +7,13 @@ while stepping the threshold down through the stored weight set. Each rim
 meets what remains of the cluster at the threshold it was peeled below, so
 every peel step that takes a rim adds one tree node there. A call's
 clustering and its peel loop's degree probes go through one view: exact
-mode answers from the dense matrix, sketch mode from the single-pass sketch
-pools, spending one fresh sketch instance per recursion level. Every share
-of S that a call compares with is a rule of the table in `agreement.py`,
-turned into an integer cut-off once per call. The dense and rim tests
-compare degrees with cut-offs fixed by |S|, so a peel loop asks its view
-once for a probe (`peel_probe`) and each probe takes the positions of the
-dominant cluster still left and a threshold.
+mode answers from the rank matrix of the distances, sketch mode from the
+single-pass sketch pools, spending one fresh sketch instance per recursion
+level. Every share of S that a call compares with is a rule of the table
+in `agreement.py`, turned into an integer cut-off once per call. The dense
+and rim tests compare degrees with cut-offs fixed by |S|, so a peel loop
+asks its view once for a probe (`peel_probe`) and each probe takes the
+positions of the dominant cluster still left and a threshold.
 """
 
 from __future__ import annotations
@@ -58,19 +58,19 @@ def fit_l0(source: StreamSource, config: SketchConfig = None) -> L0FitResult:
     """Fit an ultrametric tree minimizing disagreement count (approximately).
 
     `config` selects the predicate backend. Without one, exact mode
-    materializes the matrix and is the deterministic reference path; with a
-    `SketchConfig`, sketch mode consumes the stream once up front into
-    pools of that configuration.
+    materializes the n-by-n rank matrix of the distances and is the
+    deterministic reference path; with a `SketchConfig`, sketch mode
+    consumes the stream once up front into pools of that configuration.
     """
     params = AgreementParams()
     n = source.n
 
     if config is None:
-        matrix = source.dense()
-        # the distances of the pass that `dense` has just read
-        d = source.d
-        weights = CompressedSet(d)
-        exact_view = ExactView(matrix)
+        ranks, values = source.ranks()
+        # values[0] is 0, and the rest are the pass's distinct distances
+        weights = CompressedSet(values[1:])
+        top = int(values[-1])
+        exact_view = ExactView(ranks, values)
         peak_words = n * n
 
         def make_view(depth):
@@ -80,7 +80,9 @@ def fit_l0(source: StreamSource, config: SketchConfig = None) -> L0FitResult:
         pools = SketchPools(config, n)
         u, v, d = source.arrays()
         pools.bulk_ingest(u, v, d)
-        del u, v
+        # the recursion does not keep the pass's arrays
+        top = int(d.max(initial=0))
+        del u, v, d
         peak_words = pools.peak_words
         weights = pools.build_compressed_set()
 
@@ -121,10 +123,8 @@ def fit_l0(source: StreamSource, config: SketchConfig = None) -> L0FitResult:
             stack.append((s_arr, w, depth, up))
 
     if n > 1:
-        # the top threshold is the largest distance of the pass read, whose
-        # arrays the recursion does not keep
-        call(np.arange(n, dtype=np.int64), int(d.max()), 0, -1)
-    del d
+        # the top threshold is the largest distance of the pass read
+        call(np.arange(n, dtype=np.int64), top, 0, -1)
     while stack:
         s_arr, w, depth, up = stack.pop()
         node = len(parent)

@@ -46,8 +46,9 @@ class StreamSource:
     (seed, pass index). Without a seed every pass keeps the stored order.
 
     Passes are handed out once each, in order, and never replayed:
-    `arrays` and `dense` each read the next pass, so `passes_read` is the
-    number of reads, and `cost`, reading the stored arrays, reads none.
+    `arrays`, `ranks` and `dense` each read the next pass, so `passes_read`
+    is the number of reads, and `cost`, reading the stored arrays, reads
+    none.
     """
 
     def __init__(self, n, u, v, d, order_seed=None):
@@ -115,11 +116,47 @@ class StreamSource:
         """Full symmetric matrix, read as the next pass; the source is
         complete by construction."""
         self.passes_read += 1
-        out = np.zeros((self.n, self.n), dtype=np.int64)
+        return self._symmetric(self.d)
+
+    def ranks(self):
+        """The next pass as (ranks, values): `values` is int64, 0 and then
+        the sorted distinct distances, and `ranks` the n-by-n symmetric
+        matrix of each distance's index in `values`, 0 on the diagonal.
+
+        A distance is at most w exactly when its rank is at most that of
+        the largest value at most w, so the ranks answer every threshold
+        test that the distances do. They are uint16, at a quarter of the
+        distances' bytes, unless more than 2^16 values need a wider unsigned
+        type (uint32 wherever the matrix fits in memory). Never uint8:
+        numpy partitions uint8 rows slower than int64 rows, and uint16 rows
+        faster. The ranks of the pairs come from one sort of the distances,
+        whose temporaries are freed before the n-by-n matrix is made.
+        """
+        self.passes_read += 1
+        order = np.argsort(self.d)
+        ascending = self.d[order]
+        new = np.empty(len(ascending), dtype=bool)
+        new[:1] = True
+        np.not_equal(ascending[1:], ascending[:-1], out=new[1:])
+        values = np.concatenate([np.zeros(1, dtype=np.int64), ascending[new]])
+        del ascending
+        dtype = np.promote_types(np.uint16, np.min_scalar_type(len(values) - 1))
+        # a sorted distance's rank counts the distinct values up to it
+        ranked = np.cumsum(new, dtype=dtype)
+        del new
+        pair_ranks = np.empty_like(ranked)
+        pair_ranks[order] = ranked
+        del order, ranked
+        return self._symmetric(pair_ranks), values
+
+    def _symmetric(self, entries) -> np.ndarray:
+        """The n-by-n symmetric matrix with `entries` at the stored pairs
+        and 0 on the diagonal, of their dtype."""
+        out = np.zeros((self.n, self.n), dtype=entries.dtype)
         # scatter both triangles: adding the transpose would allocate a
         # second n-by-n matrix
-        out[self.u, self.v] = self.d
-        out[self.v, self.u] = self.d
+        out[self.u, self.v] = entries
+        out[self.v, self.u] = entries
         return out
 
     def check_complete(self):
@@ -219,8 +256,9 @@ def _parse_fast(path):
     Returns None on any doubt, and `_parse_lines` then decides: a header
     that is not digits and a newline, or a body line that is not three
     digit tokens `u v d` separated by spaces, where `d` has at most nine
-    whole and nine fraction digits and is positive, and `u` and `v` have at
-    most 18 digits. Every value accepted here fits in int64.
+    whole digits and is positive, with at most ten fraction digits, a tenth
+    one 0 or 5 as `fixedpoint.from_decimal` reads them, and `u` and `v`
+    have at most 18 digits. Every value accepted here fits in int64.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -279,7 +317,11 @@ def _parse_chunk(b, u, v, d):
         return None  # a '.' in u or v, or two in one d
     frac_ends = ends[owner]
     frac_len = frac_ends - dots - 1
-    if np.any(frac_len < 1) or np.any(frac_len > fixedpoint.FRACTION_DIGITS):
+    places = fixedpoint.FRACTION_DIGITS + 1
+    if np.any(frac_len < 1) or np.any(frac_len > places):
+        return None
+    # a tenth digit is half a unit: 0 or 5, else the line parser reports it
+    if np.any(digits[frac_ends[frac_len == places] - 1] % 5):
         return None
     ends[owner] = dots  # d's whole part
     widest = int((ends - before).max()) - 1
@@ -291,9 +333,12 @@ def _parse_chunk(b, u, v, d):
     np.minimum(values[:, 0], values[:, 1], out=u[:lines])
     np.maximum(values[:, 0], values[:, 1], out=v[:lines])
     d = d[:lines]
-    np.multiply(values[:, 2], 10**fixedpoint.FRACTION_DIGITS, out=d)
-    d[owner // 3] += fractions * 10 ** (fixedpoint.FRACTION_DIGITS - frac_len)
-    d *= fixedpoint.SCALE // 10**fixedpoint.FRACTION_DIGITS
+    np.multiply(values[:, 2], fixedpoint.SCALE, out=d)
+    # the fraction's digits, padded to ten places, count steps of 10^-10,
+    # five to a unit, as in `fixedpoint.from_decimal`
+    fractions *= 10 ** (places - frac_len)
+    fractions //= 10**places // fixedpoint.SCALE
+    d[owner // 3] += fractions
     if np.any(d <= 0):
         return None
     return lines

@@ -185,7 +185,8 @@ def test_06_structural_clustering_guarantees():
     for seed in range(1000):
         D, s_vertices, groups, lo = clustered_subset_instance(seed)
         result = s_structural_clustering(
-            s_vertices, lo, AgreementParams(), ExactView(D)
+            s_vertices, lo, AgreementParams(),
+            ExactView(*sf.StreamSource.from_square(D).ranks()),
         )
         # partition validity and everywhere-density are asserted inside the
         # call; group containment is the planted expectation

@@ -47,6 +47,12 @@ def hub_matrix(k):
     return D
 
 
+def exact_view(D, view=ExactView):
+    """The view of a symmetric matrix with a zero diagonal and positive
+    distances off it, built from its ranks as an exact fit builds it."""
+    return view(*StreamSource.from_square(D).ranks())
+
+
 def neighbourhoods(D, w):
     """Closed neighbourhood of every vertex at threshold w, as sets."""
     n = len(D)
@@ -137,7 +143,7 @@ def test_exact_degrees_count_each_row(seed):
     n = 30
     src, _ = generate(GeneratorSpec(kind="uniform_random", n=n, seed=seed))
     D = src.dense()
-    view = ExactView(D)
+    view = exact_view(D)
     for w in [0, *np.unique(D[D > 0]).tolist()]:
         expected = (D <= w).sum(axis=1)
         for _ in range(3):
@@ -179,7 +185,7 @@ def peel_probe_inputs(draw):
 @settings(max_examples=200, deadline=None)
 def test_exact_peel_probe_counts_each_row_against_both_cutoffs(case):
     D, big, k_dense, k_rim, ws, keeps = case
-    probe = ExactView(D).peel_probe(big, k_dense, k_rim)
+    probe = exact_view(D).peel_probe(big, k_dense, k_rim)
     pos = np.arange(len(big))
     for w, keep in zip(ws, keeps):
         dense, rim = probe(pos, w)
@@ -187,6 +193,94 @@ def test_exact_peel_probe_counts_each_row_against_both_cutoffs(case):
         assert np.array_equal(dense, degs >= k_dense)
         assert np.array_equal(rim, degs < k_rim)
         pos = pos[np.array(keep)[: len(pos)]]
+
+
+def value_matrix_claims(D, s_arr, w, params):
+    """The heavy flags and 3-beta rows of every position of S straight from
+    the int64 value matrix, with int64 statistics and the bound compared
+    as integers."""
+    near = (D <= w)[s_arr]
+    d = near.sum(axis=1)
+    sub = near[:, s_arr].astype(np.int64)
+    stat = d[:, None] + d - 2 * (sub @ sub.T)
+    bigger = np.maximum.outer(d, d)
+
+    def agree(gamma):
+        return stat * gamma.denominator < gamma.numerator * bigger
+
+    agree_b = agree(params.beta)
+    np.fill_diagonal(agree_b, True)
+    inside = (agree_b & (sub > 0)).sum(axis=1)
+    eps = params.epsilon
+    heavy = (d - inside) * eps.denominator < eps.numerator * d
+    return heavy, agree(params.three_beta)
+
+
+def assert_rank_view_matches_value_matrix(D, s_arr, ws, k_dense, k_rim, params):
+    """A ranks-backed `ExactView` of D gives, at every threshold of `ws` in
+    turn, the degrees, the peel probe's answers over every position and
+    the claims of S that the int64 value matrix gives."""
+    view = exact_view(D)
+    probe = view.peel_probe(s_arr, k_dense, k_rim)
+    everything = np.arange(len(s_arr))
+    for w in ws:
+        degs = (D[s_arr] <= w).sum(axis=1)
+        assert np.array_equal(view.degrees(s_arr, w), degs)
+        dense, rim = probe(everything, w)
+        assert np.array_equal(dense, degs >= k_dense)
+        assert np.array_equal(rim, degs < k_rim)
+        heavy, rows = view.claims(s_arr, w, params).rows(everything)
+        want_heavy, want_rows = value_matrix_claims(D, s_arr, w, params)
+        assert np.array_equal(heavy, want_heavy)
+        assert np.array_equal(rows, want_rows)
+
+
+@st.composite
+def rank_view_inputs(draw):
+    """A value matrix on 1 to 20 points with one to six distinct levels,
+    a nonempty subset S, cut-offs 1 <= k_rim <= k_dense <= |S|, an epsilon,
+    and thresholds in a random order: 0, every stored value, one between
+    each two neighbouring values, and two above the largest."""
+    n = draw(st.integers(1, 20))
+    levels = draw(st.sets(st.integers(1, 10**12), min_size=1, max_size=6))
+    iu = np.triu_indices(n, 1)
+    D = np.zeros((n, n), dtype=np.int64)
+    D[iu] = draw(st.lists(st.sampled_from(sorted(levels)), min_size=len(iu[0]),
+                          max_size=len(iu[0])))
+    D += D.T
+    stored = [0, *np.unique(D[iu]).tolist()]
+    between = [draw(st.integers(a, b)) for a, b in zip(stored, stored[1:])]
+    ws = draw(st.permutations([*stored, *between, stored[-1] + 1, 2**62]))
+    s_list = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    k_dense = draw(st.integers(1, len(s_list)))
+    k_rim = draw(st.integers(1, k_dense))
+    eps = draw(st.sampled_from(EPSILONS))
+    return D, np.array(s_list), ws, k_dense, k_rim, AgreementParams(epsilon=eps)
+
+
+@given(rank_view_inputs())
+@settings(max_examples=200, deadline=None)
+def test_rank_view_answers_as_the_value_matrix(case):
+    assert_rank_view_matches_value_matrix(*case)
+
+
+def test_rank_view_answers_as_the_value_matrix_past_2_16_values():
+    """370 points with every distance distinct: 68,265 values take uint32
+    ranks, which answer as the values do at stored thresholds and between
+    them."""
+    n = 370
+    rng = np.random.default_rng(5)
+    iu = np.triu_indices(n, 1)
+    D = np.zeros((n, n), dtype=np.int64)
+    D[iu] = 2 * rng.permutation(len(iu[0])) + 2
+    D += D.T
+    assert StreamSource.from_square(D).ranks()[0].dtype == np.uint32
+    s_arr = np.sort(rng.choice(n, size=300, replace=False))
+    stored = np.unique(D[iu])
+    # the values are even, so one above a stored value lies between two
+    picks = stored[[300, len(stored) // 2, -1]].tolist()
+    ws = [0, 1, *picks, *(w + 1 for w in picks)]
+    assert_rank_view_matches_value_matrix(D, s_arr, ws, 200, 150, AgreementParams())
 
 
 @pytest.mark.parametrize("close_capacity", [2, 8])
@@ -221,7 +315,7 @@ class TestExactClustering:
     def test_two_cliques_recovered(self):
         D = two_clique_matrix(8, 8)
         result = s_structural_clustering(
-            range(16), 1 * U, AgreementParams(), ExactView(D)
+            range(16), 1 * U, AgreementParams(), exact_view(D)
         )
         got = sorted(tuple(sorted(c)) for c in result.to_lists())
         assert got == [tuple(range(8)), tuple(range(8, 16))]
@@ -229,14 +323,14 @@ class TestExactClustering:
     def test_subset_yields_single_cluster(self):
         D = two_clique_matrix(8, 8)
         result = s_structural_clustering(
-            range(8), 1 * U, AgreementParams(), ExactView(D)
+            range(8), 1 * U, AgreementParams(), exact_view(D)
         )
         assert result.to_lists() == [list(range(8))]
 
     def test_large_threshold_merges_everything(self):
         D = two_clique_matrix(6, 6)
         result = s_structural_clustering(
-            range(12), 3 * U, AgreementParams(), ExactView(D)
+            range(12), 3 * U, AgreementParams(), exact_view(D)
         )
         assert result.to_lists() == [list(range(12))]
 
@@ -250,7 +344,7 @@ class TestExactClustering:
             D = src.dense()
             w = int(np.median(D[D > 0]))
             result = s_structural_clustering(
-                range(n), w, AgreementParams(), ExactView(D)
+                range(n), w, AgreementParams(), exact_view(D)
             )
             merged = sorted(x for c in result.to_lists() for x in c)
             assert merged == list(range(n))
@@ -258,16 +352,16 @@ class TestExactClustering:
     def test_empty_s_rejected(self):
         with pytest.raises(ValueError):
             s_structural_clustering(
-                [], 1 * U, AgreementParams(), ExactView(two_clique_matrix(3, 3))
+                [], 1 * U, AgreementParams(), exact_view(two_clique_matrix(3, 3))
             )
 
     def test_unsorted_or_repeated_ids_are_deduplicated(self):
         D = two_clique_matrix(8, 8)
         want = s_structural_clustering(
-            range(16), 1 * U, AgreementParams(), ExactView(D)
+            range(16), 1 * U, AgreementParams(), exact_view(D)
         )
         for s in ([9, 3, 3, *range(16)], np.arange(16)[::-1].copy(), [[0, 1], [2, 3]]):
-            got = s_structural_clustering(s, 1 * U, AgreementParams(), ExactView(D))
+            got = s_structural_clustering(s, 1 * U, AgreementParams(), exact_view(D))
             assert np.array_equal(got.ground_set, np.unique(np.asarray(s)))
             if len(got.ground_set) == 16:
                 assert got.to_lists() == want.to_lists()
@@ -292,7 +386,7 @@ class TestExactClustering:
         D[:16, :16] = two_clique_matrix(8, 8)
         np.fill_diagonal(D, 0)
         result = s_structural_clustering(
-            range(17), 1 * U, AgreementParams(), ExactView(D)
+            range(17), 1 * U, AgreementParams(), exact_view(D)
         )
         assert result.to_lists() == [list(range(8)), list(range(8, 16)), [16]]
         # S is every vertex, so a vertex's position in S is its id
@@ -411,7 +505,7 @@ def reference_subset_clustering(D, s_list, w, eps):
 @settings(max_examples=300, deadline=None)
 def test_exact_clustering_matches_set_reference(case):
     D, s_list, w, eps = case
-    view = ExactView(np.array(D, dtype=np.int64))
+    view = exact_view(D)
     got = s_structural_clustering(s_list, w, AgreementParams(epsilon=eps), view)
     assert got.to_lists() == reference_subset_clustering(D, s_list, w, eps)
 
@@ -450,7 +544,7 @@ def assert_claims_match_set_predicates(D, s_list, w, params, positions=None):
     D = np.asarray(D, dtype=np.int64)
     nbhd = neighbourhoods(D.tolist(), w)
     s_set = set(s_list)
-    claims = ExactView(D).claims(np.array(s_list), w, params)
+    claims = exact_view(D).claims(np.array(s_list), w, params)
     if positions is None:
         positions = range(len(s_list))
     positions = list(positions)
@@ -565,7 +659,7 @@ def test_exact_claims_match_on_a_dense_600_vertex_matrix(params, w):
     D += D.T
     s_list = sorted(rng.choice(n, size=n - 3, replace=False).tolist())
     s_arr = np.array(s_list)
-    claims = ExactView(D).claims(s_arr, w, params)
+    claims = exact_view(D).claims(s_arr, w, params)
     k = len(s_list)
     adj = (D <= w)[s_arr]
     d = adj.sum(axis=1)
@@ -600,20 +694,21 @@ def loop_blocks(k):
     return blocks
 
 
-def test_exact_claims_allocate_at_most_10_bytes_per_pair():
+def test_exact_claims_allocate_at_most_7_bytes_per_pair():
     """With S = V on a planted n = 512 instance, `claims` and `rows` over
-    every position in the seed loop's blocks peak at about 9 bytes per pair
-    of S, set by the gathered int64 rows of S and their mask; each block
-    of rows adds at most 10 bytes per entry of a 64-by-|S| block to the
-    float32 adjacency. The S-by-S float32 statistic and beta mask peaked
-    at 9 too; int64 S-by-S statistics and bounds made it 26."""
+    every position in the seed loop's blocks peak at about 6 bytes per pair
+    of S: the bool mask of S, its S-by-S columns and the float32 adjacency
+    built from them. Each block of rows adds at most 10 bytes per entry of
+    a 64-by-|S| block to the adjacency. Gathering the rows of S as int64
+    distances, not as uint16 ranks, made it 9; int64 S-by-S statistics and
+    bounds made it 26."""
     n = 512
     spec = GeneratorSpec(kind="planted_ultrametric", n=n, seed=1, noise_k=n // 2,
                          value_alphabet=[fp.from_int(k) for k in range(1, 9)])
-    D = generate(spec)[0].dense()
-    view = ExactView(D)
+    src = generate(spec)[0]
+    view = ExactView(*src.ranks())
     s_arr = np.arange(n)
-    w = int(np.median(D[D > 0]))
+    w = int(np.median(src.d))
     params = AgreementParams()
 
     def claims_and_rows():
@@ -629,7 +724,7 @@ def test_exact_claims_allocate_at_most_10_bytes_per_pair():
     finally:
         tracemalloc.stop()
     assert any(heavy)
-    assert peak - before <= 10 * n * n
+    assert peak - before <= 7 * n * n
 
 
 def eager_clustering(claims, k):
@@ -668,7 +763,7 @@ def test_lazy_seed_loop_matches_eager_rows(seed):
     across = np.flatnonzero(group != group[0])[0]
     D[0, across] = D[across, 0] = 1 * U
     np.fill_diagonal(D, 0)
-    view = ExactView(D)
+    view = exact_view(D)
     blocks = []
 
     class BlockLog(ExactView):
@@ -688,7 +783,7 @@ def test_lazy_seed_loop_matches_eager_rows(seed):
             s_arr = np.sort(rng.choice(np.arange(1, n), size=size - 1, replace=False))
             s_arr = np.concatenate([[0], s_arr])
             del blocks[:]
-            got = s_structural_clustering(s_arr, 1 * U, params, BlockLog(D))
+            got = s_structural_clustering(s_arr, 1 * U, params, exact_view(D, BlockLog))
             seeded, singles = eager_clustering(view.claims(s_arr, 1 * U, params), size)
             want = [s_arr[m].tolist() for _, m in seeded]
             assert got.to_lists() == want + [[int(s_arr[i])] for i in singles]

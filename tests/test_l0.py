@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,23 @@ class TestExactMode:
         src, _ = planted(n, 3)
         assert fit_l0(src).report.peak_words == n * n
 
+    def test_extra_peak_is_pinned_at_n_1024(self):
+        """The fit reads its pass as a uint16 rank matrix, so its peak above
+        its source stays under 9.5 bytes per n^2 (it reads about 8.5, set
+        by sorting the distances into ranks and again by the first
+        clustering of all n points); the int64 distance matrix made it 17."""
+        n = 1024
+        src, _ = planted(n, 0)
+        fit_l0(planted(8, 0)[0])  # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit_l0(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 9.5 * n * n
+
 
 class RowLog(np.ndarray):
     """A matrix that logs how many rows each integer-array read gathers."""
@@ -172,10 +190,9 @@ def test_peel_loop_reads_the_rows_twice_plus_the_low_rows(monkeypatch):
     log, loops = [], []
 
     class SpyView(ExactView):
-        def __init__(self, matrix):
-            super().__init__(matrix)
-            self.matrix = self.matrix.view(RowLog)
-            self.matrix.log = log
+        def __init__(self, ranks, values):
+            super().__init__(ranks.view(RowLog), values)
+            self.ranks.log = log
 
         def claims(self, s_arr, w, params):
             before = len(log)

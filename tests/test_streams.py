@@ -55,6 +55,30 @@ class TestStreamSource:
         src.dense()
         assert src.passes_read == 2
 
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_planted_ranks_are_uint16_indices_into_the_values(self, n):
+        src, _ = generate(
+            GeneratorSpec(kind="planted_ultrametric", n=n, seed=1, noise_k=n // 2)
+        )
+        ranks, values = src.ranks()
+        assert ranks.dtype == np.uint16 and values.dtype == np.int64
+        assert values[0] == 0
+        assert np.array_equal(values[1:], np.unique(src.d))
+        assert np.array_equal(values[ranks], src.dense())
+        # each read is a pass of its own
+        assert src.passes_read == 2
+
+    def test_more_than_2_16_distinct_distances_take_uint32_ranks(self):
+        """370 points whose 68,265 distances are all distinct: with 0 they
+        are more values than uint16 ranks can index."""
+        n = 370
+        iu, iv = np.triu_indices(n, 1)
+        d = 2 * np.random.default_rng(2).permutation(len(iu)) + 2
+        src = StreamSource(n, iu, iv, d)
+        ranks, values = src.ranks()
+        assert ranks.dtype == np.uint32 and len(values) == len(iu) + 1
+        assert np.array_equal(values[ranks], src.dense())
+
     def test_each_pass_is_permuted_but_complete(self):
         # 28 pairs, so two passes in one order would be a 1 in 28! chance
         D = generate(GeneratorSpec(kind="uniform_random", n=8, seed=1))[0].dense()
@@ -140,9 +164,9 @@ def test_each_fit_reads_exactly_its_pass_budget(kind, n, noise, fit):
 
 @pytest.mark.parametrize("fit", FIT_PATHS, ids=[f[0] for f in FIT_PATHS])
 def test_each_fit_reads_its_input_once_per_pass(fit):
-    """Every read of the input goes through `arrays` or `dense`, and a fit
-    makes no more of them than its budget: the four pivots of an `l0` tree
-    fit share one read of pass 1."""
+    """Every read of the input goes through `arrays`, `ranks` or `dense`,
+    and a fit makes no more of them than its budget: the four pivots of an
+    `l0` tree fit share one read of pass 1."""
     _, budget, fitter = fit
     src, _ = generate(
         GeneratorSpec(kind="planted_ultrametric", n=40, seed=3, noise_k=60)
@@ -160,6 +184,7 @@ def test_each_fit_reads_its_input_once_per_pass(fit):
         return read
 
     with mock.patch.object(StreamSource, "arrays", spy("arrays")), \
+            mock.patch.object(StreamSource, "ranks", spy("ranks")), \
             mock.patch.object(StreamSource, "dense", spy("dense")):
         fitter(src)
     assert len(reads) == budget == src.passes_read
@@ -347,7 +372,8 @@ class TestGenerators:
 
 
 DISTANCES = st.one_of(
-    st.integers(1, 10**12).map(lambda k: fp.to_decimal(2 * k)),
+    # odd counts of units render a tenth fraction digit of 5
+    st.integers(1, 2 * 10**12).map(fp.to_decimal),
     st.from_regex(r"\A0{0,2}[1-9][0-9]{0,6}(\.[0-9]{1,9})?\Z"),
     st.from_regex(r"\A0?\.[0-9]{0,8}[1-9]\Z"),
 )
@@ -483,13 +509,17 @@ def test_fast_parse_agrees_with_the_line_parser(kind, file, chunk, data):
         (b"0 999999999999999999 1", True),
         (b"0 1000000000000000000 1", False),
         (b"0 1 .000000001", True),
+        (b"0 1 999999999.9999999995", True),
+        (b"0 1 1.0000000000", True),
+        (b"0 1 .0000000005", True),
         (b"0 1 1.0000000001", False),
+        (b"0 1 1.00000000050", False),
     ],
 )
 def test_fast_parse_digit_limits(tmp_path, line, fast):
-    """The widest tokens the fast path takes: 9 whole and 9 fraction digits
-    in `d`, 18 digits in `u` and `v`; one digit more goes to the line
-    parser."""
+    """The widest tokens the fast path takes: 9 whole and 10 fraction
+    digits in `d`, the tenth 0 or 5, and 18 digits in `u` and `v`; one
+    digit more, or another tenth digit, goes to the line parser."""
     path = tmp_path / "s.txt"
     path.write_bytes(b"2\n" + line + b"\n")
     got = streams._parse_fast(path)
@@ -524,6 +554,36 @@ def test_written_file_round_trips_through_the_fast_path(tmp_path):
     assert np.array_equal(v, src.v)
     assert np.array_equal(d, src.d)
 
+
+
+def test_ten_fraction_digit_file_parses_on_the_fast_path(tmp_path):
+    """Odd counts of units, written with a tenth fraction digit of 5, parse
+    on the fast path to the line parser's arrays. A tenth digit other than
+    0 or 5 still falls to the line parser, which names the line."""
+    alphabet = [fp.from_decimal(x) for x in ("1.0000000005", "2", "0.5000000005")]
+    n = 60
+    iu, iv = np.triu_indices(n, 1)
+    d = np.random.default_rng(1).choice(alphabet, size=len(iu))
+    path = tmp_path / "s.txt"
+    StreamSource(n, iu, iv, d).write_file(path)
+    text = path.read_bytes()
+    assert b"1.0000000005\n" in text
+    fast = streams._parse_fast(path)
+    assert fast is not None
+    n_ref, *ref = streams._parse_lines(path)
+    assert fast[0] == n_ref == n
+    for mine, want in zip(fast[1:], ref):
+        assert np.array_equal(mine, want)
+    assert np.array_equal(fast[3], d)
+    lines = text.split(b"\n")
+    at = next(i for i, x in enumerate(lines) if x.endswith(b" 1.0000000005"))
+    lines[at] = lines[at].replace(b"1.0000000005", b"1.0000000007")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\n".join(lines))
+    assert streams._parse_fast(bad) is None
+    # the header is line 1
+    with pytest.raises(ParseError, match=rf":{at + 1}: distance '1.0000000007' needs"):
+        StreamSource.from_file(bad)
 
 
 def test_fast_parse_peak_memory_is_pinned(tmp_path):

@@ -336,11 +336,13 @@ class TestL0Tree:
 
     def test_peak_memory_is_pinned_at_n_512(self):
         """Pass 1 is read once and its distances are shifted in place from
-        pivot to pivot, so the fit's peak stays under 3.9 n x n int64
-        matrices (it reads about 3.85, set by the pivot fits); holding pass
-        1's distances beside a shifted copy lifts it to about 4.35. The
-        consensus counts disagreements a slice of pairs at a time; holding
-        every fit's distances at once made it set the peak, at 3.95."""
+        pivot to pivot, and each pivot fit reads its pass as uint16 ranks,
+        so the fit's peak stays under 3.0 n x n int64 matrices (it reads
+        about 2.77, set by the pivot fits; an int64 distance matrix in each
+        pivot fit made it 3.85). Holding pass 1's distances beside a
+        shifted copy lifted it by about 0.5. The consensus counts
+        disagreements a slice of pairs at a time; holding every fit's
+        distances at once made it set the peak, at 3.95."""
         n = 512
         src, _ = generate(
             GeneratorSpec(kind="planted_tree_metric", n=n, seed=1, noise_k=n // 2)
@@ -352,4 +354,4 @@ class TestL0Tree:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.9 * n * n * 8
+        assert peak < 3.0 * n * n * 8
