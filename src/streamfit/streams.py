@@ -36,159 +36,265 @@ def pair_index(n: int, u: int, v: int):
     return index
 
 
+# pairs in one canonical slice of `StreamSource.slices`
+SLICE_PAIRS = 1 << 14
+
+
+def _row_shift(n):
+    """The n-long int64 `shift` with pair_index(n, u, v) = shift[u] + v."""
+    return pair_index(n, np.arange(n), 0)
+
+
+def _pair_table(n):
+    """(rows, shift) for n points: the row u of every pair in canonical
+    order, uint16 while ids fit, and `_row_shift(n)`."""
+    ids = np.arange(n, dtype=np.promote_types(np.uint16, np.min_scalar_type(n - 1)))
+    return np.repeat(ids, np.arange(n - 1, -1, -1)), _row_shift(n)
+
+
+def _slices(table):
+    """(part, u, v) for every `SLICE_PAIRS` pairs in canonical order:
+    `part` the slice of their indices, and u, v their int64 ids."""
+    rows, shift = table
+    for start in range(0, len(rows), SLICE_PAIRS):
+        part = slice(start, min(start + SLICE_PAIRS, len(rows)))
+        u = rows[part].astype(np.int64)
+        v = np.arange(part.start, part.stop)
+        v -= shift.take(u)
+        yield part, u, v
+
+
+_BAD_ENTRY = "entries must have 0 <= u < v < n and d > 0"
+
+
 class StreamSource:
     """Multi-pass arbitrary-order sequence of (u, v, d) entries.
 
-    The backing arrays hold every unordered pair of the n points exactly
-    once, in canonical u < v form: the constructor checks this once, so a
-    built source is complete and every consumer trusts it. An order seed
-    permutes the sequence; each pass uses a fresh permutation derived from
-    (seed, pass index). Without a seed every pass keeps the stored order.
+    A source holds every unordered pair of the n points exactly once, in
+    canonical order, pair u < v at `pair_index(n, u, v)`; the constructors
+    check this once, so a built source is complete and every consumer
+    trusts it. It holds no per-pair ids or distances, only
+    - `values`, int64: 0 and then the sorted distinct distances;
+    - `pair_ranks`: each pair's index into `values`, uint16 unless more
+      than 2^16 values need a wider unsigned type;
+    - the canonical row u of each pair, uint16 while ids fit, and an
+      n-long table that turns a pair's index into its v;
+    about 4 bytes a pair, where int64 (u, v, d) arrays take 24. All of them
+    are read-only.
+
+    An order seed permutes the canonical order; each pass uses a fresh
+    permutation derived from (seed, pass index). Without a seed every pass
+    is in canonical order, whatever the order of the entries it was built
+    from.
 
     Passes are handed out once each, in order, and never replayed:
     `arrays`, `ranks` and `dense` each read the next pass, so `passes_read`
-    is the number of reads, and `cost`, reading the stored arrays, reads
-    none.
+    is the number of reads. `slices`, `u`, `v` and `d`, which `cost` and
+    the tree consensus read, serve the held pairs and are no pass.
     """
 
     def __init__(self, n, u, v, d, order_seed=None):
-        self.n = int(n)
-        self.u = np.asarray(u, dtype=np.int64)
-        self.v = np.asarray(v, dtype=np.int64)
-        self.d = np.asarray(d, dtype=np.int64)
-        self.order_seed = order_seed
-        self.passes_read = 0
-        if not (len(self.u) == len(self.v) == len(self.d)):
+        self._start(n, order_seed)
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        d = np.asarray(d, dtype=np.int64)
+        if not (len(u) == len(v) == len(d)):
             raise StreamIntegrityError("ragged stream arrays")
         if self.n < 1:
             raise StreamIntegrityError("point count must be >= 1")
-        bad = (
-            (self.u < 0)
-            | (self.v >= self.n)
-            | (self.u >= self.v)
-            | (self.d <= 0)
-        )
-        if np.any(bad):
-            raise StreamIntegrityError("entries must have 0 <= u < v < n and d > 0")
-        self.check_complete()
+        if np.any((u < 0) | (v >= self.n) | (u >= v) | (d <= 0)):
+            raise StreamIntegrityError(_BAD_ENTRY)
+        self._hold(self.check_complete(u, v, d))
+
+    @classmethod
+    def from_condensed(cls, n, d, order_seed=None):
+        """Source whose pair u < v has the distance d[pair_index(n, u, v)],
+        checked as the constructor checks its arrays."""
+        d = np.asarray(d, dtype=np.int64)
+        source = cls.__new__(cls)
+        source._start(n, order_seed)
+        if source.n < 1:
+            raise StreamIntegrityError("point count must be >= 1")
+        source._check_count(len(d))
+        if np.any(d <= 0):
+            raise StreamIntegrityError(_BAD_ENTRY)
+        source._hold(d)
+        return source
+
+    def _start(self, n, order_seed):
+        self.n = int(n)
+        self.order_seed = order_seed
+        self.passes_read = 0
+
+    def _hold(self, d):
+        """Keep the canonical distances `d` as `values` and `pair_ranks`,
+        from one sort, and build the pair table."""
+        order = np.argsort(d)
+        # a sorted distance is new when it differs from the one before it,
+        # compared a slice of the sorted order at a time: no sorted copy of
+        # d sits beside d and its order
+        new = np.empty(len(d), dtype=bool)
+        new[:1] = True
+        for start in range(1, len(d), SLICE_PAIRS):
+            part = slice(start, start + SLICE_PAIRS)
+            ascending = d.take(order[start - 1 : part.stop])
+            np.not_equal(ascending[1:], ascending[:-1], out=new[part])
+        self.values = np.concatenate([np.zeros(1, dtype=np.int64), d.take(order[new])])
+        dtype = np.promote_types(np.uint16, np.min_scalar_type(len(self.values) - 1))
+        # a sorted distance's rank counts the distinct values up to it
+        ranked = np.cumsum(new, dtype=dtype)
+        del new
+        self.pair_ranks = np.empty_like(ranked)
+        self.pair_ranks[order] = ranked
+        del order, ranked
+        self._table = _pair_table(self.n)
+        for held in (self.values, self.pair_ranks, *self._table):
+            held.flags.writeable = False
 
     @property
     def expected_entries(self) -> int:
         return self.n * (self.n - 1) // 2
 
     def __len__(self):
-        return len(self.d)
+        return len(self.pair_ranks)
 
     @classmethod
     def from_square(cls, matrix, order_seed=None):
         matrix = np.asarray(matrix, dtype=np.int64)
-        n = matrix.shape[0]
-        iu, iv = np.triu_indices(n, k=1)
-        return cls(n, iu, iv, matrix[iu, iv], order_seed)
+        iu, iv = np.triu_indices(matrix.shape[0], k=1)
+        return cls.from_condensed(matrix.shape[0], matrix[iu, iv], order_seed)
 
     @classmethod
     def from_file(cls, path, order_seed=None):
         """Load a stream file: a header line holding n, then one `u v d`
-        line per pair. Malformed files raise `ParseError`."""
+        line per pair, in any order. Malformed files raise `ParseError`."""
         parsed = _parse_fast(path)
-        if parsed is None:
-            parsed = _parse_lines(path)
-        n, u, v, d = parsed
         try:
-            return cls(n, u, v, d, order_seed)
+            if parsed is not None:
+                return cls.from_condensed(*parsed, order_seed)
+            return cls(*_parse_lines(path), order_seed)
         except StreamIntegrityError as exc:
             raise ParseError(f"{path}: {exc}") from None
 
     def _order(self, pass_index: int) -> np.ndarray:
         if self.order_seed is None:
-            return np.arange(len(self.d))
+            return np.arange(len(self))
         key = (self.order_seed, pass_index)
         rng = np.random.Generator(np.random.Philox(key=key))
-        return rng.permutation(len(self.d))
+        return rng.permutation(len(self))
 
     def arrays(self):
-        """The next pass, in fresh (u, v, d) arrays the caller may overwrite."""
+        """The next pass, in fresh int64 (u, v, d) arrays the caller may
+        overwrite."""
         order = self._order(self.passes_read)
         self.passes_read += 1
-        return self.u[order], self.v[order], self.d[order]
+        rows, shift = self._table
+        u = rows.take(order).astype(np.int64)
+        v = shift.take(u)
+        np.subtract(order, v, out=v)
+        return u, v, self.values.take(self.pair_ranks.take(order))
+
+    def slices(self):
+        """Every pair once in canonical order, `SLICE_PAIRS` at a time, as
+        (part, u, v): `part` the slice of their canonical indices and u, v
+        int64 arrays. No pass."""
+        return _slices(self._table)
+
+    @property
+    def u(self) -> np.ndarray:
+        """Each pair's smaller id, in canonical order; no pass."""
+        return self._table[0].astype(np.int64)
+
+    @property
+    def v(self) -> np.ndarray:
+        """Each pair's larger id, in canonical order; no pass."""
+        rows, shift = self._table
+        v = np.arange(len(self))
+        v -= shift.take(rows)
+        return v
+
+    @property
+    def d(self) -> np.ndarray:
+        """Each pair's distance, in canonical order; no pass."""
+        return self.values.take(self.pair_ranks)
 
     def dense(self) -> np.ndarray:
         """Full symmetric matrix, read as the next pass; the source is
         complete by construction."""
         self.passes_read += 1
-        return self._symmetric(self.d)
+        return self._symmetric(self.values)
 
     def ranks(self):
-        """The next pass as (ranks, values): `values` is int64, 0 and then
-        the sorted distinct distances, and `ranks` the n-by-n symmetric
-        matrix of each distance's index in `values`, 0 on the diagonal.
+        """The next pass as (ranks, values): `values` is the held int64
+        `values`, 0 and then the sorted distinct distances, and `ranks` the
+        n-by-n symmetric matrix of each distance's index in `values`, 0 on
+        the diagonal, scattered from the held `pair_ranks` and of their
+        dtype.
 
         A distance is at most w exactly when its rank is at most that of
         the largest value at most w, so the ranks answer every threshold
-        test that the distances do. They are uint16, at a quarter of the
-        distances' bytes, unless more than 2^16 values need a wider unsigned
-        type (uint32 wherever the matrix fits in memory). Never uint8:
-        numpy partitions uint8 rows slower than int64 rows, and uint16 rows
-        faster. The ranks of the pairs come from one sort of the distances,
-        whose temporaries are freed before the n-by-n matrix is made.
+        test that the distances do, at a quarter of their bytes while they
+        are uint16. Never uint8: numpy partitions uint8 rows slower than
+        int64 rows, and uint16 rows faster.
         """
         self.passes_read += 1
-        order = np.argsort(self.d)
-        ascending = self.d[order]
-        new = np.empty(len(ascending), dtype=bool)
-        new[:1] = True
-        np.not_equal(ascending[1:], ascending[:-1], out=new[1:])
-        values = np.concatenate([np.zeros(1, dtype=np.int64), ascending[new]])
-        del ascending
-        dtype = np.promote_types(np.uint16, np.min_scalar_type(len(values) - 1))
-        # a sorted distance's rank counts the distinct values up to it
-        ranked = np.cumsum(new, dtype=dtype)
-        del new
-        pair_ranks = np.empty_like(ranked)
-        pair_ranks[order] = ranked
-        del order, ranked
-        return self._symmetric(pair_ranks), values
+        return self._symmetric(), self.values
 
-    def _symmetric(self, entries) -> np.ndarray:
-        """The n-by-n symmetric matrix with `entries` at the stored pairs
-        and 0 on the diagonal, of their dtype."""
-        out = np.zeros((self.n, self.n), dtype=entries.dtype)
-        # scatter both triangles: adding the transpose would allocate a
-        # second n-by-n matrix
-        out[self.u, self.v] = entries
-        out[self.v, self.u] = entries
+    def _symmetric(self, lookup=None) -> np.ndarray:
+        """The n-by-n symmetric matrix of each pair's held rank, or of
+        lookup[rank], with 0 on the diagonal. It is filled a row at a time,
+        into both triangles: adding the transpose would allocate a second
+        n-by-n matrix."""
+        dtype = self.pair_ranks.dtype if lookup is None else lookup.dtype
+        out = np.zeros((self.n, self.n), dtype=dtype)
+        # row u's pairs (u, u + 1), ..., (u, n - 1) sit at shift[u] + u + 1
+        # up to shift[u] + n
+        for u, shift in enumerate(self._table[1].tolist()):
+            x = self.pair_ranks[shift + u + 1 : shift + self.n]
+            if lookup is not None:
+                x = lookup.take(x)
+            out[u, u + 1 :] = x
+            out[u + 1 :, u] = x
         return out
 
-    def check_complete(self):
-        """Raise unless every unordered pair occurs exactly once.
-
-        The count is checked before any n(n-1)/2 allocation; then, with as
-        many entries as pairs, a bitmap with one bit set per entry rules out
-        duplicates and, by pigeonhole, missing pairs.
-        """
-        if len(self.d) != self.expected_entries:
+    def _check_count(self, entries):
+        # before any allocation of n(n-1)/2 entries
+        if entries != self.expected_entries:
             raise StreamIntegrityError(
-                f"stream has {len(self.d)} entries, expected {self.expected_entries}"
+                f"stream has {entries} entries, expected {self.expected_entries}"
             )
-        seen = np.zeros(self.expected_entries, dtype=bool)
-        seen[pair_index(self.n, self.u, self.v)] = True
-        if np.count_nonzero(seen) != len(self.d):
+
+    def check_complete(self, u, v, d):
+        """The distances d of the pairs (u, v), u < v and d > 0, in
+        canonical order; raise unless every unordered pair occurs exactly
+        once.
+
+        The count is checked before any n(n-1)/2 allocation. Then, with as
+        many entries as pairs, a pair left at 0 by the scatter is missing,
+        and by pigeonhole another one occurs twice.
+        """
+        self._check_count(len(d))
+        condensed = np.zeros(self.expected_entries, dtype=np.int64)
+        condensed[pair_index(self.n, u, v)] = d
+        if not condensed.all():
             raise StreamIntegrityError("duplicate pair in stream")
+        return condensed
 
     def write_file(self, path):
-        # each line is three table entries joined: render each vertex id
-        # and each distinct distance once, not once per line
-        values, which = np.unique(self.d, return_inverse=True)
+        """Write the pairs in canonical order. Each line is three table
+        entries joined: each vertex id and each distinct distance is
+        rendered once, not once per line."""
         ids = [f"{i} " for i in range(self.n)]
-        texts = [fixedpoint.to_decimal(x) + "\n" for x in values.tolist()]
-        columns = (
-            map(ids.__getitem__, self.u.tolist()),
-            map(ids.__getitem__, self.v.tolist()),
-            map(texts.__getitem__, which.tolist()),
-        )
+        texts = [fixedpoint.to_decimal(x) + "\n" for x in self.values.tolist()]
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(f"{self.n}\n")
-            fh.writelines(map("".join, zip(*columns)))
+            for part, u, v in self.slices():
+                columns = (
+                    map(ids.__getitem__, u.tolist()),
+                    map(ids.__getitem__, v.tolist()),
+                    map(texts.__getitem__, self.pair_ranks[part].tolist()),
+                )
+                fh.writelines(map("".join, zip(*columns)))
 
 
 _INT64 = np.iinfo(np.int64)
@@ -251,42 +357,54 @@ def _parse_lines(path):
 
 
 def _parse_fast(path):
-    """Parse a plainly written stream file into (n, u, v, d) with numpy.
+    """Parse a plainly written stream file with numpy into (n, d), d the
+    int64 distances of the pairs in canonical order.
 
-    Returns None on any doubt, and `_parse_lines` then decides: a header
-    that is not digits and a newline, or a body line that is not three
-    digit tokens `u v d` separated by spaces, where `d` has at most nine
-    whole digits and is positive, with at most ten fraction digits, a tenth
-    one 0 or 5 as `fixedpoint.from_decimal` reads them, and `u` and `v`
-    have at most 18 digits. Every value accepted here fits in int64.
+    Returns None on any doubt, and `_parse_lines` and the constructor then
+    decide: a header that is not digits and a newline, a body of other than
+    n(n-1)/2 lines, or a body line that is not three digit tokens `u v d`
+    separated by spaces, where `d` has at most nine whole digits and is
+    positive, with at most ten fraction digits, a tenth one 0 or 5 as
+    `fixedpoint.from_decimal` reads them, and `u` and `v` are distinct ids
+    below n, of at most 18 digits. A pair met twice leaves another pair
+    without a distance, which is a doubt too. Every value accepted here fits
+    in int64.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.endswith(b"\n"):
         data += b"\n"
     head = data.index(b"\n")
-    if not data[:head].isdigit():
+    # more digits would be more pairs than a file has lines, and would
+    # reach int()'s limit on digits
+    if not data[:head].isdigit() or head > 18:
         return None
+    n = int(data[:head])
     rows = data.count(b"\n", head + 1)
-    u = np.empty(rows, dtype=np.int64)
-    v = np.empty(rows, dtype=np.int64)
-    d = np.empty(rows, dtype=np.int64)
+    if rows != n * (n - 1) // 2:
+        return None
+    d = np.zeros(rows, dtype=np.int64)
+    shift = _row_shift(n)
     row, pos = 0, head
     while row < rows:
         end = data.rfind(b"\n", pos + 1, pos + CHUNK_BYTES)
         if end < 0:  # a single line longer than a chunk
             end = data.find(b"\n", pos + 1)
         chunk = np.frombuffer(data, dtype=np.uint8, count=end + 1 - pos, offset=pos)
-        lines = _parse_chunk(chunk, u[row:], v[row:], d[row:])
+        lines = _parse_chunk(chunk, shift, d)
         if lines is None:
             return None
         row, pos = row + lines, end
-    return int(data[:head]), u, v, d
+    # every d is positive, so a pair left at 0 is missing
+    if not d.all():
+        return None
+    return n, d
 
 
-def _parse_chunk(b, u, v, d):
-    """Parse the lines in `b` into the first rows of u, v and d, and return
-    how many; None on any doubt.
+def _parse_chunk(b, shift, d):
+    """Parse the lines in `b` and scatter each line's distance into the
+    canonical distances d, at `shift[u] + v` for ids u < v below
+    len(shift); return how many lines, or None on any doubt.
 
     `b` starts with the newline before its first line and ends with the
     newline of its last line.
@@ -328,19 +446,26 @@ def _parse_chunk(b, u, v, d):
     # 18 digits fit int64; 9 whole digits keep d below 2 * 10^18 units
     if widest > 18 or (ends[2::3] - before[2::3]).max() - 1 > 9:
         return None
-    values = _fold(digits, before, ends, widest).reshape(lines, 3)
+    fold = _fold(digits, before, ends, widest).reshape(lines, 3)
     fractions = _fold(digits, dots, frac_ends, int(frac_len.max(initial=0)))
-    np.minimum(values[:, 0], values[:, 1], out=u[:lines])
-    np.maximum(values[:, 0], values[:, 1], out=v[:lines])
-    d = d[:lines]
-    np.multiply(values[:, 2], fixedpoint.SCALE, out=d)
+    # the token arrays go before the pair indices come
+    del digits, before, ends, dots, frac_ends
+    # the third column holds d's whole part and becomes d in place
+    first, second, dist = fold.T
+    dist *= fixedpoint.SCALE
     # the fraction's digits, padded to ten places, count steps of 10^-10,
     # five to a unit, as in `fixedpoint.from_decimal`
     fractions *= 10 ** (places - frac_len)
     fractions //= 10**places // fixedpoint.SCALE
-    d[owner // 3] += fractions
-    if np.any(d <= 0):
+    dist[owner // 3] += fractions
+    del owner, fractions, frac_len
+    if np.any(dist <= 0):
         return None
+    u, v = np.minimum(first, second), np.maximum(first, second)
+    if v.max() >= len(shift) or np.any(u == v):
+        return None
+    v += shift.take(u)  # each line's pair index
+    d[v] = dist
     return lines
 
 
@@ -529,14 +654,14 @@ def generate(spec: GeneratorSpec):
             "alphabet values must be even counts of units (a tenth fraction digit of 0)"
         )
     truth = None
-    iu, iv = np.triu_indices(n, k=1)
-
-    # d holds the distance of every pair (iu[p], iv[p])
+    # d holds the distance of every pair in canonical order
     if build is None:
         d = rng.choice(np.asarray(alphabet, dtype=np.int64), size=m)
     else:
         truth = build(rng, n, alphabet)
-        d = truth.distances(iu, iv)
+        d = np.empty(m, dtype=np.int64)
+        for part, u, v in _slices(_pair_table(n)):
+            d[part] = truth.distances(u, v)
 
     if spec.noise_k:
         pool = np.asarray(sorted(set(int(v) for v in alphabet)), dtype=np.int64)
@@ -547,5 +672,5 @@ def generate(spec: GeneratorSpec):
         for p in rng.choice(m, size=spec.noise_k, replace=False):
             d[p] = int(rng.choice(pool[pool != d[p]]))
 
-    source = StreamSource(n, iu, iv, d, order_seed=spec.seed)
+    source = StreamSource.from_condensed(n, d, order_seed=spec.seed)
     return source, truth

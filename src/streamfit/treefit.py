@@ -20,12 +20,10 @@ from . import agreement
 from .l0fit import fit_l0
 from .linf import fit_linf_min_decrement
 from .sketches import SketchConfig, sorted_distinct
-from .streams import StreamSource
+from .streams import StreamSource, pair_index
 from .trees import DomainError, TreeMetricRep
 
 INT64_MAX = int(np.iinfo(np.int64).max)
-# pairs in one slice of the tree consensus's disagreement counts
-_CONSENSUS_PAIRS = 1 << 14
 
 
 def collect_pivot_rows(source: StreamSource, pivots) -> np.ndarray:
@@ -46,10 +44,11 @@ def collect_pivot_rows(source: StreamSource, pivots) -> np.ndarray:
     return rows
 
 
-def centroid_transformed_source(n, u, v, d, row, prior=0) -> StreamSource:
-    """Stream of D + C over one pass's (u, v, d) arrays, in that order, for
-    the pivot row `row`. `d` is shifted in place from D, or from D plus the
-    centroid of the pivot row `prior`, so the pivots share one buffer.
+def centroid_transformed_source(source: StreamSource, d, row, prior=0) -> StreamSource:
+    """Stream of D + C for the pivot row `row`, over `d`, the distances of
+    `source`'s pairs in canonical order. `d` is shifted in place from D, or
+    from D plus the centroid of the pivot row `prior`, one canonical slice
+    at a time, so the pivots share one buffer.
 
     Every entry on the way is at most max D + 2 max(row); the caller checks
     that this fits int64, as `_fit_pivots` does.
@@ -58,18 +57,21 @@ def centroid_transformed_source(n, u, v, d, row, prior=0) -> StreamSource:
     # D + 2 max(row) - prior[u] - prior[v] and D + 2 max(row) - row[u] -
     # prior[v] to D + C; rows are nonnegative, so none passes the bound
     step = row - prior
-    d += 2 * (int(row.max()) - int(np.max(prior)))
-    d -= step[u]
-    d -= step[v]
-    return StreamSource(n, u, v, d)
+    lift = 2 * (int(row.max()) - int(np.max(prior)))
+    for part, u, v in source.slices():
+        shifted = d[part]
+        shifted += lift
+        shifted -= step[u]
+        shifted -= step[v]
+    return StreamSource.from_condensed(source.n, d)
 
 
 def _fit_pivots(source: StreamSource, pivots, fit_base) -> list:
     """One tree metric per pivot: pass 0 gathers every pivot row, then
-    pass 1 is read once and its distance buffer is shifted in place from
-    one pivot's centroid transform to the next, each fed to `fit_base`.
-    `DomainError` is raised before the first shift unless max D + 2 max(row)
-    fits int64 for every pivot."""
+    pass 1 is read once into one canonical distance buffer, which is
+    shifted in place from one pivot's centroid transform to the next, each
+    fed to `fit_base`. `DomainError` is raised before the first shift
+    unless max D + 2 max(row) fits int64 for every pivot."""
     rows = collect_pivot_rows(source, pivots)
     u, v, d = source.arrays()
     if (int(d.max()) if len(d) else 0) + 2 * int(rows.max()) > INT64_MAX:
@@ -77,9 +79,14 @@ def _fit_pivots(source: StreamSource, pivots, fit_base) -> list:
             "pivot centroid shift passes the int64 range: "
             "distances too large for a tree fit"
         )
+    index = pair_index(source.n, u, v)
+    del u, v
+    buffer = np.empty_like(d)
+    buffer[index] = d
+    del index, d
     reps, prior = [], 0
     for pivot, row in zip(pivots, rows):
-        shifted = centroid_transformed_source(source.n, u, v, d, row, prior)
+        shifted = centroid_transformed_source(source, buffer, row, prior)
         reps.append(TreeMetricRep(fit_base(shifted), pivot, row))
         prior = row
     return reps
@@ -145,13 +152,10 @@ def fit_l0_tree(
     reps = _fit_pivots(source, pivots, lambda s: fit_l0(s, config).tree)
 
     pairwise = np.zeros((t, t), dtype=np.int64)
-    # every pair once, in the stream's stored order, one slice of pairs at
-    # a time, so that the fits' distances never sit whole side by side; the
-    # counts need no particular order
-    u, v = source.u, source.v
-    for a in range(0, len(u), _CONSENSUS_PAIRS):
-        pairs = u[a : a + _CONSENSUS_PAIRS], v[a : a + _CONSENSUS_PAIRS]
-        part = [rep.distances(*pairs) for rep in reps]
+    # every pair once, a canonical slice at a time, so that the fits'
+    # distances never sit whole side by side; the counts need no order
+    for _, u, v in source.slices():
+        part = [rep.distances(u, v) for rep in reps]
         for i in range(t):
             for j in range(i + 1, t):
                 pairwise[i, j] += np.count_nonzero(part[i] != part[j])

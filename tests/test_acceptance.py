@@ -286,7 +286,7 @@ def test_10_tree_metric_linf_chain():
         rep = fit_linf_tree(src)
         M = rep.induced_matrix()
         err = int(np.abs(M - D).max())
-        shifted = centroid_transformed_source(n, *src.arrays(), D[0])
+        shifted = centroid_transformed_source(src, src.d, D[0])
         opt = fit_linf_exact(shifted).optimal_cost
         assert err <= 2 * opt
         assert four_point_check(M)

@@ -719,6 +719,17 @@ class TestBench:
         assert [row["passes"] for row in rows] == ["1", "1", "1"]
 
 
+FIT_PATHS = [
+    ("ultrametric", "linf", "exact", "1"),
+    ("ultrametric", "linf", "exact", "2"),
+    ("ultrametric", "l0", "exact", "1"),
+    ("ultrametric", "l0", "sketch", "1"),
+    ("tree", "linf", "exact", "2"),
+    ("tree", "l0", "exact", "2"),
+    ("tree", "l0", "sketch", "2"),
+]
+
+
 class TestDeterminism:
     def test_reports_are_byte_identical(self, instance, tmp_path):
         _, stream, _ = instance
@@ -732,16 +743,41 @@ class TestDeterminism:
             ) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    @pytest.mark.parametrize("path", FIT_PATHS, ids=["-".join(p) for p in FIT_PATHS])
+    def test_line_order_does_not_matter(self, tmp_path, path):
+        """A source holds its pairs in canonical order, whatever the order
+        of the file's lines, so a copy with its lines shuffled and every
+        other line's endpoints swapped fits to the same files. Its passes
+        are permutations of canonical order; when they followed the file's
+        order, the two-pass `linf` certificate pair moved with it."""
+        stream = tmp_path / "d.txt"
+        assert run(
+            "gen", "--kind", "planted_ultrametric", "--n", "64", "--seed", "3",
+            "--noise-k", "32", "--out", str(stream),
+        ) == 0
+        header, *body = stream.read_text().splitlines()
+        rng = np.random.default_rng(2)
+        body = [body[i] for i in rng.permutation(len(body))]
+        for i in range(0, len(body), 2):
+            u, v, d = body[i].split()
+            body[i] = f"{v} {u} {d}"
+        shuffled = tmp_path / "shuffled.txt"
+        shuffled.write_text("\n".join([header, *body]) + "\n")
+        structure, objective, mode, passes = path
+        outputs = []
+        for name, source in (("a", stream), ("b", shuffled)):
+            files = [
+                tmp_path / f"{name}{ext}" for ext in (".json", ".nwk", "-fit.json")
+            ]
+            assert run(
+                "fit", "--input", str(source), "--structure", structure,
+                "--objective", objective, "--mode", mode, "--passes", passes,
+                "--seed", "1", "--out-tree", str(files[0]),
+                "--out-newick", str(files[1]), "--report", str(files[2]),
+            ) == 0
+            outputs.append([f.read_bytes() for f in files])
+        assert outputs[0] == outputs[1]
 
-FIT_PATHS = [
-    ("ultrametric", "linf", "exact", "1"),
-    ("ultrametric", "linf", "exact", "2"),
-    ("ultrametric", "l0", "exact", "1"),
-    ("ultrametric", "l0", "sketch", "1"),
-    ("tree", "linf", "exact", "2"),
-    ("tree", "l0", "exact", "2"),
-    ("tree", "l0", "sketch", "2"),
-]
 
 # run by a fresh interpreter: exits 0 when every command returned 0 and
 # nothing imported numpy.ma, else prints what did

@@ -186,7 +186,7 @@ def test_peel_loop_reads_the_rows_twice_plus_the_low_rows(monkeypatch):
         GeneratorSpec(kind="planted_tree_metric", n=128, seed=4, noise_k=128)
     )
     D0 = src.dense()
-    shifted = centroid_transformed_source(128, *src.arrays(), D0[0])
+    shifted = centroid_transformed_source(src, src.d, D0[0])
     log, loops = [], []
 
     class SpyView(ExactView):

@@ -109,7 +109,7 @@ class TestCentroidTransform:
         src = StreamSource.from_square(D, order_seed=0)
         row = D[0]
         m = int(row.max())
-        shifted = centroid_transformed_source(3, *src.arrays(), row).dense()
+        shifted = centroid_transformed_source(src, src.d, row).dense()
         # any pair containing the pivot lands exactly at 2m
         assert shifted[0, 1] == 2 * m
         assert shifted[0, 2] == 2 * m
@@ -120,18 +120,18 @@ class TestCentroidTransform:
                 GeneratorSpec(kind="planted_tree_metric", n=16, seed=seed)
             )
             D = src.dense()
-            shifted = centroid_transformed_source(16, *src.arrays(), D[0]).dense()
+            shifted = centroid_transformed_source(src, src.d, D[0]).dense()
             assert is_ultrametric(shifted)
 
     def test_shift_moves_one_buffer_from_pivot_to_pivot(self):
         # D + C(row a), shifted on to row b, is the transform of D for b
         src, _ = generate(GeneratorSpec(kind="planted_tree_metric", n=16, seed=2))
         D = src.dense()
-        u, v, d = src.arrays()
+        d = src.d
         prior = 0
         for pivot in (0, 5, 11, 3):
-            moved = centroid_transformed_source(16, u, v, d, D[pivot], prior)
-            fresh = centroid_transformed_source(16, *src.arrays(), D[pivot])
+            moved = centroid_transformed_source(src, d, D[pivot], prior)
+            fresh = centroid_transformed_source(src, src.d, D[pivot])
             assert np.array_equal(moved.dense(), fresh.dense())
             prior = D[pivot]
 
@@ -172,12 +172,11 @@ class TestCentroidTransform:
         x = 3 * 10**18
         D = np.array([[0, 1, x], [1, 0, x], [x, x, 0]], dtype=np.int64)
         src = StreamSource.from_square(D, order_seed=0)
-        u, v, d = src.arrays()
-        assert centroid_transformed_source(3, u, v, d, D[0]).dense().max() == 2 * x
-        moved = centroid_transformed_source(3, u, v, d, D[1], D[0]).dense()
-        fresh = StreamSource.from_square(D, order_seed=0)
+        d = src.d
+        assert centroid_transformed_source(src, d, D[0]).dense().max() == 2 * x
+        moved = centroid_transformed_source(src, d, D[1], D[0]).dense()
         assert np.array_equal(
-            moved, centroid_transformed_source(3, *fresh.arrays(), D[1]).dense()
+            moved, centroid_transformed_source(src, src.d, D[1]).dense()
         )
 
     def test_every_pivot_is_bounded_by_max_d_and_its_own_row(self):
@@ -195,7 +194,7 @@ class TestCentroidTransform:
         _fit_pivots(StreamSource.from_square(D, order_seed=0), [0, 1, 2], fit_base)
         for pivot, moved in enumerate(seen):
             fresh = StreamSource.from_square(D, order_seed=0)
-            want = centroid_transformed_source(3, *fresh.arrays(), D[pivot])
+            want = centroid_transformed_source(fresh, fresh.d, D[pivot])
             assert np.array_equal(moved, want.dense())
         assert len(seen) == 3 and max(m.max() for m in seen) == 2 * x
 
@@ -205,16 +204,31 @@ class TestCentroidTransform:
         with pytest.raises(DomainError, match="int64"):
             fit(StreamSource(3, [0, 0, 1], [1, 2, 2], [top, top, 1]))
 
-    def test_transform_preserves_pass_order(self):
-        D = path3()
-        src = StreamSource.from_square(D, order_seed=7)
-        src.arrays()
-        u, v, d = src.arrays()
-        u0, v0 = u.copy(), v.copy()
-        shifted = centroid_transformed_source(3, u, v, d, D[0])
-        u1, v1, _ = shifted.arrays()
-        assert np.array_equal(u0, u1)
-        assert np.array_equal(v0, v1)
+    def test_each_pivot_source_holds_d_plus_c_for_every_pair(self):
+        """Pass 1 arrives permuted by the order seed, and each pivot's
+        source holds D + C of that pivot's row at every pair; a derived
+        source serves its passes in canonical order."""
+        src, _ = generate(
+            GeneratorSpec(kind="uniform_random", n=12, seed=5, noise_k=0)
+        )
+        D = src.dense()
+        seen = []
+
+        def fit_base(shifted):
+            seen.append(shifted)
+            return fit_l0(shifted).tree
+
+        pivots = [0, 4, 9]
+        permuted = StreamSource.from_square(D, order_seed=7)
+        _fit_pivots(permuted, pivots, fit_base)
+        assert len(seen) == len(pivots)
+        for pivot, shifted in zip(pivots, seen):
+            row = D[pivot]
+            C = 2 * row.max() - row[:, None] - row[None, :]
+            np.fill_diagonal(C, 0)
+            assert np.array_equal(shifted.dense(), D + C)
+            u, v, d = shifted.arrays()
+            assert np.array_equal(u, shifted.u) and np.array_equal(v, shifted.v)
 
 
 class TestLinfTree:
@@ -249,7 +263,7 @@ class TestLinfTree:
             D = src.dense()
             rep = fit_linf_tree(src)
             err = int(np.abs(rep.induced_matrix() - D).max())
-            shifted = centroid_transformed_source(10, *src.arrays(), D[0])
+            shifted = centroid_transformed_source(src, src.d, D[0])
             opt = fit_linf_exact(shifted).optimal_cost
             assert err <= 2 * opt
 
